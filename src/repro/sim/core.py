@@ -1,19 +1,19 @@
 """The simulator: event heap, clock, and deterministic RNG streams.
 
-Hot-loop layout (the "sim-kernel speed rewrite"): the heap holds slim
-``(time, tie, seq, handle)`` tuples, so every heap comparison is a
-C-level tuple compare — ``seq`` is unique, so ordering never falls
-through to the :class:`Handle` payload and no Python ``__lt__`` runs on
-the hot path.  ``run()``/``run_until()`` inline the former ``step()``
-body with the heap, ``heappop`` and the sanitizer hoisted into locals,
-and the scheduling counter is a plain int.  None of this changes *what*
-executes: the sanitizer still observes the identical ``(time, seq,
-callback qualname)`` stream, which ``tests/test_kernel_equivalence.py``
-pins to pre-rewrite goldens.
+Hot-loop layout: the heap holds slim ``(time, tie, seq, handle)``
+tuples, so every heap comparison is a C-level tuple compare — ``seq`` is
+unique, so ordering never falls through to the :class:`Handle` payload.
+:meth:`Simulator.run` and :meth:`Simulator.run_until` are thin wrappers
+over one loop, ``_loop``, with the heap, ``heappop`` and the sanitizer
+hoisted into locals; the paranoid sanitizer is its only per-event
+observer.  None of this is part of the determinism contract, which is
+behavioural: ``tests/test_kernel_equivalence.py`` pins bus digests and
+per-stream RNG draw counts, not callback names or event counts.
 """
 
 import hashlib
 import heapq
+import math
 import random
 
 from repro.errors import ProcessCrashed, SchedulingInPastError, SimulationError
@@ -47,16 +47,6 @@ class Handle:
         # Drop references so cancelled closures don't pin object graphs.
         self.fn = None
         self.args = ()
-
-    def __lt__(self, other):
-        # Not used by the heap (tuple entries order on seq first); kept for
-        # code that sorts handles directly.  Direct field compares — no
-        # two-tuple allocation per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.tie != other.tie:
-            return self.tie < other.tie
-        return self.seq < other.seq
 
 
 class ShuffledTies:
@@ -231,85 +221,42 @@ class Simulator:
         return self.sanitizer.hexdigest()
 
     # -- execution -----------------------------------------------------------
-    def step(self):
-        """Run the next non-cancelled event; return False when drained."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            time, _tie, seq, handle = pop(heap)
-            if handle.cancelled:
-                continue
-            self.now = time
-            if self.sanitizer is not None:
-                self.sanitizer.observe(time, seq, handle.fn)
-            handle.fn(*handle.args)
-            if self._crashes:
-                self._raise_crashes()
-            return True
-        return False
-
     def run(self, until=None):
         """Run until the heap drains or the clock passes ``until`` (µs)."""
-        heap = self._heap
-        pop = heapq.heappop
-        sanitizer = self.sanitizer
-        if until is None:
-            while heap:
-                time, _tie, seq, handle = pop(heap)
-                if handle.cancelled:
-                    continue
-                self.now = time
-                if sanitizer is not None:
-                    sanitizer.observe(time, seq, handle.fn)
-                handle.fn(*handle.args)
-                if self._crashes:
-                    self._raise_crashes()
-            return
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                pop(heap)
-                continue
-            time = entry[0]
-            if time > until:
-                break
-            pop(heap)
-            handle = entry[3]
-            self.now = time
-            if sanitizer is not None:
-                sanitizer.observe(time, entry[2], handle.fn)
-            handle.fn(*handle.args)
-            if self._crashes:
-                self._raise_crashes()
-        if self.now < until:
+        # A fresh pending event nobody triggers: stop only on the clock.
+        self._loop(Event(self), math.inf if until is None else until)
+        if until is not None and self.now < until:
             self.now = until
 
     def run_until(self, event, limit=None):
         """Run until ``event`` triggers (or the heap drains / clock passes
         ``limit``); returns whether the event triggered."""
+        self._loop(event, math.inf if limit is None else limit)
+        return event._done
+
+    def _loop(self, event, limit):
+        """Execute heap events in order until the heap drains, ``event``
+        triggers, or the next live event lies past ``limit`` (an event at
+        exactly ``limit`` still runs)."""
         heap = self._heap
         pop = heapq.heappop
         sanitizer = self.sanitizer
-        while not event._done:
-            # Purge cancelled entries first so the limit check below sees
-            # the next event that would actually run.
-            while heap and heap[0][3].cancelled:
+        while heap and not event._done:
+            time, _tie, seq, handle = heap[0]
+            # Purge cancelled entries first so the limit check sees the
+            # next event that would actually run.
+            if handle.cancelled:
                 pop(heap)
-            if not heap:
-                break
-            entry = heap[0]
-            time = entry[0]
-            if limit is not None and time > limit:
+                continue
+            if time > limit:
                 break
             pop(heap)
-            handle = entry[3]
             self.now = time
             if sanitizer is not None:
-                sanitizer.observe(time, entry[2], handle.fn)
+                sanitizer.observe(time, seq, handle.fn)
             handle.fn(*handle.args)
             if self._crashes:
                 self._raise_crashes()
-        return event._done
 
     # -- crash plumbing ---------------------------------------------------------
     def _report_crash(self, event, exc):

@@ -119,16 +119,6 @@ class Timeout(Event):
         self.try_succeed(value)
 
 
-# Identity forgery, on purpose: a Timeout firing *is* the kernel event the
-# pre-rewrite code observed as ``Event.try_succeed`` (the sanitizer hashes
-# the scheduled callback's module-qualified name).  ``_fire`` only adds the
-# handle drop, so it keeps the observed identity — paranoid trace hashes
-# stay byte-identical across the kernel rewrite, which
-# tests/test_kernel_equivalence.py pins to goldens.
-Timeout._fire.__module__ = "repro.sim.events"
-Timeout._fire.__qualname__ = "Event.try_succeed"
-
-
 class Race(Event):
     """Fused ``any_of([event, sim.timeout(...)])``: one event, one timer.
 
@@ -164,14 +154,6 @@ class Race(Event):
             handle.cancel()
             self._handle = None
         self.succeed((0, ev._value))
-
-
-# Identity forgery, on purpose (see Timeout._fire above): the fused race
-# timer firing is the ``Event.try_succeed`` the pre-fusion
-# ``schedule(timeout_us, timer.try_succeed, EIO)`` observed, at the same
-# sequence number — so paranoid trace hashes are unchanged.
-Race._fire_timeout.__module__ = "repro.sim.events"
-Race._fire_timeout.__qualname__ = "Event.try_succeed"
 
 
 class AllOf(Event):

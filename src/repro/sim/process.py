@@ -8,16 +8,12 @@ A process wraps a generator that yields *waitables*:
 The process itself is an event that succeeds with the generator's return
 value, so processes compose (``yield other_process``).
 
-Fused timeout fast path: a plain-number yield used to allocate a full
-timer Event (``timeout`` -> ``try_succeed`` -> ``_run_callbacks`` ->
-``_resume`` -> ``_step``).  It now schedules the process's own resume
-callback directly — no Event, no callback list, no ``_resume`` hop —
-while keeping the *observed* kernel event identical: the scheduled
-callback carries the ``Event.try_succeed`` identity the sanitizer
-hashed before the rewrite (see ``_timer_fire`` below), so paranoid
-digests are byte-identical.  ``Process.interrupt`` cancels the fused
-timer's heap entry outright (and detaching from a ``Timeout`` event
-cancels its handle), so interrupts no longer leak live timers.
+Fused timeout fast path: a plain-number yield schedules the process's
+own ``_timer_fire`` callback directly instead of allocating a timer
+Event (no callback list, no ``_resume`` hop).  ``Process.interrupt``
+cancels the fused timer's heap entry outright (and detaching from a
+``Timeout`` event cancels its handle), so interrupts never leak live
+timers.
 """
 
 from repro.sim.events import Event, Timeout
@@ -120,24 +116,6 @@ class Process(Event):
         else:
             self.sim.defuse(event)
             self._step(None, event.exception)
-
-    def _as_event(self, target):
-        if isinstance(target, Event):
-            return target
-        if isinstance(target, (int, float)):
-            return self.sim.timeout(target)
-        raise TypeError(f"process yielded non-waitable {target!r}")
-
-
-# Identity forgery, on purpose: a fused timer firing is the same kernel
-# event the pre-rewrite code observed — a timeout's ``Event.try_succeed``
-# executing and synchronously resuming this process.  The sanitizer hashes
-# the scheduled callback's module-qualified name, so the fused callback
-# keeps that name; paranoid digests (and the profiler's sim-core stage
-# attribution) are byte-identical across the rewrite
-# (tests/test_kernel_equivalence.py pins this to goldens).
-Process._timer_fire.__module__ = "repro.sim.events"
-Process._timer_fire.__qualname__ = "Event.try_succeed"
 
 
 def _event_detach(self, process):

@@ -15,13 +15,6 @@ def test_defuse_suppresses_crash_report(sim):
     sim.run()  # no ProcessCrashed raised
 
 
-def test_handle_ordering_is_stable_for_equal_times(sim):
-    from repro.sim.core import Handle
-    a = Handle(5.0, 1, 1, None, ())
-    b = Handle(5.0, 2, 2, None, ())
-    assert a < b and not (b < a)
-
-
 def test_schedule_at_exact_now_runs(sim):
     ran = []
     sim.schedule_at(0.0, lambda: ran.append(1))

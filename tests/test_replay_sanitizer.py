@@ -90,7 +90,7 @@ def test_paranoid_apis_require_paranoid_mode():
 def test_heap_tampering_raises_determinism_error():
     sim = Simulator(paranoid=True)
     sim.schedule(100, lambda: None)
-    sim.step()
+    sim.run(until=100)
     # Simulate the DET005 hazard: a foreign heap push into the past
     # (heap entries are (time, tie, seq, handle) tuples).
     handle = Handle(5.0, 999, 999, lambda: None, ())

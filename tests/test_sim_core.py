@@ -51,11 +51,32 @@ def test_run_until_limit_advances_clock(sim):
     assert sim.now == 100
 
 
-def test_step_returns_false_when_drained(sim):
-    assert sim.step() is False
-    sim.schedule(1, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
+def test_run_on_empty_heap_only_moves_the_clock(sim):
+    sim.run()
+    assert sim.now == 0
+    log = []
+    sim.schedule(1, log.append, "x")
+    sim.run(until=5)
+    assert log == ["x"] and sim.now == 5
+    sim.run(until=10)
+    assert log == ["x"] and sim.now == 10
+
+
+def test_event_at_exactly_until_runs(sim):
+    log = []
+    sim.schedule(50, log.append, "edge")
+    sim.schedule(51, log.append, "late")
+    sim.run(until=50)
+    assert log == ["edge"]
+    assert sim.now == 50
+
+
+def test_event_at_exactly_limit_runs_and_triggers(sim):
+    done = sim.event()
+    sim.schedule(50, done.succeed)
+    sim.schedule(51, lambda: None)
+    assert sim.run_until(done, limit=50) is True
+    assert sim.now == 50
 
 
 def test_rng_streams_are_deterministic_and_independent():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ProcessCrashed, SchedulingInPastError
 from repro.sim import Simulator
-from repro.sim.core import Handle
 
 
 # -- cancelled-handle skipping ---------------------------------------------
@@ -79,15 +78,6 @@ def test_defuse_only_drops_the_named_event(sim):
 
 
 # -- equal-time tiebreak ordering ------------------------------------------
-
-def test_handle_lt_orders_by_time_then_seq():
-    a = Handle(1.0, 5, 5, None, ())
-    b = Handle(1.0, 6, 6, None, ())
-    c = Handle(0.5, 9, 9, None, ())
-    assert a < b          # same time: scheduling order wins
-    assert c < a and c < b  # earlier time wins regardless of seq
-    assert not (b < a)
-
 
 def test_equal_time_events_interleave_in_scheduling_order(sim):
     log = []
