@@ -25,15 +25,15 @@ Second-story consumers of the stream (this package too):
 * :mod:`repro.obs.registry` — metrics registry: counters, gauges,
   histograms, utilization/queue-depth time series, byte-stable JSON
   snapshots (``--metrics`` on the experiments CLI);
-* :mod:`repro.obs.profile` — host wall-clock profiler
-  (``python -m repro.obs profile``);
 * :mod:`repro.obs.diff` — trace diff (``python -m repro.obs diff``);
 * :mod:`repro.obs.forensics` — tail forensics: per-request blame
   attribution with event-ref evidence, plus the cross-run blame diff
   (``python -m repro.obs tails [--against]``).
 
 ``python -m repro.obs summarize trace.jsonl`` renders an exported trace;
-``python -m repro.obs smoke`` / ``perfguard`` are the CI gates.
+``python -m repro.obs smoke`` / ``perfguard`` are the CI gates.  Host
+wall-clock per layer (exclusive self time) comes from
+``python3 benchmarks/e2e/run.py --workload W --trace 1``.
 """
 
 from repro.obs import events

@@ -12,14 +12,6 @@
     Output derives only from sim-clock events, so two same-seed runs are
     byte-identical — CI's ``accuracy-smoke`` gate.
 
-``python -m repro.obs profile [--scenario ID] [--out BENCH_profile.json]``
-    Host wall-clock profiler: which callback sites and stages dominate
-    real elapsed time (ROADMAP open item 1).  Writes a machine-readable
-    ``BENCH_profile.json`` and exits nonzero when less than
-    ``--min-attributed`` percent of measured wall-clock lands in named
-    stages.  ``--baseline`` compares against a committed profile and
-    fails on unexplained event-count growth.
-
 ``python -m repro.obs tails [TRACE | --scenario ID] [--threshold-us N |
 --percentile P] [--against OTHER] [--json | --top K]``
     Tail forensics: for every span above the threshold (default: the
@@ -50,12 +42,13 @@
     from its declared contract fails the gate at runtime, not just under
     the static DET012 pass.
 
-``python -m repro.obs perfguard [--baseline BENCH_profile.json]``
+``python -m repro.obs perfguard``
     CI performance gate: the un-traced (NullRecorder) hot path must stay
     within 5% of the pre-bus code.  Estimated as (per-site guard cost x
     guard-site crossings) against the wall-clock of the chaos replay
-    scenario, with a generous safety factor.  ``--baseline`` adds an
-    events/sec floor at 25% of the committed profile's throughput.
+    scenario, with a generous safety factor.  For where host time goes,
+    layer by layer (exclusive self time), run
+    ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
 
 ``python -m repro.obs perfguard --trend [--speed BENCH_speed.json]``
     Kernel-throughput trend gate: rerun the ``benchmarks/kernel_bench``
@@ -192,66 +185,6 @@ def accuracy(scenario_id="fig3", seed=7, snapshot=None,
             fh.write(registry.to_json())
             fh.write("\n")
         print(f"[metrics snapshot -> {snapshot}]")
-    return 0
-
-
-def profile(scenario_id="chaos", seed=7, top=15, out="BENCH_profile.json",
-            min_attributed=95.0, baseline=None):
-    """Host wall-clock profile of one scenario; writes ``out`` JSON."""
-    import json
-
-    from repro.experiments.registry import get_scenario
-    from repro.obs.profile import profile_scenario
-
-    try:
-        scenario = get_scenario(scenario_id)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    prof = profile_scenario(scenario, seed=seed)
-    print(f"host profile: scenario={scenario_id} seed={seed}")
-    print()
-    print(prof.render(top=top))
-    payload = prof.to_dict(scenario=scenario_id, seed=seed)
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[profile -> {out}]")
-    if payload["attributed_pct"] < min_attributed:
-        print(f"attribution gate: {payload['attributed_pct']:.1f}% < "
-              f"{min_attributed:.1f}% of wall-clock attributed — FAIL",
-              file=sys.stderr)
-        return 1
-    if baseline:
-        return _profile_against_baseline(payload, baseline, scenario_id,
-                                         seed)
-    return 0
-
-
-def _profile_against_baseline(payload, baseline, scenario_id, seed):
-    """Event-count drift gate against a committed ``BENCH_profile.json``.
-
-    Event counts are deterministic for a (scenario, seed), so unexplained
-    growth means the sim loop is doing more work per simulated second —
-    the creep ROADMAP item 1 is about.  50% headroom so intentional
-    scenario extensions only need a baseline refresh, not a fight.
-    """
-    import json
-
-    with open(baseline) as fh:
-        base = json.load(fh)
-    if base.get("scenario") != scenario_id or base.get("seed") != seed:
-        print(f"baseline gate: {baseline} records scenario="
-              f"{base.get('scenario')} seed={base.get('seed')}, not "
-              f"{scenario_id}/{seed} — SKIPPED", file=sys.stderr)
-        return 0
-    base_events, events = base.get("events", 0), payload["events"]
-    print(f"baseline: {base_events} events (committed) vs {events} (now)")
-    if base_events and events > 1.5 * base_events:
-        print(f"baseline gate: event count grew {events / base_events:.2f}x"
-              " over the committed profile — refresh BENCH_profile.json "
-              "if intentional — FAIL", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -402,7 +335,7 @@ def smoke(seed=7, validate=False):
     return 0 if ok else 1
 
 
-def perfguard(budget_pct=5.0, baseline=None):
+def perfguard(budget_pct=5.0):
     """Bound the NullRecorder overhead of the bus refactor.
 
     Every emit site the refactor added costs one attribute load plus one
@@ -456,38 +389,7 @@ def perfguard(budget_pct=5.0, baseline=None):
           f"(budget {budget_pct:.1f}%)")
     ok = pct < budget_pct
     print("perf guard: " + ("OK" if ok else "OVER BUDGET"))
-    if ok and baseline:
-        return _throughput_floor(baseline, recorder.count, base_s)
     return 0 if ok else 1
-
-
-def _throughput_floor(baseline, events, wall_s):
-    """Events/sec must stay above a quarter of the committed profile's.
-
-    The committed ``BENCH_profile.json`` was measured on some maintainer
-    or CI machine; a 4x cushion absorbs hardware variance while still
-    catching order-of-magnitude hot-path regressions.  The baseline rate
-    uses ``loop_s`` measured *under* profiling instrumentation, which
-    only makes the floor more forgiving.
-    """
-    import json
-
-    with open(baseline) as fh:
-        base = json.load(fh)
-    base_events, loop_s = base.get("events", 0), base.get("loop_s", 0.0)
-    if not base_events or not loop_s or not wall_s:
-        print(f"throughput floor: no usable rate in {baseline} — SKIPPED",
-              file=sys.stderr)
-        return 0
-    base_rate, rate = base_events / loop_s, events / wall_s
-    floor = 0.25 * base_rate
-    print(f"throughput: {rate:,.0f} events/s "
-          f"(committed profile: {base_rate:,.0f}, floor {floor:,.0f})")
-    if rate < floor:
-        print("throughput floor: below 25% of the committed profile "
-              "— FAIL", file=sys.stderr)
-        return 1
-    return 0
 
 
 def perfguard_trend(speed_path="BENCH_speed.json", reps=3, label=None):
@@ -594,23 +496,6 @@ def main(argv=None):
     p_schema.add_argument("--check", metavar="PATH", default=None,
                           help="exit 1 unless PATH contains the current "
                                "table verbatim (CI drift gate)")
-    p_prof = sub.add_parser("profile",
-                            help="host wall-clock profile of a scenario")
-    p_prof.add_argument("--scenario", default="chaos",
-                        help="scenario id (default: chaos)")
-    p_prof.add_argument("--seed", type=int, default=7)
-    p_prof.add_argument("--top", type=int, default=15,
-                        help="callback sites to list (default 15)")
-    p_prof.add_argument("--out", default="BENCH_profile.json",
-                        metavar="PATH",
-                        help="machine-readable profile output path")
-    p_prof.add_argument("--min-attributed", type=float, default=95.0,
-                        metavar="PCT",
-                        help="fail when less than PCT%% of wall-clock is "
-                             "attributed to named stages (default 95)")
-    p_prof.add_argument("--baseline", metavar="PATH", default=None,
-                        help="committed BENCH_profile.json to gate event-"
-                             "count drift against")
     p_diff = sub.add_parser("diff",
                             help="first divergence between two traces")
     p_diff.add_argument("trace_a", help="baseline JSONL trace")
@@ -628,9 +513,6 @@ def main(argv=None):
                             help="NullRecorder overhead budget gate")
     p_perf.add_argument("--budget", type=float, default=5.0,
                         help="overhead budget in percent")
-    p_perf.add_argument("--baseline", metavar="PATH", default=None,
-                        help="committed BENCH_profile.json to hold an "
-                             "events/sec floor against")
     p_perf.add_argument("--trend", action="store_true",
                         help="kernel microbench trend mode: rerun "
                              "benchmarks/kernel_bench, append to the "
@@ -656,18 +538,13 @@ def main(argv=None):
                      as_json=args.json, top=args.top)
     if args.cmd == "schema":
         return schema_reference(markdown=args.markdown, check=args.check)
-    if args.cmd == "profile":
-        return profile(scenario_id=args.scenario, seed=args.seed,
-                       top=args.top, out=args.out,
-                       min_attributed=args.min_attributed,
-                       baseline=args.baseline)
     if args.cmd == "diff":
         return diff(args.trace_a, args.trace_b, canonical=args.canonical)
     if args.cmd == "smoke":
         return smoke(seed=args.seed, validate=args.validate)
     if args.trend:
         return perfguard_trend(speed_path=args.speed, reps=args.reps)
-    return perfguard(budget_pct=args.budget, baseline=args.baseline)
+    return perfguard(budget_pct=args.budget)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 # repro: allow-file[DET002] timing the host kernel loop is this module's
 # entire purpose; nothing measured here feeds back into a simulation.
 
-``python -m repro.obs profile`` answers *where* host wall-clock goes in
-one real scenario; this module answers *how fast the kernel itself is*,
-isolated from scenario setup, device models and RNG draws.  Three
+``python3 benchmarks/e2e/run.py --trace 1`` answers *where* host
+wall-clock goes in a real workload; this module answers *how fast the
+kernel itself is*, isolated from scenario setup, device models and RNG
+draws.  Three
 synthetic workloads stress exactly the paths the speed rewrite fused:
 
 ``timeout-storm``

@@ -201,7 +201,7 @@ def test_paranoid_trace_feeds_sanitizer_hash():
 
 def test_untraced_paranoid_hash_ignores_recorder_absence():
     """Without a recorder the bus records nothing, so the sanitizer hash
-    is the pure event-loop hash (historical golden hashes stay valid)."""
+    is the pure event-loop hash."""
 
     def run():
         sim = Simulator(seed=5, paranoid=True)
