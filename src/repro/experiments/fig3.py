@@ -95,6 +95,12 @@ def replay_scenario(sim, resource="disk", n_nodes=3, horizon_us=2 * SEC):
     _probe_nodes(resource, n_nodes, horizon_us, seed=sim.seed, sim=sim)
 
 
+def ssd_scenario(sim):
+    """The fig3 SSD probe under write/erase noise (3 nodes, 2 s) — the
+    slice that pins the OpenChannel SSD model's timing."""
+    _probe_nodes("ssd", 3, 2 * SEC, seed=sim.seed, sim=sim)
+
+
 def accuracy_scenario(sim, n_nodes=5, horizon_us=2 * SEC):
     """A shadow-mode MittOS slice for the prediction-accuracy observatory.
 

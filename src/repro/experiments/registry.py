@@ -33,6 +33,12 @@ EXPERIMENTS = {
 SCENARIOS = {
     "fig3": ("repro.experiments.fig3", "replay_scenario",
              "scaled-down fig3 disk probe (3 nodes, 2 s)"),
+    "fig3-ssd": ("repro.experiments.fig3", "ssd_scenario",
+                 "scaled-down fig3 SSD probe under write/erase noise "
+                 "(3 nodes, 2 s)"),
+    "fig8": ("repro.experiments.fig8", "race_scenario",
+             "MittSSD slice: 6 partitions x 2x8 chips, SSD + erase noise, "
+             "0.3 ms deadline, 1 s (staggered client starts)"),
     "faultsweep": ("repro.experiments.faultsweep", "race_scenario",
                    "faulted MittOS cluster slice (staggered client starts)"),
     "chaos": ("repro.experiments.faultsweep", "replay_scenario",

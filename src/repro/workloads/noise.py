@@ -136,21 +136,29 @@ class NoiseInjector:
         # 1-2 ms programs — together they produce the sub-ms..2 ms SSD
         # tail of Figure 3b.
         end = self.sim.now + duration_us
+        if duration_us <= 0:
+            return
 
-        def tenant_thread(pid, writer):
+        def submit(pid, writer):
+            if writer:
+                # A 1 MB write stripes 64 pages over half the chips,
+                # parking each on a 1-2 ms program.
+                return self._submit(IoOp.WRITE, 1 * MB, IoClass.BE, 4, pid)
+            return self._submit(IoOp.READ, 2 * MB, IoClass.BE, 4, pid)
+
+        def tenant_thread(pid, writer, first):
+            yield first
             while self.sim.now < end:
-                if writer:
-                    # A 1 MB write stripes 64 pages over half the chips,
-                    # parking each on a 1-2 ms program.
-                    yield self._submit(IoOp.WRITE, 1 * MB, IoClass.BE,
-                                       4, pid)
-                else:
-                    yield self._submit(IoOp.READ, 2 * MB, IoClass.BE,
-                                       4, pid)
+                yield submit(pid, writer)
 
-        threads = [self.sim.process(
-            tenant_thread(NOISE_PID_BASE + 300 + i, writer=bool(i % 2)))
-            for i in range(max(2, concurrency))]
+        # The first IOs are issued here, in tenant order.  Started as
+        # processes in one timestamp, the readers and writers would draw
+        # their offsets from the shared stream in heap tie-break order.
+        tenants = [(NOISE_PID_BASE + 300 + i, bool(i % 2))
+                   for i in range(max(2, concurrency))]
+        firsts = [submit(pid, writer) for pid, writer in tenants]
+        threads = [self.sim.process(tenant_thread(pid, writer, first))
+                   for (pid, writer), first in zip(tenants, firsts)]
         yield self.sim.all_of(threads)
 
     def _cache_busy_window(self, duration_us, intensity):

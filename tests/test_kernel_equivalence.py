@@ -50,6 +50,10 @@ CELLS = [
     ("chaos", 11, None),
     ("slosweep", 7, None),
     ("slosweep", 7, 5),
+    # FIFO only: ShuffledTies keys hash the scheduling seq, and how many
+    # seqs the SSD model consumes is an implementation detail.
+    ("fig3-ssd", 7, None),
+    ("fig8", 7, None),
 ]
 
 
