@@ -8,8 +8,9 @@ owns the FTL and sees every chip command, so MittSSD keeps
 
 * ``T_chipNextFree`` per chip — advanced by the spec-model time of every
   command issued (page read 100 µs, program 1/2 ms by page pattern, erase
-  6 ms) and resynchronised to *now* whenever a chip drains (per-command
-  completions are host-visible on OpenChannel devices), and
+  6 ms) and resynchronised to the drain time whenever a chip drains
+  (per-command completions are host-visible on OpenChannel devices; the
+  device settles them lazily, so each carries its completion time), and
 * an outstanding-IO count per channel, each contributing the 60 µs channel
   queueing delay.
 
@@ -49,45 +50,48 @@ class MittSsd(Predictor):
         ssd.add_op_observer(self._on_chip_op)
 
     # -- host-visible chip command stream ------------------------------------
-    def _on_chip_op(self, kind, chip_index, model_duration, op_kind="read"):
-        now = self.sim.now
+    def _on_chip_op(self, kind, chip_index, us, op_kind="read"):
+        """One host-visible chip command: ``us`` is its spec duration on
+        "enqueue" and the time the chip finished it on "complete"."""
         geo = self.ssd.geometry
         channel = geo.chip_channel(chip_index)
-        if self.mode == "naive" and op_kind == "program":
-            # Ablation (§4.3 accuracy): no upper/lower page knowledge —
-            # assume the average program time for every page.
-            model_duration = 1500.0
-        if kind == "enqueue":
-            # Replay the device timing with spec constants: the channel is
-            # held only for the transfer (after reads, before programs,
-            # never for erases) — same model as the hardware.
-            xfer = self.model.channel_xfer_us
-            cell = max(0.0, model_duration - xfer)
-            chip_free = self._chip_next_free[chip_index]
-            chan_free = self._channel_next_free[channel]
-            if op_kind == "read":
-                xfer_start = max(max(chip_free, now) + cell, chan_free)
-                finish = xfer_start + xfer
-                self._channel_next_free[channel] = finish
-            elif op_kind == "program":
-                xfer_start = max(now, chan_free)
-                self._channel_next_free[channel] = xfer_start + xfer
-                finish = max(chip_free, xfer_start + xfer) + cell
-            else:  # erase / gc
-                finish = max(chip_free, now) + model_duration
-            self._chip_next_free[chip_index] = finish
-            self._chip_outstanding[chip_index] += 1
-            self._channel_outstanding[channel] += 1
-            self._block_next_free = (max(self._block_next_free, now)
-                                     + model_duration)
-        else:  # complete
+        if kind == "complete":
             self._chip_outstanding[chip_index] -= 1
             self._channel_outstanding[channel] -= 1
             if self._chip_outstanding[chip_index] == 0:
                 # Chip drained: resync the horizon, killing model drift.
-                self._chip_next_free[chip_index] = now
+                self._chip_next_free[chip_index] = us
             if self._channel_outstanding[channel] == 0:
-                self._channel_next_free[channel] = now
+                self._channel_next_free[channel] = us
+            return
+        now = self.sim.now
+        model_duration = us
+        if self.mode == "naive" and op_kind == "program":
+            # Ablation (§4.3 accuracy): no upper/lower page knowledge —
+            # assume the average program time for every page.
+            model_duration = 1500.0
+        # Replay the device timing with spec constants: the channel is
+        # held only for the transfer (after reads, before programs, never
+        # for erases) — same model as the hardware.
+        xfer = self.model.channel_xfer_us
+        cell = max(0.0, model_duration - xfer)
+        chip_free = self._chip_next_free[chip_index]
+        chan_free = self._channel_next_free[channel]
+        if op_kind == "read":
+            xfer_start = max(max(chip_free, now) + cell, chan_free)
+            finish = xfer_start + xfer
+            self._channel_next_free[channel] = finish
+        elif op_kind == "program":
+            xfer_start = max(now, chan_free)
+            self._channel_next_free[channel] = xfer_start + xfer
+            finish = max(chip_free, xfer_start + xfer) + cell
+        else:  # erase / gc
+            finish = max(chip_free, now) + model_duration
+        self._chip_next_free[chip_index] = finish
+        self._chip_outstanding[chip_index] += 1
+        self._channel_outstanding[channel] += 1
+        self._block_next_free = (max(self._block_next_free, now)
+                                 + model_duration)
 
     # -- estimation ----------------------------------------------------------
     def _sub_ops(self, req):
@@ -103,6 +107,7 @@ class MittSsd(Predictor):
         return placement
 
     def _estimate(self, req):
+        self.ssd.settle()  # deliver completions the device owes the mirror
         ops = self._sub_ops(req)
         service = max(duration for _, duration in ops)
         if self.mode == "naive":

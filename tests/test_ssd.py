@@ -150,14 +150,37 @@ def test_predict_write_placement_matches_reality(sim):
 
 
 def test_op_observer_sees_enqueue_and_complete(sim):
+    """Commands are observed at issue; completions are settled by the
+    next query and carry the time the chip finished."""
     geo = _quiet_geometry()
     ssd = Ssd(sim, geo)
     events = []
-    ssd.add_op_observer(lambda kind, chip, dur, op: events.append(
-        (kind, chip, dur, op)))
+    ssd.add_op_observer(lambda kind, chip, us, op: events.append(
+        (kind, chip, us, op)))
     run_io(sim, ssd, BlockRequest(IoOp.READ, 0, geo.page_size))
-    assert ("enqueue", 0, 100.0, "read") in events
-    assert ("complete", 0, 0.0, "done") in events
+    assert events == [("enqueue", 0, 100.0, "read")]
+    # The read finished exactly now (no jitter): a tie counts as done.
+    assert sim.now == 100.0
+    assert ssd.in_device == 0
+    assert events[1:] == [("complete", 0, 100.0, "done")]
+
+
+def test_completions_settle_in_finish_order_with_their_times(sim):
+    geo = _quiet_geometry()
+    ssd = Ssd(sim, geo)
+    done = []
+    ssd.add_op_observer(lambda kind, chip, us, op: done.append((chip, us))
+                        if kind == "complete" else None)
+    ssd.erase_block(0)                       # chip 0 until 6 ms
+    for chip in (1, 2):                      # channel 0: 100 / 160 µs
+        ssd.submit(BlockRequest(IoOp.READ, chip * geo.page_size,
+                                geo.page_size))
+    sim.run(until=1 * MS)
+    assert ssd.in_device == 1                # the erase is still running
+    assert done == [(1, pytest.approx(100.0)), (2, pytest.approx(160.0))]
+    sim.run(until=10 * MS)
+    assert ssd.channel_outstanding(0) == 0
+    assert done[-1] == (0, pytest.approx(6 * MS))
 
 
 def test_channel_serialization_ground_truth(sim):

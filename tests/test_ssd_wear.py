@@ -44,10 +44,17 @@ def test_wear_leveling_fires_and_bounds_spread(sim):
 
 
 def test_wear_leveling_is_visible_to_the_host(sim):
-    """The predictor sees wear-level moves through the op observer."""
+    """The predictor sees wear-level moves through the op observer, and
+    every command it saw issued is later settled, in finish order."""
     ssd = Ssd(sim, _tiny_geo(wear_threshold=3))
-    gc_ops = []
-    ssd.add_op_observer(lambda kind, chip, dur, op: gc_ops.append(op)
-                        if op == "gc" else None)
+    issued, settled = [], []
+    ssd.add_op_observer(lambda kind, chip, us, op: (
+        issued if kind == "enqueue" else settled).append((op, us)))
     _hammer(sim, ssd, 400)
-    assert "gc" in gc_ops
+    assert "gc" in [op for op, _ in issued]
+    sim.run(until=ssd.chip_next_free(0))
+    assert ssd.in_device == 0
+    assert len(settled) == len(issued)
+    times = [t for _, t in settled]
+    assert times == sorted(times)
+    assert times[-1] == ssd.chip_next_free(0)
