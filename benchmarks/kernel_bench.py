@@ -2,7 +2,7 @@
 """Kernel hot-loop microbench suite -> ``BENCH_speed.json``.
 
 Thin CLI over :mod:`repro.obs.kernelbench` (kept importable from the
-package so ``python -m repro.obs perfguard --trend`` can rerun the same
+package so ``python -m repro.obs perfguard`` can rerun the same
 benches).  Three synthetic workloads isolate the kernel paths the speed
 rewrite fused — the timeout storm (fused plain-delay sleeps), event
 fan-in (AllOf combinator dispatch) and closed-loop churn (process
@@ -16,7 +16,7 @@ Usage::
 
 ``--commit-floor`` re-bases the committed throughput floor (1/4 of the
 measured combined rate); the CI ``kernel-bench`` job then fails any PR
-measuring below 75% of that floor via ``obs perfguard --trend``.
+measuring below 75% of that floor via ``obs perfguard``.
 """
 
 import sys

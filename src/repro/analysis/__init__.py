@@ -7,21 +7,15 @@ package enforces that contract from three sides:
 
 * ``python -m repro.analysis lint`` — an AST-based linter with two
   layers: per-file hazard rules (``DET001``-``DET010``, ``DET016``) and
-  whole-program contract passes (``DET011``-``DET013`` + ``DETW01``:
-  event-schema checking against ``repro.obs.schema`` and dead-topic
-  detection; ``DET014``-``DET015``: interprocedural effect inference
-  over a project call graph; ``DET017``-``DET021``: shard-ownership and
-  boundary-crossing rules over :mod:`repro.analysis.ownership`) across
-  ``src/repro``, ``benchmarks`` and ``examples``.  ``--format sarif``
-  emits a SARIF 2.1.0 log for code-scanning UIs; ``--jobs N`` fans both
-  layers out over processes (one task per file plus one per
-  whole-program pass); ``--baseline``/``--write-baseline`` make the
-  gate fail only on findings *new* relative to a committed snapshot.
-* ``python -m repro.analysis isolation`` — the shard-isolation analyzer
-  alone (``DET017``-``DET021``); ``--manifest shards.json`` exports the
-  partition plan (per-domain class lists + sanctioned cross-domain
-  edges with minimum latencies) a sharded-cluster runner would consume,
-  and ``--max-seconds`` is the CI wall-clock budget guard (exit 3).
+  two whole-program contract passes (``DET011``-``DET013`` +
+  ``DETW01``: event-schema checking against ``repro.obs.schema`` and
+  dead-topic detection; ``DET014``-``DET015``: interprocedural effect
+  inference over a project call graph) across ``src/repro``,
+  ``benchmarks`` and ``examples``.  ``--format sarif`` emits a SARIF
+  2.1.0 log for code-scanning UIs; ``--jobs N`` fans both layers out
+  over processes (one task per file plus one per whole-program pass);
+  ``--baseline``/``--write-baseline`` make the gate fail only on
+  findings *new* relative to a committed snapshot.
 * ``python -m repro.analysis races`` — the tie-order perturbation
   harness (:func:`perturb_ties`): re-runs a registered scenario with the
   heap's same-timestamp tie-break deterministically permuted and diffs

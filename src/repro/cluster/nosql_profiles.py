@@ -52,7 +52,6 @@ class NoSqlProfile:
 
 #: Table 1 rows.  Timeouts are the paper's "TO Val." column; the failover
 #: column encodes "three of them do not failover on a timeout".
-# repro: owner[cluster:frozen] import-time table, read-only afterwards
 NOSQL_PROFILES = [
     NoSqlProfile("Cassandra", 12 * SEC, failover_on_timeout=True,
                  has_snitch=True),

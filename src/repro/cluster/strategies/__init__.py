@@ -24,7 +24,6 @@ from repro.cluster.strategies.mittos import MittosStrategy
 from repro.cluster.strategies.replica_ranking import C3Strategy, SnitchStrategy
 from repro.cluster.strategies.tied import TiedStrategy
 
-# repro: owner[cluster:frozen] import-time registry, read-only afterwards
 STRATEGIES = {
     "base": BaseStrategy,
     "appto": AppToStrategy,

@@ -50,7 +50,6 @@ class IoClass(IntEnum):
     IDLE = 2
 
 
-# repro: owner[message] value type: crosses shard boundaries by copy
 class BlockRequest:
     """One block IO with SLO, priority, and prediction bookkeeping."""
 

@@ -17,9 +17,6 @@ def _stable_hash(value):
     return int.from_bytes(digest[:8], "little")
 
 
-# Placement is a pure function of the key: every shard rebuilds an
-# identical copy locally, so the table is shared-by-value, never synced.
-# repro: owner[cluster:frozen] placement table, fixed at wiring
 class KeySpace:
     """Deterministic key -> (offset, size) placement."""
 

@@ -82,5 +82,5 @@ class DeterminismError(SimulationError):
     Raised by ``Simulator(paranoid=True)`` when the executed event trace
     violates clock monotonicity (e.g. someone mutated the event heap behind
     the simulator's back) — see ``repro/analysis`` for the matching static
-    checks (rule IDs DET001-DET005).
+    check (rule DET005).
     """

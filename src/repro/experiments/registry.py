@@ -29,13 +29,17 @@ EXPERIMENTS = {
 #: callable taking one caller-supplied ``Simulator`` that schedules (and
 #: may run) a scaled-down, deterministic slice of the experiment.  Hooks
 #: feed the determinism tooling — ``repro.analysis.verify_replay`` and the
-#: tie-order perturbation harness ``python -m repro.analysis races``.
+#: tie-order perturbation harness ``python -m repro.analysis races`` — and
+#: the live reports ``python -m repro.obs accuracy`` and ``tails``.
 SCENARIOS = {
     "fig3": ("repro.experiments.fig3", "replay_scenario",
              "scaled-down fig3 disk probe (3 nodes, 2 s)"),
     "fig3-ssd": ("repro.experiments.fig3", "ssd_scenario",
                  "scaled-down fig3 SSD probe under write/erase noise "
                  "(3 nodes, 2 s)"),
+    "fig3-accuracy": ("repro.experiments.fig3", "accuracy_scenario",
+                      "shadow-mode MittCFQ disk slice graded by "
+                      "obs accuracy (5 nodes, 2 s)"),
     "fig8": ("repro.experiments.fig8", "race_scenario",
              "MittSSD slice: 6 partitions x 2x8 chips, SSD + erase noise, "
              "0.3 ms deadline, 1 s (staggered client starts)"),
@@ -78,21 +82,3 @@ def get_scenario(scenario_id):
     module = importlib.import_module(module_name)
     return getattr(module, attr)
 
-
-def get_accuracy_scenario(scenario_id):
-    """The hook ``python -m repro.obs accuracy`` runs for a scenario id.
-
-    Prefers the module's dedicated ``accuracy_scenario`` when it defines
-    one — fig3's registered hook is golden-pinned and makes no admission
-    decisions at all (``mitt=False`` probes), so grading it would yield
-    an empty table — and falls back to the registered scenario hook
-    (whose MittOS decisions, where present, are gradeable as-is).
-    """
-    try:
-        module_name, attr, _ = SCENARIOS[scenario_id]
-    except KeyError:
-        raise KeyError(f"unknown scenario: {scenario_id}; "
-                       f"known: {', '.join(sorted(SCENARIOS))}") from None
-    module = importlib.import_module(module_name)
-    hook = getattr(module, "accuracy_scenario", None)
-    return hook if hook is not None else getattr(module, attr)

@@ -31,8 +31,9 @@ Second-story consumers of the stream (this package too):
   (``python -m repro.obs tails [--against]``).
 
 ``python -m repro.obs summarize trace.jsonl`` renders an exported trace;
-``python -m repro.obs smoke`` / ``perfguard`` are the CI gates.  Host
-wall-clock per layer (exclusive self time) comes from
+``python -m repro.obs smoke`` is the trace-determinism CI gate and
+``perfguard`` the kernel microbench trend gate.  Host wall-clock per
+layer (exclusive self time) comes from
 ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
 """
 

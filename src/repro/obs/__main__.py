@@ -42,20 +42,14 @@
     from its declared contract fails the gate at runtime, not just under
     the static DET012 pass.
 
-``python -m repro.obs perfguard``
-    CI performance gate: the un-traced (NullRecorder) hot path must stay
-    within 5% of the pre-bus code.  Estimated as (per-site guard cost x
-    guard-site crossings) against the wall-clock of the chaos replay
-    scenario, with a generous safety factor.  For where host time goes,
-    layer by layer (exclusive self time), run
-    ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
-
-``python -m repro.obs perfguard --trend [--speed BENCH_speed.json]``
+``python -m repro.obs perfguard [--speed BENCH_speed.json] [--reps N]``
     Kernel-throughput trend gate: rerun the ``benchmarks/kernel_bench``
     microbench suite, append the combined events/sec to the committed
     ``BENCH_speed.json`` per-PR history, and fail when the fresh rate
     falls below 75% of the committed ``floor_events_per_s`` — the CI
     regression gate for the kernel speed rewrite's perf trajectory.
+    For where host time goes, layer by layer (exclusive self time), run
+    ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
 """
 
 import argparse
@@ -141,7 +135,7 @@ def summarize(path, top=None):
     return 0
 
 
-def accuracy(scenario_id="fig3", seed=7, snapshot=None,
+def accuracy(scenario_id="fig3-accuracy", seed=7, snapshot=None,
              interval_us=100_000.0, horizon_us=10_000_000.0, trace=None):
     """Run a scenario under a metered recorder; grade its predictions.
 
@@ -149,7 +143,7 @@ def accuracy(scenario_id="fig3", seed=7, snapshot=None,
     through :func:`iter_jsonl`, so megasweep-scale exports never need a
     full in-memory load.
     """
-    from repro.experiments.registry import get_accuracy_scenario
+    from repro.experiments.registry import get_scenario
     from repro.obs.accuracy import AccuracyJoiner
     from repro.obs.registry import MeteredRecorder, MetricsRegistry
     from repro.sim.core import Simulator
@@ -164,7 +158,7 @@ def accuracy(scenario_id="fig3", seed=7, snapshot=None,
         print(joiner.render())
         return 0
     try:
-        scenario = get_accuracy_scenario(scenario_id)
+        scenario = get_scenario(scenario_id)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -335,64 +329,7 @@ def smoke(seed=7, validate=False):
     return 0 if ok else 1
 
 
-def perfguard(budget_pct=5.0):
-    """Bound the NullRecorder overhead of the bus refactor.
-
-    Every emit site the refactor added costs one attribute load plus one
-    truth test (``if bus.recorder.active:``) on the un-traced path.  We
-    microbench that guard, count how many times the chaos scenario
-    crosses such a site (recorded events of a traced run, doubled to
-    cover sites that check but record nothing), and demand the product
-    stays under ``budget_pct`` of the scenario's un-traced wall-clock.
-    """
-    import time
-
-    from repro.experiments.faultsweep import replay_scenario
-    from repro.sim.core import Simulator
-
-    # Un-traced scenario wall-clock (best of 3 to shed scheduler noise).
-    runtimes = []
-    for i in range(3):
-        sim = Simulator(seed=7)
-        start = time.perf_counter()  # repro: allow[DET002] host benchmark
-        replay_scenario(sim)
-        runtimes.append(time.perf_counter() - start)  # repro: allow[DET002]
-    base_s = min(runtimes)
-
-    # How many guard sites does the scenario cross?  A traced run records
-    # one event per active site; double it for check-only crossings.
-    recorder = TraceRecorder(keep_events=False)
-    sim = Simulator(seed=7, recorder=recorder)
-    replay_scenario(sim)
-    crossings = recorder.count * 2
-
-    # Per-crossing guard cost: attribute load + truth test, measured hot.
-    class _Bus:
-        class recorder:
-            active = False
-
-    bus = _Bus()
-    n = 1_000_000
-    start = time.perf_counter()  # repro: allow[DET002] host benchmark
-    for _ in range(n):
-        if bus.recorder.active:
-            pass
-    guard_s = (time.perf_counter() - start) / n  # repro: allow[DET002]
-
-    overhead_s = guard_s * crossings
-    pct = 100.0 * overhead_s / base_s
-    print(f"scenario wall-clock: {base_s * 1e3:.1f} ms (best of 3)")
-    print(f"guard crossings: {crossings} (traced events x2)")
-    print(f"guard cost: {guard_s * 1e9:.1f} ns/crossing "
-          f"-> {overhead_s * 1e6:.1f} us total")
-    print(f"estimated NullRecorder overhead: {pct:.2f}% "
-          f"(budget {budget_pct:.1f}%)")
-    ok = pct < budget_pct
-    print("perf guard: " + ("OK" if ok else "OVER BUDGET"))
-    return 0 if ok else 1
-
-
-def perfguard_trend(speed_path="BENCH_speed.json", reps=3, label=None):
+def perfguard(speed_path="BENCH_speed.json", reps=3, label=None):
     """Kernel microbench trend gate against the committed speed floor.
 
     Reruns the ``benchmarks/kernel_bench`` suite, appends the result to
@@ -447,8 +384,8 @@ def main(argv=None):
     p_acc = sub.add_parser("accuracy",
                            help="prediction-accuracy observatory: error "
                                 "CDFs + accept/reject confusion table")
-    p_acc.add_argument("--scenario", default="fig3",
-                       help="scenario id (default: fig3)")
+    p_acc.add_argument("--scenario", default="fig3-accuracy",
+                       help="scenario id (default: fig3-accuracy)")
     p_acc.add_argument("--seed", type=int, default=7)
     p_acc.add_argument("--snapshot", metavar="PATH", default=None,
                        help="also write the metrics-registry snapshot "
@@ -510,20 +447,16 @@ def main(argv=None):
                          help="also check every recorded event against "
                               "the repro.obs.schema registry")
     p_perf = sub.add_parser("perfguard",
-                            help="NullRecorder overhead budget gate")
-    p_perf.add_argument("--budget", type=float, default=5.0,
-                        help="overhead budget in percent")
-    p_perf.add_argument("--trend", action="store_true",
-                        help="kernel microbench trend mode: rerun "
-                             "benchmarks/kernel_bench, append to the "
-                             "committed history, fail below 75%% of the "
-                             "committed floor")
+                            help="kernel microbench trend gate: rerun "
+                                 "benchmarks/kernel_bench, append to the "
+                                 "committed history, fail below 75%% of "
+                                 "the committed floor")
     p_perf.add_argument("--speed", metavar="PATH", default="BENCH_speed.json",
-                        help="committed BENCH_speed.json for --trend "
+                        help="committed speed trajectory "
                              "(default BENCH_speed.json)")
     p_perf.add_argument("--reps", type=int, default=3,
-                        help="timed repetitions per microbench in --trend "
-                             "mode (default 3)")
+                        help="timed repetitions per microbench "
+                             "(default 3)")
     args = parser.parse_args(argv)
     if args.cmd == "summarize":
         return summarize(args.trace, top=args.top)
@@ -542,9 +475,7 @@ def main(argv=None):
         return diff(args.trace_a, args.trace_b, canonical=args.canonical)
     if args.cmd == "smoke":
         return smoke(seed=args.seed, validate=args.validate)
-    if args.trend:
-        return perfguard_trend(speed_path=args.speed, reps=args.reps)
-    return perfguard(budget_pct=args.budget)
+    return perfguard(speed_path=args.speed, reps=args.reps)
 
 
 if __name__ == "__main__":

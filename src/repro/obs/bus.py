@@ -11,9 +11,8 @@ The bus serves two planes with one mechanism:
 * **trace plane** — an optional :class:`TraceRecorder` materializes typed
   :class:`~repro.obs.events.TraceEvent` records.  The default
   :class:`NullRecorder` is a single ``active`` flag check at every emit
-  site: no event object is ever constructed, so the un-traced hot path
-  stays within noise of the pre-bus code (CI's obs perf guard enforces
-  <5%).
+  site: no event object is ever constructed; the un-traced hot path's
+  speed is measured end to end by the repo benchmark (``BENCHMARK.json``).
 
 Determinism contract: recorded events carry only sim-clock timestamps and
 their canonical JSON lines feed the paranoid sanitizer's hash (when
@@ -51,9 +50,8 @@ def canonical_line(event, volatile=VOLATILE_FIELDS):
         fields, sort_keys=True, separators=(",", ":"), default=_plain)
 
 # -- session defaults (what `--trace` / `--paranoid` install) ----------------
-# Host-session configuration, not simulated state: every shard process
-# installs its own copy at harness setup before any simulator exists.
-# repro: owner[sim-kernel] per-process session defaults
+# Host-session configuration, not simulated state: the harness installs
+# it at setup, before any simulator exists.
 _defaults = {"recorder": None, "paranoid": False}
 
 

@@ -34,8 +34,7 @@ core::
     }
 
 The committed file adds two fields maintained by
-``benchmarks/kernel_bench.py`` and ``python -m repro.obs perfguard
---trend``:
+``benchmarks/kernel_bench.py`` and ``python -m repro.obs perfguard``:
 
 ``floor_events_per_s``
     The committed throughput floor.  Set (``--commit-floor``) to 1/4 of
@@ -63,7 +62,7 @@ HISTORY_LIMIT = 50
 #: (4x hardware cushion, like the profile throughput floor).
 FLOOR_FRACTION = 0.25
 
-#: ``perfguard --trend`` fails below this fraction of the committed floor.
+#: ``perfguard`` fails below this fraction of the committed floor.
 TREND_GATE_FRACTION = 0.75
 
 

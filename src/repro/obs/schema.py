@@ -96,7 +96,6 @@ class TopicSchema:
 
 #: The identity fields every block-layer event carries
 #: (:func:`repro.obs.events.request_fields`).
-# repro: owner[sim-kernel:frozen] declared contract, read-only after import
 REQUEST_IDENTITY = {
     "req": "int", "op": "str", "offset": "number", "size": "number",
     "pid": "int",
@@ -108,7 +107,6 @@ def _schema(topic, doc, required, optional=None):
 
 
 #: topic name -> :class:`TopicSchema`, in canonical (display) order.
-# repro: owner[sim-kernel:frozen] declared contract, read-only after import
 SCHEMAS = {s.topic: s for s in (
     _schema(IO_SUBMIT,
             "request entered the IO scheduler queues",

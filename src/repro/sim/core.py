@@ -76,16 +76,14 @@ class ShuffledTies:
 
 def _tie_key_fn(tie_policy):
     """Resolve the ``Simulator(tie_policy=...)`` knob to a key fn or None."""
-    if tie_policy is None or tie_policy == "fifo":
+    if tie_policy is None:
         return None
-    if isinstance(tie_policy, int):
-        return ShuffledTies(tie_policy).key
     key = getattr(tie_policy, "key", None)
     if callable(key):
         return key
     raise SimulationError(
-        f"tie_policy must be None, 'fifo', an int salt, or an object "
-        f"with a key(seq) method; got {tie_policy!r}")
+        f"tie_policy must be None or an object with a key(seq) method "
+        f"(e.g. ShuffledTies); got {tie_policy!r}")
 
 
 class Simulator:
@@ -102,12 +100,11 @@ class Simulator:
     :class:`~repro.errors.DeterminismError` on violation).  The static
     side of the contract is enforced by ``python -m repro.analysis lint``.
 
-    ``tie_policy`` controls how timestamp ties are broken: ``None`` (or
-    ``"fifo"``, the default) runs same-time events in scheduling order;
-    a :class:`ShuffledTies` instance (or an int salt shorthand) permutes
-    them deterministically — the probe used by
-    ``python -m repro.analysis races`` to prove results do not hinge on
-    the tie-break.
+    ``tie_policy`` controls how timestamp ties are broken: ``None`` (the
+    default) runs same-time events in scheduling order; a
+    :class:`ShuffledTies` instance permutes them deterministically — the
+    probe used by ``python -m repro.analysis races`` to prove results do
+    not hinge on the tie-break.
     """
 
     def __init__(self, seed=0, paranoid=False, recorder=None,

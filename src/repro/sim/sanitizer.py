@@ -13,7 +13,8 @@
 * counts RNG draws per named stream, so replay reports can show *which*
   subsystem drew a different number of random values.
 
-The static half is the ``repro.analysis`` linter (rules DET001-DET005).
+The static half is the ``repro.analysis`` linter
+(``python -m repro.analysis rules`` lists its rules).
 """
 
 import hashlib

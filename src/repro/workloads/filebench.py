@@ -13,7 +13,6 @@ from repro.devices.request import BlockRequest, IoClass, IoOp
 #: Thread counts / rates tuned so the three personalities create clearly
 #: *different levels* of noise (§7.8.1): fileserver saturates its disk in
 #: bursts, webserver keeps moderate pressure, varmail stays light.
-# repro: owner[cluster:frozen] import-time table, read-only afterwards
 _PERSONALITIES = {
     "fileserver": dict(threads=2, read_fraction=0.5,
                        sizes=(64 * KB, 1 * MB), gap_us=25_000.0),

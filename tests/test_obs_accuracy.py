@@ -171,7 +171,7 @@ def test_accuracy_cli_same_seed_is_byte_identical(tmp_path, capsys):
     snaps, outputs = [], []
     for name in ("a.json", "b.json"):
         snap = tmp_path / name
-        assert main(["accuracy", "--scenario", "fig3",
+        assert main(["accuracy", "--scenario", "fig3-accuracy",
                      "--snapshot", str(snap)]) == 0
         outputs.append(capsys.readouterr().out.replace(str(snap), "SNAP"))
         snaps.append(snap.read_bytes())
@@ -181,6 +181,17 @@ def test_accuracy_cli_same_seed_is_byte_identical(tmp_path, capsys):
     assert "Admission confusion" in out
     assert "err_p95us" in out
     assert "disk/cfq/n0" in out
+
+
+def test_accuracy_cli_grades_the_named_scenario(capsys):
+    """``--scenario fig3-ssd`` runs the SSD probe, not the shadow-mode
+    disk slice that lives in the same module."""
+    from repro.obs.__main__ import main
+
+    assert main(["accuracy", "--scenario", "fig3-ssd"]) == 0
+    out = capsys.readouterr().out
+    assert "scenario=fig3-ssd" in out
+    assert "disk/cfq" not in out
 
 
 def test_accuracy_cli_unknown_scenario(capsys):
