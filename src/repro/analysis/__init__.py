@@ -1,9 +1,9 @@
-"""Determinism analysis: static linter + runtime replay/race verification.
+"""Determinism analysis: static linter + the runtime determinism gate.
 
 The simulator's contract (``src/repro/sim/core.py``) is that a
 ``(seed, workload)`` pair always replays identically *and* that no
 outcome hinges on how the event heap breaks same-timestamp ties.  This
-package enforces that contract from three sides:
+package enforces that contract from two sides:
 
 * ``python -m repro.analysis lint`` — an AST-based linter with two
   layers: per-file hazard rules (``DET001``-``DET010``, ``DET016``) and
@@ -16,14 +16,12 @@ package enforces that contract from three sides:
   over processes (one task per file plus one per whole-program pass);
   ``--baseline``/``--write-baseline`` make the gate fail only on
   findings *new* relative to a committed snapshot.
-* ``python -m repro.analysis races`` — the tie-order perturbation
-  harness (:func:`perturb_ties`): re-runs a registered scenario with the
-  heap's same-timestamp tie-break deterministically permuted and diffs
-  the canonical timelines, pinpointing the first divergent event and the
-  racing callback pair.
-* :func:`verify_replay` — runs a scenario twice on paranoid simulators
-  and diffs the executed event traces, pinpointing the first divergent
-  event instead of just reporting "the figures look different".
+* ``python -m repro.analysis check`` — the runtime gate
+  (:func:`repro.analysis.check.check`) over every registered scenario:
+  exact same-seed replay, tracing neutrality, schema validation of every
+  traced event, and tie-order perturbation against the canonical
+  timeline, pinpointing the first divergent event or the racing
+  callback pair.
 
 Suppressing findings
 --------------------
@@ -43,10 +41,7 @@ Two forms, both requiring a human-readable reason after the bracket:
 
 from repro.analysis.linter import (Finding, lint_file, lint_paths,
                                    lint_paths_program)
-from repro.analysis.races import RaceReport, TieDivergence, perturb_ties
-from repro.analysis.replay import ReplayReport, verify_replay
 from repro.analysis.rules import RULES
 
 __all__ = ["Finding", "lint_file", "lint_paths", "lint_paths_program",
-           "RULES", "RaceReport", "TieDivergence", "perturb_ties",
-           "ReplayReport", "verify_replay"]
+           "RULES"]

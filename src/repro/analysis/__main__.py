@@ -1,11 +1,12 @@
-"""CLI: ``python -m repro.analysis <lint|races|rules> ...``.
+"""CLI: ``python -m repro.analysis <lint|check|rules> ...``.
 
 * ``lint [paths...] [--format human|json|sarif] [--jobs N]
   [--baseline FILE | --write-baseline FILE]`` — the static linter:
   per-file rules DET001-DET010/DET016 plus the whole-program passes
   DET011-DET015 (event flow, effects) and DETW01 (dead topics).
-* ``races --scenario fig3 --perturbations 8`` — the dynamic tie-order
-  perturbation harness over a registered scenario hook.
+* ``check [--scenario ID] [--perturbations N] [--seed N] [--list]`` —
+  the runtime determinism gate (replay, tracing neutrality, schema,
+  tie order) over every registered scenario hook, or one.
 * ``rules`` — list rule IDs and what they check.
 """
 
@@ -53,17 +54,18 @@ def main(argv=None):
                       help="comma-separated rule IDs to run "
                            "(default: all)")
 
-    races = sub.add_parser(
-        "races", help="tie-order perturbation harness: re-run a scenario "
-                      "with the event heap's same-timestamp tie-break "
-                      "permuted and diff the canonical timelines")
-    races.add_argument("--scenario", default="fig3",
-                       help="registered scenario id (see --list)")
-    races.add_argument("--perturbations", type=int, default=8,
+    check = sub.add_parser(
+        "check", help="determinism gate: exact replay, tracing "
+                      "neutrality, schema validation and tie-order "
+                      "perturbation over the registered scenarios")
+    check.add_argument("--scenario", default=None, metavar="ID",
+                       help="registered scenario id (default: every "
+                            "one; see --list)")
+    check.add_argument("--perturbations", type=int, default=4,
                        metavar="N", help="number of shuffled tie-break "
-                                         "salts to try (default: 8)")
-    races.add_argument("--seed", type=int, default=7)
-    races.add_argument("--list", action="store_true",
+                                         "salts to try (default: 4)")
+    check.add_argument("--seed", type=int, default=7)
+    check.add_argument("--list", action="store_true",
                        help="list registered scenario ids and exit")
 
     sub.add_parser("rules", help="list rule IDs and what they check")
@@ -76,8 +78,8 @@ def main(argv=None):
             print(f"{rule.id}  {rule.name:22s} {rule.summary}")
         return 0
 
-    if args.command == "races":
-        return _races(args, parser)
+    if args.command == "check":
+        return _check(args, parser)
 
     rules = None
     if args.rules:
@@ -120,24 +122,31 @@ def _lint(args, parser, rules):
     return 1 if findings else 0
 
 
-def _races(args, parser):
-    """Run the tie-order perturbation harness on a registered scenario."""
-    from repro.analysis.races import perturb_ties
+def _check(args, parser):
+    """Run the determinism gate on one or every registered scenario."""
+    from repro.analysis.check import check
     from repro.experiments.registry import SCENARIOS, get_scenario
 
     if args.list:
         for scenario_id, (_, _, description) in sorted(SCENARIOS.items()):
             print(f"{scenario_id:14s} {description}")
         return 0
+    ids = sorted(SCENARIOS) if args.scenario is None else [args.scenario]
     try:
-        scenario = get_scenario(args.scenario)
+        scenarios = [(sid, get_scenario(sid)) for sid in ids]
     except KeyError as err:
-        parser.error(str(err))
-    report = perturb_ties(scenario, seed=args.seed,
-                          perturbations=args.perturbations,
-                          scenario_name=args.scenario)
-    print(report.render())
-    return 0 if report.ok else 1
+        parser.error(err.args[0])
+    failed = []
+    for scenario_id, scenario in scenarios:
+        report = check(scenario, seed=args.seed,
+                       perturbations=args.perturbations, name=scenario_id)
+        print(report.render(), flush=True)
+        if not report.ok:
+            failed.append(scenario_id)
+    verdict = "OK" if not failed else "FAILED " + ", ".join(failed)
+    print(f"determinism check: {len(ids) - len(failed)} of {len(ids)} "
+          f"scenario(s) passed: {verdict}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

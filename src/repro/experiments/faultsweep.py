@@ -12,9 +12,12 @@ Every strategy line runs on a fresh simulator with the same seed, so each
 sees the identical fault schedule (same crash times, same lost-message
 draws) — the fault-plane analogue of replaying one EC2 timeslice.
 
-``chaos_smoke()`` is the CI gate: a small faulted scenario run twice under
-``Simulator(paranoid=True)`` via ``verify_replay`` must produce identical
-trace hashes and per-stream RNG draw counts.
+Two scaled-down slices are registered scenario hooks
+(``repro.experiments.registry.SCENARIOS``): :func:`race_scenario`
+(``faultsweep``, every fault at once) and :func:`tails_scenario`
+(``tails``, planted causes in disjoint windows).  The determinism gate
+``python -m repro.analysis check`` runs both; the second also feeds
+``python -m repro.obs tails --scenario tails``.
 """
 
 from repro._units import MS, SEC
@@ -118,48 +121,21 @@ def run(quick=True, seed=7):
     return result
 
 
-# -- CI chaos smoke ---------------------------------------------------------
-
-def replay_scenario(sim):
-    """A small faulted scenario for verify_replay (runs on a given sim)."""
-    horizon = 3 * SEC
-    spec = FaultSpec(
-        message_loss=(MessageLoss(rate=0.1),),
-        crashes=(CrashWindow(node=1, start_us=0.5 * SEC,
-                             duration_us=1 * SEC),),
-        fail_slow=(FailSlow(node=2, start_us=1 * SEC, duration_us=1 * SEC,
-                            cpu_factor=4.0, device_factor=2.0),),
-        device_storms=(DeviceStorm(node=0, start_us=1.5 * SEC,
-                                   duration_us=1 * SEC, factor=2.0,
-                                   spike_prob=0.1),),
-        read_errors=(ReadErrors(rate=0.05, node=3),),
-        false_positive_rate=0.05,
-        rpc_timeout_us=60 * MS,
-        op_budget_us=1 * SEC,
-        max_attempts=6,
-    )
-    plane = FaultPlane(sim, spec)
-    env = build_disk_cluster(sim, 6,
-                             fault_injector=plane.decision_injector)
-    plane.arm(env.cluster)
-    strategy = make_strategy("mittos", env.cluster, deadline_us=25 * MS)
-    run_clients(env, strategy, n_clients=4, n_ops=25,
-                think_time_us=2 * MS, name="mittos", limit_us=horizon)
-
+# -- registered scenario hooks -----------------------------------------------
 
 def race_scenario(sim):
-    """The faulted scenario wired for the tie-order race harness.
+    """A small faulted MittOS cluster: message loss, a crash window, a
+    gray replica, a device storm, latent read errors and decision flips.
 
-    Identical to :func:`replay_scenario` except that client starts are
-    staggered (client ``i`` begins at ``i * 17 µs``).  Synchronized
-    starts are *symmetrically* tie-sensitive: every client's first RPC
-    draws its hop latency from the shared ``network`` stream inside the
-    same t=0 tie group, so the heap's tie-break — not the model —
-    assigns draws to clients, and ``python -m repro.analysis races``
-    rightly reports the divergence.  Real clients never start in
+    Client starts are staggered (client ``i`` begins at ``i * 17 µs``).
+    Synchronized starts are *symmetrically* tie-sensitive: every client's
+    first RPC draws its hop latency from the shared ``network`` stream
+    inside the same t=0 tie group, so the heap's tie-break — not the
+    model — assigns draws to clients, and ``python -m repro.analysis
+    check`` rightly reports the divergence.  Real clients never start in
     lockstep; with the stagger, the rest of the run (fault transitions,
     EBUSY failover, crash/restart, storms) must be insensitive to tie
-    order, which the ``race-smoke`` CI job asserts.
+    order, which the check asserts.
     """
     horizon = 3 * SEC
     spec = FaultSpec(
@@ -187,22 +163,11 @@ def race_scenario(sim):
                 stagger_us=17.0)
 
 
-def chaos_smoke(seed=7):
-    """CI gate: the same-seed faulted scenario must replay byte-identically
-    under ``Simulator(paranoid=True)``.  Returns a process exit code."""
-    from repro.analysis.replay import verify_replay
-    report = verify_replay(replay_scenario, seed=seed)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-# -- tail-forensics scenario + CI smoke --------------------------------------
-
 def tails_scenario(sim):
     """The registered faulted *tail* scenario for ``python -m repro.obs
-    tails --scenario tails`` and the ``tails-smoke`` CI gate.
+    tails --scenario tails``.
 
-    Unlike the chaos scenarios (everything at once), the planted causes
+    Unlike :func:`race_scenario` (everything at once), the planted causes
     here occupy *disjoint* windows so each blame class has a clean
     signature for the forensics engine to attribute: a total-loss window
     (every RPC dropped -> timeout/backoff waits), then a hard device
@@ -231,31 +196,3 @@ def tails_scenario(sim):
     run_clients(env, strategy, n_clients=4, n_ops=45,
                 think_time_us=2 * MS, name="mittos", limit_us=horizon,
                 stagger_us=17.0)
-
-
-def tails_smoke(seed=7):
-    """CI gate: same-seed tail-forensics blame reports must be
-    byte-identical (the report is a pure function of the trace, and the
-    trace is a pure function of the seed).  Returns an exit code."""
-    from repro.obs.bus import TraceRecorder
-    from repro.obs.forensics import TailForensics
-
-    def one_report():
-        recorder = TraceRecorder()
-        sim = Simulator(seed=seed, paranoid=True, recorder=recorder)
-        tails_scenario(sim)
-        return TailForensics.from_events(recorder.events).report(
-            label=f"scenario=tails seed={seed}")
-
-    report_a, report_b = one_report(), one_report()
-    json_a, json_b = report_a.to_json(), report_b.to_json()
-    for tag, report in (("A", report_a), ("B", report_b)):
-        print(f"run {tag}: {report.spans} spans, "
-              f"{len(report.flagged)} flagged, "
-              f"tail mass {report.tail_mass_us:.1f}us")
-    ok = json_a == json_b
-    print("tails determinism: " + ("OK" if ok else "MISMATCH"))
-    if ok:
-        print()
-        print(report_a.render())
-    return 0 if ok else 1

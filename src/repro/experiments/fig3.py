@@ -89,8 +89,9 @@ def _interarrival_stats(recorder, threshold_ms, gap_us):
 def replay_scenario(sim, resource="disk", n_nodes=3, horizon_us=2 * SEC):
     """A scaled-down fig3 probe on a caller-supplied simulator.
 
-    Used with :func:`repro.analysis.verify_replay` to check that the
-    experiment replays bit-identically under ``paranoid=True``.
+    Registered as the ``fig3`` scenario, so ``python -m repro.analysis
+    check`` proves the experiment replays bit-identically under
+    ``paranoid=True``.
     """
     _probe_nodes(resource, n_nodes, horizon_us, seed=sim.seed, sim=sim)
 

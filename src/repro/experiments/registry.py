@@ -27,10 +27,10 @@ EXPERIMENTS = {
 
 #: scenario id -> (module, attribute, description) of a *scenario hook*: a
 #: callable taking one caller-supplied ``Simulator`` that schedules (and
-#: may run) a scaled-down, deterministic slice of the experiment.  Hooks
-#: feed the determinism tooling — ``repro.analysis.verify_replay`` and the
-#: tie-order perturbation harness ``python -m repro.analysis races`` — and
-#: the live reports ``python -m repro.obs accuracy`` and ``tails``.
+#: may run) a scaled-down, deterministic slice of the experiment.  The
+#: determinism gate ``python -m repro.analysis check`` runs every hook
+#: (replay, tracing neutrality, schema, tie order); the live reports
+#: ``python -m repro.obs accuracy`` and ``tails`` take one by id.
 SCENARIOS = {
     "fig3": ("repro.experiments.fig3", "replay_scenario",
              "scaled-down fig3 disk probe (3 nodes, 2 s)"),
@@ -45,9 +45,6 @@ SCENARIOS = {
              "0.3 ms deadline, 1 s (staggered client starts)"),
     "faultsweep": ("repro.experiments.faultsweep", "race_scenario",
                    "faulted MittOS cluster slice (staggered client starts)"),
-    "chaos": ("repro.experiments.faultsweep", "replay_scenario",
-              "faulted MittOS cluster slice (synchronized client starts; "
-              "replay verification only — see race_scenario)"),
     "fig10": ("repro.experiments.fig10", "race_scenario",
               "error-injected MittCFQ slice (staggered client starts)"),
     "table1": ("repro.experiments.table1", "race_scenario",

@@ -19,9 +19,11 @@ something to degrade.  The headline claim (EXPERIMENTS.md): adaptive
 meets or beats the static baseline's foreground p95 while shedding
 strictly less work than the pre-tightened deadline rejects.
 
-``slo_smoke()`` is the CI gate: the adaptive scenario — controller
-armed, guards installed — must replay byte-identically under
-``Simulator(paranoid=True)``.
+:func:`race_scenario` is the registered ``slosweep`` scenario hook: a
+small adaptive slice — controller armed, guards installed, scavenger
+pool competing — that ``python -m repro.analysis check`` must find
+replay-exact and tie-order insensitive, proving the feedback loop is
+clock-driven and RNG-free.
 """
 
 from repro._units import MS, SEC
@@ -215,11 +217,13 @@ def run(quick=True, seed=7, faults=None):
     return result
 
 
-# -- CI scenarios ------------------------------------------------------------
+# -- registered scenario hook -------------------------------------------------
 
-def _scenario(sim, stagger):
+def race_scenario(sim):
     """A small adaptive-control scenario: controller armed, guards on,
-    scavenger pool competing, chaos-style faults."""
+    scavenger pool competing, chaos-style faults.  Foreground client
+    starts are staggered 17 µs apart (see ``faultsweep.race_scenario``
+    for why lockstep starts are excluded)."""
     horizon = 3 * SEC
     spec = FaultSpec(
         message_loss=(MessageLoss(rate=0.1),),
@@ -249,7 +253,7 @@ def _scenario(sim, stagger):
         dist = UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
         client = YcsbClient(sim, strategy, dist, fg_rec, params["n_ops"],
                             think_time_us=2 * MS,
-                            start_delay_us=i * stagger)
+                            start_delay_us=i * 17.0)
         fg_procs.append(client.run())
     bg_rec = LatencyRecorder("scavenger")
     for i in range(params["n_bg_clients"]):
@@ -259,25 +263,3 @@ def _scenario(sim, stagger):
                             start_delay_us=13.0 + i * 29.0)
         client.run()
     sim.run_until(sim.all_of(fg_procs), limit=horizon)
-
-
-def replay_scenario(sim):
-    """Paranoid-replay hook (``slo-smoke``): synchronized-ish starts are
-    fine for replay verification — it compares same-seed runs, not tie
-    orders — but we stagger anyway to share the race hook's shape."""
-    _scenario(sim, stagger=17.0)
-
-
-def race_scenario(sim):
-    """Tie-order perturbation hook: staggered client starts (see
-    ``faultsweep.race_scenario`` for why lockstep starts are excluded)."""
-    _scenario(sim, stagger=17.0)
-
-
-def slo_smoke(seed=7):
-    """CI gate: same-seed adaptive-control replay must be byte-identical
-    under ``Simulator(paranoid=True)``.  Returns a process exit code."""
-    from repro.analysis.replay import verify_replay
-    report = verify_replay(replay_scenario, seed=seed)
-    print(report.render())
-    return 0 if report.ok else 1

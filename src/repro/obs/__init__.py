@@ -30,10 +30,10 @@ Second-story consumers of the stream (this package too):
   attribution with event-ref evidence, plus the cross-run blame diff
   (``python -m repro.obs tails [--against]``).
 
-``python -m repro.obs summarize trace.jsonl`` renders an exported trace;
-``python -m repro.obs smoke`` is the trace-determinism CI gate and
-``perfguard`` the kernel microbench trend gate.  Host wall-clock per
-layer (exclusive self time) comes from
+``python -m repro.obs summarize trace.jsonl`` renders an exported trace
+and ``perfguard`` is the kernel microbench trend gate; trace determinism
+and schema conformance are gated by ``python -m repro.analysis check``.
+Host wall-clock per layer (exclusive self time) comes from
 ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
 """
 

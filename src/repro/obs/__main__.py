@@ -9,8 +9,9 @@
     metered recorder, join ``predictor.verdict`` against ``io.complete``,
     and print the per-device signed-error P50/P95/P99 table plus the 2x2
     accept/reject confusion table (the paper's Fig. 7 methodology).
-    Output derives only from sim-clock events, so two same-seed runs are
-    byte-identical — CI's ``accuracy-smoke`` gate.
+    Output derives only from sim-clock events and every table is
+    sort-keyed, so two same-seed runs print byte-identical reports and
+    snapshots.
 
 ``python -m repro.obs tails [TRACE | --scenario ID] [--threshold-us N |
 --percentile P] [--against OTHER] [--json | --top K]``
@@ -22,25 +23,14 @@
     event-ref evidence per class.  ``--against`` diffs two runs' blame
     reports ("why did p99 regress"); traces are streamed, ``.gz`` works.
 
-``python -m repro.obs schema [--markdown] [--check PATH]``
+``python -m repro.obs schema [--markdown]``
     The topic/payload reference, straight from ``repro.obs.schema``.
-    ``--markdown`` renders the table checked into DESIGN.md §8;
-    ``--check DESIGN.md`` exits 1 unless that file contains the current
-    table verbatim (CI's docs drift gate).
+    ``--markdown`` renders the table checked into DESIGN.md §8.
 
 ``python -m repro.obs diff <a.jsonl> <b.jsonl> [--canonical]``
     Trace diff: first divergent timestamp group + per-topic count deltas
     between two traces of the same (seed, workload).  Exits 0 when the
     traces agree, 1 when they diverge or cannot be read.
-
-``python -m repro.obs smoke [--validate]``
-    CI determinism gate: run the fig3 replay scenario twice with the same
-    seed under ``Simulator(paranoid=True)`` with a live recorder; the two
-    trace digests AND the two sanitizer hashes must be identical.  With
-    ``--validate`` every recorded event is additionally checked against
-    the ``repro.obs.schema`` registry, so an emitter whose payload drifts
-    from its declared contract fails the gate at runtime, not just under
-    the static DET012 pass.
 
 ``python -m repro.obs perfguard [--speed BENCH_speed.json] [--reps N]``
     Kernel-throughput trend gate: rerun the ``benchmarks/kernel_bench``
@@ -247,30 +237,12 @@ def tails(trace=None, scenario_id=None, seed=7, threshold_us=None,
     return 0
 
 
-def schema_reference(markdown=False, check=None):
-    """Render (or drift-check) the auto-generated topic schema table."""
+def schema_reference(markdown=False):
+    """Render the auto-generated topic schema table."""
     from repro.obs.schema import SCHEMAS, render_markdown
 
-    table = render_markdown()
-    if check is not None:
-        try:
-            with open(check) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read '{check}': "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        if table not in text:
-            print(f"schema drift: {check} does not contain the current "
-                  "topic table verbatim — regenerate it with "
-                  "'python -m repro.obs schema --markdown' and paste it "
-                  "over the stale copy", file=sys.stderr)
-            return 1
-        print(f"schema reference in {check}: up to date "
-              f"({len(SCHEMAS)} topics)")
-        return 0
     if markdown:
-        print(table)
+        print(render_markdown())
         return 0
     for topic, declared in SCHEMAS.items():
         print(f"{topic:22s} {declared.doc}")
@@ -291,42 +263,6 @@ def diff(path_a, path_b, canonical=False):
                          canonical=canonical)
     print(report.render())
     return 0 if report.identical else 1
-
-
-def _traced_fig3(seed, validate=False):
-    """One traced, paranoid fig3 replay: (trace_digest, sanitizer hash)."""
-    from repro.experiments.fig3 import replay_scenario
-    from repro.sim.core import Simulator
-
-    recorder = TraceRecorder(keep_events=False, validate=validate)
-    sim = Simulator(seed=seed, paranoid=True, recorder=recorder)
-    replay_scenario(sim)
-    return recorder.trace_digest(), sim.trace_hash(), recorder.count
-
-
-def smoke(seed=7, validate=False):
-    """Same-seed traced runs must produce identical digests and hashes.
-
-    With ``validate=True`` every recorded event is also checked against
-    the ``repro.obs.schema`` registry as it is emitted, so a payload
-    that drifts from its declared contract fails the gate loudly.
-    """
-    from repro.obs.schema import SchemaViolation
-
-    try:
-        digest_a, hash_a, count_a = _traced_fig3(seed, validate=validate)
-        digest_b, hash_b, count_b = _traced_fig3(seed, validate=validate)
-    except SchemaViolation as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-        print("trace determinism: SCHEMA MISMATCH")
-        return 1
-    ok = digest_a == digest_b and hash_a == hash_b
-    print(f"run A: {count_a} events  digest {digest_a}  hash {hash_a}")
-    print(f"run B: {count_b} events  digest {digest_b}  hash {hash_b}")
-    if validate:
-        print(f"schema validation: OK ({count_a + count_b} events checked)")
-    print("trace determinism: " + ("OK" if ok else "MISMATCH"))
-    return 0 if ok else 1
 
 
 def perfguard(speed_path="BENCH_speed.json", reps=3, label=None):
@@ -430,9 +366,6 @@ def main(argv=None):
     p_schema.add_argument("--markdown", action="store_true",
                           help="render the markdown table checked into "
                                "DESIGN.md §8")
-    p_schema.add_argument("--check", metavar="PATH", default=None,
-                          help="exit 1 unless PATH contains the current "
-                               "table verbatim (CI drift gate)")
     p_diff = sub.add_parser("diff",
                             help="first divergence between two traces")
     p_diff.add_argument("trace_a", help="baseline JSONL trace")
@@ -440,12 +373,6 @@ def main(argv=None):
     p_diff.add_argument("--canonical", action="store_true",
                         help="tie-insensitive comparison: drop volatile "
                              "identity counters (req/pid) first")
-    p_smoke = sub.add_parser("smoke",
-                             help="same-seed trace determinism gate")
-    p_smoke.add_argument("--seed", type=int, default=7)
-    p_smoke.add_argument("--validate", action="store_true",
-                         help="also check every recorded event against "
-                              "the repro.obs.schema registry")
     p_perf = sub.add_parser("perfguard",
                             help="kernel microbench trend gate: rerun "
                                  "benchmarks/kernel_bench, append to the "
@@ -470,11 +397,9 @@ def main(argv=None):
                      pct=args.percentile, against=args.against,
                      as_json=args.json, top=args.top)
     if args.cmd == "schema":
-        return schema_reference(markdown=args.markdown, check=args.check)
+        return schema_reference(markdown=args.markdown)
     if args.cmd == "diff":
         return diff(args.trace_a, args.trace_b, canonical=args.canonical)
-    if args.cmd == "smoke":
-        return smoke(seed=args.seed, validate=args.validate)
     return perfguard(speed_path=args.speed, reps=args.reps)
 
 

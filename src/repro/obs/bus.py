@@ -17,7 +17,7 @@ The bus serves two planes with one mechanism:
 Determinism contract: recorded events carry only sim-clock timestamps and
 their canonical JSON lines feed the paranoid sanitizer's hash (when
 ``Simulator(paranoid=True)``), so same-seed replays must produce
-byte-identical traces — ``python -m repro.obs smoke`` is the CI gate.
+byte-identical traces — ``python -m repro.analysis check`` is the gate.
 """
 
 import gzip
@@ -43,7 +43,7 @@ def canonical_line(event, volatile=VOLATILE_FIELDS):
     identity counters, and sorts the remaining field keys — so two events
     describing the same occurrence serialize identically regardless of
     the same-timestamp order they were emitted in.  This is the bus-side
-    half of the tie-order race detector (``repro.analysis.races``).
+    half of the tie-order race detector (``repro.analysis.check``).
     """
     fields = {k: v for k, v in event.fields.items() if k not in volatile}
     return event.topic + "|" + json.dumps(
@@ -148,7 +148,7 @@ class TraceRecorder:
         Two same-seed runs that differ *only* in how same-timestamp ties
         were broken produce the same canonical digest; a mismatch means
         the tie-break changed observable behaviour (a tie-order race —
-        see ``python -m repro.analysis races``).
+        see ``python -m repro.analysis check``).
         """
         if self.events is None:
             raise RuntimeError("recorder was built with keep_events=False")

@@ -7,7 +7,7 @@ run, or traces from two code revisions — :func:`diff_traces` reports
 * the **first divergent timestamp group**: events are grouped by sim
   timestamp and sorted within each group (the same canonical-timeline
   machinery the tie-order race detector uses —
-  :func:`repro.analysis.races.group_events`), so a pure within-tick
+  :func:`repro.analysis.check.group_events`), so a pure within-tick
   reordering compares equal while the earliest moved / appeared /
   vanished event is pinpointed, and
 * **per-topic count deltas**: which event classes grew or shrank overall
@@ -97,10 +97,10 @@ def _topic_counts(events):
 def diff_traces(events_a, events_b, label_a="a", label_b="b",
                 canonical=False):
     """Compare two bus event streams; returns a :class:`TraceDiff`."""
-    # Imported here, not at module top: races pulls in repro.sim, which
+    # Imported here, not at module top: check pulls in repro.sim, which
     # itself imports this package (obs) for the bus — a top-level import
     # would close that cycle during package init.
-    from repro.analysis.races import first_group_mismatch, group_events
+    from repro.analysis.check import first_group_mismatch, group_events
 
     volatile = VOLATILE_FIELDS if canonical else frozenset()
     groups_a = group_events(events_a, volatile)

@@ -36,8 +36,9 @@ construction (and are tested):
 
 Everything is post-hoc: the engine consumes a finished trace (live
 recorder events or a JSONL export) and adds no hot-path work — report
-determinism is inherited from trace determinism, so same-seed blame
-reports are byte-identical (CI's ``tails-smoke`` gate).
+determinism is inherited from trace determinism (which
+``python -m repro.analysis check`` gates), so same-seed blame reports
+are byte-identical.
 
 Entry points: ``python -m repro.obs tails`` (threshold/percentile,
 ``--against`` cross-run diff, ``--json``), the experiments CLI's

@@ -34,8 +34,7 @@ folding samples on the same grid, driven by event timestamps instead.
 Determinism: every container is keyed by name and serialized with sorted
 keys, values derive only from sim-time-stamped events, and sampling grids
 are fixed — so two same-seed runs produce **byte-identical**
-:meth:`~MetricsRegistry.to_json` snapshots (CI's ``accuracy-smoke``
-asserts exactly this).
+:meth:`~MetricsRegistry.to_json` snapshots.
 """
 
 import json

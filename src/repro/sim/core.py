@@ -58,9 +58,10 @@ class ShuffledTies:
     timestamp execute in a pseudo-random — but fully reproducible —
     order decided by ``salt``.  Events at distinct times are unaffected.
 
-    This is the probe of ``repro.analysis.races``: a simulation whose
-    observable behaviour changes under any salt has a *tie-ordering
-    race* — an outcome silently decided by the heap's tie-break.
+    This is the probe of ``python -m repro.analysis check``: a
+    simulation whose observable behaviour changes under any salt has a
+    *tie-ordering race* — an outcome silently decided by the heap's
+    tie-break.
     """
 
     __slots__ = ("salt",)
@@ -103,7 +104,7 @@ class Simulator:
     ``tie_policy`` controls how timestamp ties are broken: ``None`` (the
     default) runs same-time events in scheduling order; a
     :class:`ShuffledTies` instance permutes them deterministically — the
-    probe used by ``python -m repro.analysis races`` to prove results do
+    probe used by ``python -m repro.analysis check`` to prove results do
     not hinge on the tie-break.
     """
 

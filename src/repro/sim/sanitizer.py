@@ -5,7 +5,7 @@
 * hashes the executed event trace — one ``(time, seq, callback qualname)``
   record per executed (non-cancelled) event — into a running blake2b
   digest, so two runs can be compared with a single string;
-* keeps the full trace so :func:`repro.analysis.verify_replay` can
+* keeps the full trace so ``python -m repro.analysis check`` can
   pinpoint the *first* divergent event, not just report a hash mismatch;
 * asserts clock monotonicity at execution time (a popped event must never
   run before the current clock — only possible if the heap was mutated
@@ -62,9 +62,9 @@ class ReplaySanitizer:
 
     __slots__ = ("_hash", "trace", "events", "_last_time")
 
-    def __init__(self, record_trace=True):
+    def __init__(self):
         self._hash = hashlib.blake2b(digest_size=16)
-        self.trace = [] if record_trace else None
+        self.trace = []
         self.events = 0
         self._last_time = None
 
@@ -79,8 +79,7 @@ class ReplaySanitizer:
         qual = callback_qualname(fn)
         self.events += 1
         self._hash.update(f"{time!r}|{seq}|{qual}\n".encode())
-        if self.trace is not None:
-            self.trace.append((time, seq, qual))
+        self.trace.append((time, seq, qual))
 
     def observe_trace(self, line):
         """Fold one TraceBus event (canonical JSON) into the replay hash.

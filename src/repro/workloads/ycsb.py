@@ -78,7 +78,7 @@ def run_ycsb(sim, make_strategy, keydists, n_clients, n_ops, scale_factor=1,
     client ``i``'s first op by ``i * stagger_us``: real clients never start
     in lockstep, and synchronized starts make the first round of shared
     RNG-stream draws (network hop latencies) tie-order-assigned — see
-    ``python -m repro.analysis races``.
+    ``python -m repro.analysis check``.
     """
     recorder = LatencyRecorder(name)
     processes = []

@@ -1,12 +1,25 @@
-"""Tie-order perturbation harness: planted races must be caught and
-pinpointed; tie-insensitive scenarios must stay green."""
+"""The determinism gate (``repro.analysis.check``): every registered
+scenario passes, each planted defect fails the part that names it
+(replay, tracing, schema or ties), plus the tie-break knob the gate
+perturbs and the ``check`` CLI."""
+
+import re
 
 import pytest
 
-from repro.analysis.races import perturb_ties
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.check import check
 from repro.errors import SimulationError
+from repro.experiments.registry import SCENARIOS, get_scenario
+from repro.obs.events import IO_COMPLETE
 from repro.sim import ShuffledTies, Simulator
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_registered_scenario_passes_check(scenario_id):
+    report = check(get_scenario(scenario_id), perturbations=1,
+                   name=scenario_id)
+    assert report.ok, report.render()
 
 
 class PlantedRace:
@@ -54,13 +67,92 @@ def _leaf_b(sim):
     sim.rng("analysis/leaf_b").random()
 
 
+def tracing_steered_scenario(sim):
+    """A model that peeks at the recorder: it draws only when traced."""
+    sim.schedule_at(10.0, _draw_if_traced, sim)
+
+
+def _draw_if_traced(sim):
+    if sim.bus.recorder.active:
+        sim.rng("steered").random()
+
+
+def undeclared_key_scenario(sim):
+    """An emitter whose payload carries a key its topic never declared."""
+    sim.schedule_at(3.0, _record_undeclared_key, sim)
+
+
+def _record_undeclared_key(sim):
+    if sim.bus.recording:
+        sim.bus.record(IO_COMPLETE, {
+            "req": 1, "op": "read", "offset": 0, "size": 4096, "pid": 3,
+            "dev": "disk0", "latency": 812.5, "bogus": 1})
+
+
+# -- planted defects: each fails its own part --------------------------------
+
+def test_check_pinpoints_first_replay_divergence():
+    calls = {"n": 0}
+
+    def flaky(sim):
+        # Deliberately nondeterministic: hidden state outside the sim
+        # changes the schedule between runs.
+        calls["n"] += 1
+        sim.schedule(1, lambda: None)
+        if calls["n"] > 1:
+            sim.schedule(0.5, lambda: None)
+        rng = sim.rng("w")
+        for _ in range(calls["n"]):
+            sim.schedule(rng.uniform(2, 4), lambda: None)
+
+    report = check(flaky, seed=9)
+    assert report.failed == ["replay"]
+    text = report.render()
+    assert "FAILED replay" in text
+    assert "first divergence at event #0" in text  # the 0.5 µs event
+    assert "rng stream 'w': 1 draws vs 2" in text
+    # A run that does not repeat itself says nothing about tie order.
+    assert "tracing skipped" in text and "ties    skipped" in text
+
+
+def test_check_detects_trace_length_divergence():
+    calls = {"n": 0}
+
+    def growing(sim):
+        calls["n"] += 1
+        for i in range(calls["n"]):
+            sim.schedule(i + 1, lambda: None)
+
+    report = check(growing, seed=0)
+    assert report.failed == ["replay"]
+    text = report.render()
+    assert "first divergence at event #1:" in text
+    assert "run 1: None" in text
+
+
+def test_check_catches_a_recorder_that_steers_the_run():
+    report = check(tracing_steered_scenario, seed=3)
+    assert report.failed == ["tracing"]
+    text = report.render()
+    assert "FAILED tracing" in text
+    assert "rng stream 'steered': 1 draws vs 0" in text
+
+
+def test_check_reports_an_undeclared_payload_key():
+    report = check(undeclared_key_scenario, seed=3)
+    assert report.failed == ["schema"]
+    text = report.render()
+    assert "FAILED schema" in text
+    assert "undeclared field 'bogus'" in text
+
+
 def test_planted_race_is_detected_and_pinpointed():
-    report = perturb_ties(PlantedRace(), seed=3, perturbations=8)
-    assert not report.ok
+    report = check(PlantedRace(), seed=3, perturbations=8)
+    assert report.failed == ["ties"]
     # With 8 independent salts the odds every one preserves FIFO order
     # are 2^-8; deterministically, several flip.
-    assert len(report.divergences) >= 1
-    for div in report.divergences:
+    assert len(report.ties) >= 1
+    for div in report.ties:
         # The first *canonical* divergence is the downstream effect: the
         # t=15 callback changed identity.
         assert div.time == 15.0
@@ -75,33 +167,31 @@ def test_planted_race_is_detected_and_pinpointed():
 
 
 def test_divergence_render_names_both_sites():
-    report = perturb_ties(PlantedRace(), seed=3, perturbations=8)
+    report = check(PlantedRace(), seed=3, perturbations=8)
     text = report.render()
+    assert "FAILED ties" in text
     assert "DIVERGED at t=15.0" in text
     assert "_writer" in text and "_reader" in text
     assert "racing callbacks" in text
-    assert "divergent perturbation" in text
+    assert "depends on the event-heap tie-break" in text
 
 
 def test_tie_free_scenario_stays_green():
-    report = perturb_ties(tie_free_scenario, seed=3, perturbations=8)
+    report = check(tie_free_scenario, seed=3, perturbations=8)
     assert report.ok, report.render()
-    assert len(report.runs) == 8
+    text = report.render()
+    assert "replay  OK" in text and "tracing OK" in text
     # The perturbation genuinely permuted same-time execution order in at
     # least one run — ok means the *canonical* timeline was unaffected,
     # not that nothing moved.
-    assert any(run.ordered != report.baseline.ordered
-               for run in report.runs)
-    assert all(run.digest == report.baseline.digest
-               for run in report.runs)
-    assert "no tie-ordering races detected" in report.render()
+    reordered = int(re.search(r"OK: (\d+) of 8 perturbation", text)[1])
+    assert reordered >= 1
 
 
 def test_scenario_state_is_reset_per_run():
-    scenario = PlantedRace()
-    report = perturb_ties(scenario, seed=3, perturbations=2)
+    report = check(PlantedRace(), seed=3, perturbations=2)
     assert report.scenario == "PlantedRace"
-    assert len(report.runs) == 2
+    assert "replay" not in report.failed
 
 
 # -- Simulator(tie_policy=...) knob ----------------------------------------
@@ -145,19 +235,21 @@ def test_bad_tie_policy_rejected():
 # -- CLI -------------------------------------------------------------------
 
 def test_cli_lists_scenarios(capsys):
-    assert analysis_main(["races", "--list"]) == 0
+    assert analysis_main(["check", "--list"]) == 0
     out = capsys.readouterr().out
     assert "fig3" in out and "faultsweep" in out
 
 
 def test_cli_unknown_scenario_errors(capsys):
-    with pytest.raises(SystemExit):
-        analysis_main(["races", "--scenario", "nope"])
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        analysis_main(["check", "--scenario", "chaos"])
+    assert exc.value.code == 2
+    assert "error: unknown scenario: chaos;" in capsys.readouterr().err
 
 
 def test_cli_fig3_smoke_is_race_free(capsys):
-    assert analysis_main(["races", "--scenario", "fig3",
+    assert analysis_main(["check", "--scenario", "fig3",
                           "--perturbations", "2"]) == 0
     out = capsys.readouterr().out
-    assert "no tie-ordering races detected" in out
+    assert "fig3 (seed 7): OK" in out
+    assert out.endswith("1 of 1 scenario(s) passed: OK\n")

@@ -70,7 +70,7 @@ def test_profiling_preserves_caller_req_id_numbering():
     counter; the caller's watermark must be restored so cold-cache runs
     (first `disk_latency_model()` call in a process) number their
     requests exactly like warm runs — same-seed trace digests depend on
-    it (see the diff tool / accuracy-smoke gates)."""
+    it (see the diff tool and ``python -m repro.analysis check``)."""
     from repro.devices.request import req_id_watermark
     from repro.sim import Simulator
 

@@ -22,7 +22,8 @@ def test_unknown_experiment_raises():
         get_experiment("fig99")
 
 
-@pytest.mark.parametrize("exp_id", ["table1", "writes", "fig13"])
+@pytest.mark.parametrize("exp_id", ["table1", "writes", "fig13",
+                                    "faultsweep", "slosweep"])
 def test_cheap_experiments_render(exp_id):
     result = get_experiment(exp_id)(quick=True, seed=3)
     out = result.render()

@@ -3,9 +3,7 @@
 import pytest
 
 from repro._units import MS, SEC
-from repro.analysis.replay import verify_replay
 from repro.errors import EIO
-from repro.experiments import faultsweep
 from repro.experiments.common import build_disk_cluster, make_strategy
 from repro.faults import (CrashWindow, FailSlow, FaultPlane, FaultSpec,
                           MessageLoss, Partition, ReadErrors)
@@ -88,11 +86,6 @@ def test_same_seed_same_injection_counters():
     second = _run_faulted_workload(seed=5)
     assert first == second
     assert first["dropped_messages"] > 0  # faults actually fired
-
-
-def test_faulted_scenario_replays_byte_identically():
-    report = verify_replay(faultsweep.replay_scenario, seed=11)
-    assert report.ok, report.render()
 
 
 # -- scheduled transitions ---------------------------------------------------

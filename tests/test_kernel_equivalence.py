@@ -8,7 +8,7 @@ registered scenario x seed x tie-policy cell it asserts
 * the raw TraceBus digest (every recorded event, in emission order),
 * the canonical bus timeline digest (events grouped by timestamp,
   sorted within each group, volatile identity counters dropped — the
-  view ``repro.analysis.races`` compares), and
+  view ``repro.analysis.check`` compares), and
 * per-stream RNG draw counts
 
 are unchanged, including under ``ShuffledTies`` salts, so a refactor
@@ -31,7 +31,7 @@ import pytest
 from repro._units import MS, SEC
 from repro.experiments.common import (apply_ec2_noise, build_disk_cluster,
                                       make_strategy, run_clients)
-from repro.experiments.registry import SCENARIOS, get_scenario
+from repro.experiments.registry import get_scenario
 from repro.obs.bus import TraceRecorder
 from repro.sim import ShuffledTies, Simulator
 from repro.workloads import Ec2NoiseModel
@@ -44,10 +44,10 @@ CELLS = [
     ("fig3", 7, None),
     ("fig3", 7, 3),
     ("fig3", 11, None),
-    ("chaos", 7, None),
-    ("chaos", 7, 1),
-    ("chaos", 7, 2),
-    ("chaos", 11, None),
+    ("faultsweep", 7, None),
+    ("faultsweep", 7, 1),
+    ("faultsweep", 7, 2),
+    ("faultsweep", 11, None),
     ("slosweep", 7, None),
     ("slosweep", 7, 5),
     # FIFO only: ShuffledTies keys hash the scheduling seq, and how many
@@ -98,19 +98,6 @@ def test_kernel_matches_prerefactor_golden(goldens, scenario_id, seed, salt):
         f"{key}: canonical bus timeline diverged from the golden"
     assert got["bus_digest"] == want["bus_digest"], \
         f"{key}: raw TraceBus stream diverged"
-
-
-@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_untraced_run_behaves_like_traced(scenario_id):
-    """The NullRecorder fast paths (e.g. ``network.send`` returning a
-    bare latency) must not change what an un-traced run computes."""
-    ends = []
-    for recorder in (None, TraceRecorder(keep_events=False)):
-        sim = Simulator(seed=7, paranoid=True, recorder=recorder)
-        get_scenario(scenario_id)(sim)
-        sim.run()
-        ends.append((sim.now, sim.rng_draws()))
-    assert ends[0] == ends[1]
 
 
 def test_noisy_cluster_counters_unchanged():

@@ -1,10 +1,12 @@
-"""Runtime replay sanitizer: paranoid mode, trace hashing, verify_replay."""
+"""Runtime replay sanitizer: paranoid mode, trace hashing, draw counts.
+
+The scenario-level replay gate built on it is ``repro.analysis.check``
+(``tests/test_analysis_races.py``)."""
 
 import heapq
 
 import pytest
 
-from repro.analysis import verify_replay
 from repro.errors import DeterminismError, SimulationError
 from repro.sim import Simulator
 from repro.sim.core import Handle
@@ -106,59 +108,3 @@ def test_callback_qualname_fallback_for_odd_callables():
 
     assert callback_qualname(Callable()) == "Callable"
     assert "little_workload" in callback_qualname(little_workload)
-
-
-def test_verify_replay_ok_on_deterministic_scenario():
-    report = verify_replay(little_workload, seed=3)
-    assert report.ok
-    assert report.hashes[0] == report.hashes[1]
-    assert report.events[0] == report.events[1] > 0
-    assert report.rng_draws[0] == {"a": 10, "b": 10}
-    assert "replay OK" in report.render()
-
-
-def test_verify_replay_pinpoints_first_divergence():
-    calls = {"n": 0}
-
-    def flaky(sim):
-        # Deliberately nondeterministic: hidden state outside the sim
-        # changes the schedule between runs.
-        calls["n"] += 1
-        sim.schedule(1, lambda: None)
-        if calls["n"] > 1:
-            sim.schedule(0.5, lambda: None)
-        rng = sim.rng("w")
-        for _ in range(calls["n"]):
-            sim.schedule(rng.uniform(2, 4), lambda: None)
-
-    report = verify_replay(flaky, seed=9)
-    assert not report.ok
-    assert report.hashes[0] != report.hashes[1]
-    assert report.divergence is not None
-    assert report.divergence.index == 0  # the 0.5 µs event runs first
-    assert report.draw_mismatches == {"w": (1, 2)}
-    assert "first divergence at event #0" in report.render()
-
-
-def test_verify_replay_detects_trace_length_divergence():
-    calls = {"n": 0}
-
-    def growing(sim):
-        calls["n"] += 1
-        for i in range(calls["n"]):
-            sim.schedule(i + 1, lambda: None)
-
-    report = verify_replay(growing, seed=0)
-    assert not report.ok
-    assert report.divergence.index == 1
-    assert report.divergence.first is None
-    assert report.divergence.second is not None
-
-
-def test_verify_replay_respects_until():
-    def scenario(sim):
-        sim.schedule(10, lambda: None)
-        sim.schedule(1000, lambda: None)
-
-    report = verify_replay(scenario, seed=0, until=100)
-    assert report.ok and report.events == (1, 1)
