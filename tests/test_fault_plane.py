@@ -3,7 +3,9 @@
 import pytest
 
 from repro._units import MS, SEC
+from repro.analysis.check import check
 from repro.errors import EIO
+from repro.experiments import faultsweep
 from repro.experiments.common import build_disk_cluster, make_strategy
 from repro.faults import (CrashWindow, FailSlow, FaultPlane, FaultSpec,
                           MessageLoss, Partition, ReadErrors)
@@ -86,6 +88,11 @@ def test_same_seed_same_injection_counters():
     second = _run_faulted_workload(seed=5)
     assert first == second
     assert first["dropped_messages"] > 0  # faults actually fired
+
+
+def test_faulted_scenario_replays_byte_identically():
+    report = check(faultsweep.race_scenario, seed=11, perturbations=0)
+    assert report.ok, report.render()
 
 
 # -- scheduled transitions ---------------------------------------------------

@@ -31,7 +31,7 @@ import pytest
 from repro._units import MS, SEC
 from repro.experiments.common import (apply_ec2_noise, build_disk_cluster,
                                       make_strategy, run_clients)
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import SCENARIOS, get_scenario
 from repro.obs.bus import TraceRecorder
 from repro.sim import ShuffledTies, Simulator
 from repro.workloads import Ec2NoiseModel
@@ -98,6 +98,19 @@ def test_kernel_matches_prerefactor_golden(goldens, scenario_id, seed, salt):
         f"{key}: canonical bus timeline diverged from the golden"
     assert got["bus_digest"] == want["bus_digest"], \
         f"{key}: raw TraceBus stream diverged"
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_untraced_run_behaves_like_traced(scenario_id):
+    """The NullRecorder fast paths (e.g. ``network.send`` returning a
+    bare latency) must not change what an un-traced run computes."""
+    ends = []
+    for recorder in (None, TraceRecorder(keep_events=False)):
+        sim = Simulator(seed=7, paranoid=True, recorder=recorder)
+        get_scenario(scenario_id)(sim)
+        sim.run()
+        ends.append((sim.now, sim.rng_draws()))
+    assert ends[0] == ends[1]
 
 
 def test_noisy_cluster_counters_unchanged():

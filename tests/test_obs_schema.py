@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.bus import TraceRecorder
+from repro.obs.bus import TraceRecorder, tracing
 from repro.obs.events import ALL_TOPICS, IO_COMPLETE, TraceEvent, VERDICT
 from repro.obs.registry import MeteredRecorder, MetricsRegistry
 from repro.obs.schema import (SCHEMAS, SchemaViolation, declared_keys,
@@ -119,6 +119,16 @@ def test_validation_does_not_change_the_trace_digest():
         plain.record(ev)
         checked.record(ev)
     assert plain.trace_digest() == checked.trace_digest()
+
+
+def test_fig3_scenario_runs_clean_under_validation():
+    from repro.experiments.registry import get_scenario
+    from repro.sim import Simulator
+    with tracing(TraceRecorder(validate=True)) as recorder:
+        sim = Simulator(seed=7)
+        get_scenario("fig3")(sim)
+        sim.run()
+    assert recorder.count > 0
 
 
 # -- auto-generated markdown reference ---------------------------------------

@@ -221,6 +221,19 @@ def test_chaos_replay_spans_all_partition():
                "timeout-wait" in ev.fields["stages"] for ev in ops)
 
 
+def test_traced_runs_are_deterministic():
+    """Same seed, same scenario -> byte-identical trace and event hash."""
+    from repro.experiments.faultsweep import race_scenario
+
+    def run():
+        rec = TraceRecorder(keep_events=False)
+        sim = Simulator(seed=7, paranoid=True, recorder=rec)
+        race_scenario(sim)
+        return rec.trace_digest(), sim.trace_hash(), rec.count
+
+    assert run() == run()
+
+
 def test_tracing_does_not_change_simulation_outcomes():
     """A recorder observes; it must never steer.  Counters and latencies
     of a traced run match the untraced run exactly."""

@@ -1,14 +1,20 @@
 """The fig3 probe on a caller-supplied paranoid simulator.
 
-Same-seed replay of the registered ``fig3`` scenario is gated by
-``repro.analysis.check`` (``tests/test_analysis_races.py``); these pin
+Same-seed replay goes through ``repro.analysis.check``; these also pin
 that the seed actually drives the trace and that the probe builder
 accepts an external simulator.
 """
 
 from repro._units import SEC
+from repro.analysis.check import check
 from repro.experiments import fig3
 from repro.sim import Simulator
+
+
+def test_fig3_probe_replays_identically():
+    report = check(fig3.replay_scenario, seed=7, perturbations=0)
+    assert report.ok, report.render()
+    assert report.events > 100  # a non-trivial amount of work ran
 
 
 def test_fig3_probe_seed_changes_trace():
