@@ -16,7 +16,8 @@ def test_fig10(benchmark):
     assert fn_lines["NoError"].p(96) <= fn_lines["100%"].p(96)
     assert fp_lines["NoError"].p(96) <= fp_lines["100%"].p(96)
 
-    # 100% false negatives degenerate MittOS to ~Base (within noise).
+    # 100% false negatives stay within noise of Base, but do not equal
+    # it: MittCFQ's late bump-back EBUSYs bypass the injector.
     base = fn_lines["Base"]
     assert fn_lines["100%"].p(96) <= base.p(96) * 1.1
 

@@ -59,8 +59,7 @@ class Env:
 
 def build_disk_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
                     scheduler="cfq", shadow=False, fault_injector=None,
-                    accuracy=None, cache_pages=None, disk_params=None,
-                    cancel_bumped=True):
+                    cache_pages=None, disk_params=None, cancel_bumped=True):
     """One MongoDB-role node over a disk."""
     disk = Disk(sim, disk_params or DiskParams(), name=f"n{node_id}")
     if scheduler == "cfq":
@@ -74,7 +73,7 @@ def build_disk_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
     predictor = None
     if mitt:
         kwargs = dict(mode=mitt_mode, shadow=shadow,
-                      fault_injector=fault_injector, accuracy=accuracy)
+                      fault_injector=fault_injector)
         if predictor_cls is MittCfq:
             kwargs["cancel_bumped"] = cancel_bumped
         predictor = predictor_cls(disk_latency_model(), **kwargs)
@@ -88,7 +87,7 @@ def build_disk_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
 
 def build_ssd_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
                    geometry=None, shadow=False, fault_injector=None,
-                   accuracy=None, cpu=None, handler_cpu_us=60.0):
+                   cpu=None, handler_cpu_us=60.0):
     """One node over an OpenChannel SSD partition."""
     ssd = Ssd(sim, geometry or SsdGeometry(), name=f"n{node_id}")
     sched = NoopScheduler(sim, ssd)  # noop is the right choice for SSDs
@@ -96,8 +95,7 @@ def build_ssd_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
     if mitt:
         predictor = MittSsd(ssd, SsdLatencyModel.from_spec(ssd.geometry),
                             mode=mitt_mode, shadow=shadow,
-                            fault_injector=fault_injector,
-                            accuracy=accuracy)
+                            fault_injector=fault_injector)
     os_ = OS(sim, ssd, sched, predictor=predictor)
     engine = MMapEngine(os_, keyspace, pid=100 + node_id,
                         use_addrcheck=False)

@@ -4,8 +4,9 @@ Would a simpler (less accurate) device model still be effective?  The fig5
 setup runs with controlled decision errors injected into MittCFQ:
 
 * false-negative injection at E% — a would-be EBUSY is let through.  Only
-  slow requests are affected, so even E=100% merely degrades MittOS back
-  to Base;
+  slow requests are affected, so even E=100% stays near Base.  It does
+  not become Base: the injector flips admission-time decisions only, and
+  MittCFQ's late bump-back EBUSYs (§4.2) still fail requests over;
 * false-positive injection at E% — a request that would meet its deadline
   gets EBUSY anyway.  Mild at 20%, but at 100% every IO fails over (three
   wasted hops per request) and the tail is *worse than Base*.

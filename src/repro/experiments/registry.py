@@ -43,6 +43,9 @@ SCENARIOS = {
     "fig8": ("repro.experiments.fig8", "race_scenario",
              "MittSSD slice: 6 partitions x 2x8 chips, SSD + erase noise, "
              "0.3 ms deadline, 1 s (staggered client starts)"),
+    "fig9": ("repro.experiments.fig9", "accuracy_scenario",
+             "one precise shadow-mode MittCFQ pass over a 2 s DAPPS trace, "
+             "50 ms deadline (shadow bump-backs: predictor.late_reject)"),
     "faultsweep": ("repro.experiments.faultsweep", "race_scenario",
                    "faulted MittOS cluster slice (staggered client starts)"),
     "fig10": ("repro.experiments.fig10", "race_scenario",

@@ -12,7 +12,6 @@ Each is a *predictor* plugged into :class:`repro.kernel.syscall.OS`: when a
 predicted queue wait, without ever queueing rejected IOs.
 """
 
-from repro.mittos.accounting import AccuracyTracker
 from repro.mittos.faults import FaultInjector
 from repro.mittos.mittcache import MittCache
 from repro.mittos.mittcfq import MittCfq
@@ -26,7 +25,6 @@ from repro.mittos.slo import (DeadlineSlo, PercentileSlo, SloRegistry,
                               ThroughputSlo)
 
 __all__ = ["Predictor", "Verdict", "MittNoop", "MittCfq", "MittSsd",
-           "MittCache", "MittSmr", "MittAnticipatory", "AccuracyTracker",
-           "FaultInjector",
+           "MittCache", "MittSmr", "MittAnticipatory", "FaultInjector",
            "DeadlineSlo", "ThroughputSlo", "PercentileSlo", "SloRegistry",
            "DeadlineController"]

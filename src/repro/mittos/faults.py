@@ -4,7 +4,10 @@ The paper asks whether a simpler, less accurate device model would still be
 effective, by injecting controlled decision errors:
 
 * false-*negative* injection: when MittOS decides to reject, with probability
-  E let the IO continue (no EBUSY) — at E=100% MittOS degenerates to Base;
+  E let the IO continue (no EBUSY).  Only admission-time decisions pass
+  through :meth:`FaultInjector.apply`; MittCFQ's late bump-back EBUSYs
+  (§4.2) do not, so at E=100% MittOS on CFQ equals Base only with
+  ``cancel_bumped=False``;
 * false-*positive* injection: when the IO would meet its deadline, with
   probability E return EBUSY anyway — at E=100% every IO fails over and the
   tail is worse than Base.

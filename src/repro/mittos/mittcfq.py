@@ -18,12 +18,13 @@ Two things change relative to MittNoop:
   overtakes, and an IO whose tolerable time goes negative is cancelled with
   a (late) EBUSY.  We keep the same ledger with explicit per-entry
   tolerable times; in shadow mode (accuracy tests, §7.6) a late
-  cancellation flips the recorded decision instead of revoking the IO,
+  cancellation flips the recorded decision (``req.shadow_ebusy``, and a
+  ``predictor.late_reject`` trace event) instead of revoking the IO,
   matching "EBUSY flag attached to the IO descriptor".
 """
 
 from repro.mittos.mittnoop import MittNoop
-from repro.obs.events import IO_SUBMIT
+from repro.obs.events import IO_SUBMIT, LATE_REJECT, request_fields
 
 
 class _LedgerEntry:
@@ -104,9 +105,12 @@ class MittCfq(MittNoop):
         req = entry.req
         if self.shadow:
             # Accuracy mode: the EBUSY decision is recorded, the IO runs.
-            if req.tag.get("accuracy_rejected") is False:
-                req.tag["accuracy_rejected"] = True
+            req.shadow_ebusy = True
             self.late_cancellations += 1
+            bus = self.bus
+            if bus.recorder.active:
+                bus.record(LATE_REJECT, dict(request_fields(req),
+                                             predictor=self.name))
             return
         if self.os.scheduler.cancel(req):
             self.late_cancellations += 1

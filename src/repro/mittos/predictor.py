@@ -16,12 +16,12 @@ testbed).  The base class also hosts the two evaluation facilities:
   false-negative rate to study tail sensitivity to prediction error.
 
 Bus wiring: :meth:`Predictor.attach` subscribes the predictor to its
-scheduler's ``io.dispatch`` / ``io.complete`` streams and — when an
-:class:`~repro.mittos.accounting.AccuracyTracker` is configured — makes the
-tracker a bus consumer of this predictor's ``predictor.verdict`` stream plus
-the scheduler's completions.  Every :meth:`admit` emits a verdict event
-carrying the decision *before* shadow-mode enforcement, tagged with the
-``probe`` flag so addrcheck probes stay distinguishable downstream.
+scheduler's ``io.dispatch`` / ``io.complete`` streams.  When a recorder is
+active, every :meth:`admit` records a ``predictor.verdict`` event carrying
+the decision *before* shadow-mode enforcement, tagged with the ``probe``
+flag so addrcheck probes stay distinguishable downstream.  Shadow-mode
+decisions are graded by :class:`~repro.obs.accuracy.AccuracyJoiner`, off
+the trace or (fig9) off ``req.shadow_ebusy`` at completion.
 """
 
 from repro.obs.events import IO_COMPLETE, IO_DISPATCH, VERDICT, request_fields
@@ -52,7 +52,7 @@ class Predictor:
 
     name = "predictor"
 
-    def __init__(self, shadow=False, fault_injector=None, accuracy=None):
+    def __init__(self, shadow=False, fault_injector=None):
         self.os = None
         self.sim = None
         self.bus = None
@@ -62,7 +62,6 @@ class Predictor:
         #: Shadow mode: record decisions, enforce nothing (§7.6).
         self.shadow = shadow
         self.fault_injector = fault_injector
-        self.accuracy = accuracy
         self.admitted = 0
         self.rejected = 0
         #: Predicted wait of the most recent rejection — the "richer
@@ -79,16 +78,9 @@ class Predictor:
         self._attached()
 
     def _wire_bus(self, scheduler):
-        """Subscribe this predictor (and its accuracy tracker) to the bus."""
+        """Subscribe this predictor to its scheduler's bus streams."""
         self.bus.subscribe(IO_DISPATCH, self._on_dispatch, source=scheduler)
         self.bus.subscribe(IO_COMPLETE, self._on_complete, source=scheduler)
-        if self.accuracy is not None:
-            # The tracker is just another bus consumer: it tags requests on
-            # this predictor's verdicts and grades them on completion.
-            self.bus.subscribe(VERDICT, self.accuracy.on_verdict,
-                               source=self)
-            self.bus.subscribe(IO_COMPLETE, self.accuracy.observe_completion,
-                               source=scheduler)
 
     def _attached(self):
         """Subclass hook: extra wiring after attach."""
@@ -124,7 +116,7 @@ class Predictor:
             self._on_admit(req)
         return Verdict(accept, wait, service)
 
-    def _verdict_labels(self):
+    def verdict_labels(self):
         """(device, dev_kind, sched) identity of the stack this predictor
         guards — the accuracy joiner's aggregation key.  Computed lazily
         (stacked predictors get ``os`` assigned outside :meth:`attach`)."""
@@ -141,25 +133,20 @@ class Predictor:
         return labels or {}
 
     def _emit_verdict(self, req, accept, probe, deadline, wait, service):
-        """Publish the (pre-shadow-enforcement) decision on the bus."""
+        """Record the (pre-shadow-enforcement) decision on the trace."""
         bus = self.bus
-        if bus is not None:
-            bus.emit(VERDICT, self, req, accept, probe)
-            if bus.recorder.active:
-                # Plain-type coercion: latency models may hand back numpy
-                # scalars, which the canonical JSON encoder rejects.
-                bus.record(VERDICT, dict(
-                    request_fields(req), predictor=self.name,
-                    accept=bool(accept), probe=bool(probe),
-                    shadow=bool(self.shadow),
-                    deadline=None if deadline is None else float(deadline),
-                    predicted_wait=None if wait is None else float(wait),
-                    predicted_service=(None if service is None
-                                       else float(service)),
-                    **self._verdict_labels()))
-        elif self.accuracy is not None:
-            # Unattached predictor (unit tests): no bus to consume from.
-            self.accuracy.on_verdict(req, accept, probe)
+        if bus is not None and bus.recorder.active:
+            # Plain-type coercion: latency models may hand back numpy
+            # scalars, which the canonical JSON encoder rejects.
+            bus.record(VERDICT, dict(
+                request_fields(req), predictor=self.name,
+                accept=bool(accept), probe=bool(probe),
+                shadow=bool(self.shadow),
+                deadline=None if deadline is None else float(deadline),
+                predicted_wait=None if wait is None else float(wait),
+                predicted_service=(None if service is None
+                                   else float(service)),
+                **self.verdict_labels()))
 
     def _note(self, accept, wait=None):
         if accept:
@@ -181,8 +168,7 @@ class Predictor:
         """Scheduler dispatched ``req`` into the device."""
 
     def _on_complete(self, req):
-        """Device completed ``req`` (accuracy grading is bus-subscribed
-        separately in :meth:`attach`)."""
+        """Device completed ``req``."""
 
     def min_io_latency(self, size):
         """Fastest possible device IO (MittCache's propagation floor)."""

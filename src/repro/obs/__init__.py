@@ -19,9 +19,9 @@ or ambiently (what ``python -m repro.experiments <id> --trace`` does)::
 
 Second-story consumers of the stream (this package too):
 
-* :mod:`repro.obs.accuracy` — prediction-accuracy observatory: joins
-  ``predictor.verdict`` to ``io.complete`` into signed-error CDFs and
-  the accept/reject confusion table (``python -m repro.obs accuracy``);
+* :mod:`repro.obs.accuracy` — prediction-accuracy observatory, the one
+  grader of admission decisions (``python -m repro.obs accuracy``, fig9,
+  tail forensics): signed-error CDFs and the confusion table;
 * :mod:`repro.obs.registry` — metrics registry: counters, gauges,
   histograms, utilization/queue-depth time series, byte-stable JSON
   snapshots (``--metrics`` on the experiments CLI);

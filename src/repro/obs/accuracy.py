@@ -28,16 +28,20 @@ submitted), late cancellations (revoked before reaching the device) and
 decisions still unresolved at end of trace are counted separately rather
 than silently dropped.
 
-The classification threshold is the SLO itself (``actual <= deadline``),
-matching :class:`~repro.mittos.accounting.AccuracyTracker`; the
-predictor's admission test deliberately allows one extra failover hop,
-so a small optimistic band of accepts is *expected* to grade as false
-accepts when the hop allowance is nonzero.
+A shadow-mode MittCFQ bump-back (§4.2, ``predictor.late_reject``) turns
+the pending decision into a reject.  This is the repo's one accuracy
+grader: fig9 feeds it records built off completed requests
+(:meth:`AccuracyJoiner.add`), and tail forensics reads its false accepts.
+
+The classification threshold is the SLO itself (``actual <= deadline``);
+the predictor's admission test deliberately allows one extra failover
+hop, so a small optimistic band of accepts is *expected* to grade as
+false accepts when the hop allowance is nonzero.
 """
 
 from repro.metrics.latency import percentile
 from repro.metrics.tables import format_table
-from repro.obs.events import IO_CANCEL, IO_COMPLETE, VERDICT
+from repro.obs.events import IO_CANCEL, IO_COMPLETE, LATE_REJECT, VERDICT
 
 #: Confusion-table cell names, in render order.
 TRUE_ACCEPT = "true_accept"
@@ -50,20 +54,20 @@ CELLS = (TRUE_ACCEPT, FALSE_ACCEPT, TRUE_REJECT, FALSE_REJECT)
 class PredictionRecord:
     """One graded admission decision (verdict joined to its completion)."""
 
-    __slots__ = ("req", "group", "predictor", "accept", "shadow",
-                 "deadline", "predicted", "actual", "cell")
+    __slots__ = ("req", "group", "accept", "deadline", "predicted",
+                 "verdict_time", "complete_time", "actual", "cell")
 
-    def __init__(self, req, group, predictor, accept, shadow, deadline,
-                 predicted, actual):
+    def __init__(self, req, group, accept, deadline, predicted,
+                 verdict_time, complete_time):
         self.req = req
         self.group = group            # (dev_kind, sched, device)
-        self.predictor = predictor
         self.accept = accept
-        self.shadow = shadow
         self.deadline = deadline
         self.predicted = predicted    # predicted wait + service (µs)
-        self.actual = actual          # verdict -> completion wait (µs)
-        violated = actual > deadline
+        self.verdict_time = verdict_time
+        self.complete_time = complete_time
+        self.actual = complete_time - verdict_time  # the wait (µs)
+        violated = self.actual > deadline
         if accept:
             self.cell = FALSE_ACCEPT if violated else TRUE_ACCEPT
         else:
@@ -83,22 +87,19 @@ class PredictionRecord:
 class _PendingVerdict:
     """A decision awaiting its outcome."""
 
-    __slots__ = ("time", "group", "predictor", "accept", "shadow",
-                 "deadline", "predicted")
+    __slots__ = ("time", "group", "accept", "deadline", "predicted")
 
-    def __init__(self, time, group, predictor, accept, shadow, deadline,
-                 predicted):
+    def __init__(self, time, group, accept, deadline, predicted):
         self.time = time
         self.group = group
-        self.predictor = predictor
         self.accept = accept
-        self.shadow = shadow
         self.deadline = deadline
         self.predicted = predicted
 
 
-def _group_of(fields):
-    """(dev_kind, sched, device) from an enriched verdict event."""
+def group_of(fields):
+    """(dev_kind, sched, device) from an enriched verdict event (or a
+    predictor's :meth:`~repro.mittos.predictor.Predictor.verdict_labels`)."""
     return (fields.get("dev_kind", "?"), fields.get("sched", "?"),
             fields.get("device", "?"))
 
@@ -120,8 +121,6 @@ class AccuracyJoiner:
         #: req id -> _PendingVerdict awaiting io.complete / io.cancel.
         self._pending = {}
         self.records = []
-        #: group -> {cell: count}
-        self.by_group = {}
         #: Ungradeable decisions, by reason.
         self.probes = 0
         self.unenforced_rejects = 0   # rejected, IO never ran (no shadow)
@@ -140,6 +139,8 @@ class AccuracyJoiner:
             self._on_complete(event)
         elif topic == IO_CANCEL:
             self._on_cancel(event)
+        elif topic == LATE_REJECT:
+            self._on_late_reject(event)
 
     def consume(self, events):
         for event in events:
@@ -165,8 +166,7 @@ class AccuracyJoiner:
             # restarted with a fresh Simulator.  Flush, don't mis-join.
             self.unresolved += 1
         accept = bool(fields.get("accept"))
-        shadow = bool(fields.get("shadow"))
-        if not accept and not shadow:
+        if not accept and not fields.get("shadow"):
             # Enforced EBUSY: the IO never runs, the true wait is
             # unknowable.  Counted, not graded (the paper's accuracy
             # tests run in shadow mode for exactly this reason).
@@ -178,8 +178,12 @@ class AccuracyJoiner:
         if deadline is None:
             return
         self._pending[req] = _PendingVerdict(
-            event.time, _group_of(fields), fields.get("predictor", "?"),
-            accept, shadow, deadline, wait + service)
+            event.time, group_of(fields), accept, deadline, wait + service)
+
+    def add(self, record):
+        """Fold one graded :class:`PredictionRecord` (the trace join's,
+        or one built straight off a completed request, as fig9 does)."""
+        self.records.append(record)
 
     def _on_complete(self, event):
         req = event.fields.get("req")
@@ -187,14 +191,16 @@ class AccuracyJoiner:
         if pending is None:
             self.unmatched_completions += 1
             return
-        record = PredictionRecord(
-            req, pending.group, pending.predictor, pending.accept,
-            pending.shadow, pending.deadline, pending.predicted,
-            event.time - pending.time)
-        self.records.append(record)
-        cells = self.by_group.setdefault(record.group,
-                                         dict.fromkeys(CELLS, 0))
-        cells[record.cell] += 1
+        self.add(PredictionRecord(
+            req, pending.group, pending.accept, pending.deadline,
+            pending.predicted, pending.time, event.time))
+
+    def _on_late_reject(self, event):
+        pending = self._pending.get(event.fields.get("req"))
+        if pending is not None:
+            # Shadow-mode bump-back: the decision became EBUSY after
+            # admission, but the IO still runs and grades as a reject.
+            pending.accept = False
 
     def _on_cancel(self, event):
         pending = self._pending.pop(event.fields.get("req"), None)

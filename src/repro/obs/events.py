@@ -3,33 +3,35 @@
 Every layer of the stack emits into one :class:`~repro.obs.bus.TraceBus`
 per simulator.  Topics are plain strings, grouped by layer:
 
-========================  =====================================================
-``io.submit``             request entered the IO scheduler queues
-``io.dispatch``           scheduler dispatched the request into the device
-``io.service_start``      device began servicing the request (post NCQ queue)
-``io.complete``           device completed the request
-``io.cancel``             scheduler revoked a still-queued request
-``os.read``               syscall entry of ``read(..., deadline)``
-``os.write``              syscall entry of the buffered write path
-``os.ebusy``              the OS returned EBUSY (fast reject, late
-                          cancellation, or an ``addrcheck`` probe)
-``predictor.verdict``     a MittOS admission decision (accept or EBUSY),
-                          with predicted wait/service; probes are tagged
-``cache.hit/miss``        page-cache residency outcome of one read
-``cache.swapin``          background swap-in after EBUSY (§4.4 fairness)
-``rpc.send/recv/drop``    one network-hop message life cycle
-``fault.transition``      fault-plane state change (crash, restart, storm…)
-``strategy.decision``     client-strategy control decision (failover, retry)
-``device.clean``          device-internal background work (SMR cleaning)
-``slo.window``            SLO-controller observation window closed (p95,
-                          EBUSY rate, error-budget burn, queue depth)
-``slo.transition``        SLO controller changed deadline/degradation level
-``slo.shed``              per-node admission guard shed one read (tiered
-                          backpressure)
-``slo.killswitch``        operator KillSwitch tripped or cleared
-``span.request``          per-request latency breakdown at completion
-``span.op``               per-client-op latency breakdown at completion
-========================  =====================================================
+==========================  ===================================================
+``io.submit``               request entered the IO scheduler queues
+``io.dispatch``             scheduler dispatched the request into the device
+``io.service_start``        device began servicing the request (post NCQ queue)
+``io.complete``             device completed the request
+``io.cancel``               scheduler revoked a still-queued request
+``os.read``                 syscall entry of ``read(..., deadline)``
+``os.write``                syscall entry of the buffered write path
+``os.ebusy``                the OS returned EBUSY (fast reject, late
+                            cancellation, or an ``addrcheck`` probe)
+``predictor.verdict``       a MittOS admission decision (accept or EBUSY),
+                            with predicted wait/service; probes are tagged
+``predictor.late_reject``   shadow-mode MittCFQ bump-back: the recorded
+                            decision became EBUSY after admission
+``cache.hit/miss``          page-cache residency outcome of one read
+``cache.swapin``            background swap-in after EBUSY (§4.4 fairness)
+``rpc.send/recv/drop``      one network-hop message life cycle
+``fault.transition``        fault-plane state change (crash, restart, storm…)
+``strategy.decision``       client-strategy control decision (failover, retry)
+``device.clean``            device-internal background work (SMR cleaning)
+``slo.window``              SLO-controller observation window closed (p95,
+                            EBUSY rate, error-budget burn, queue depth)
+``slo.transition``          SLO controller changed deadline/degradation level
+``slo.shed``                per-node admission guard shed one read (tiered
+                            backpressure)
+``slo.killswitch``          operator KillSwitch tripped or cleared
+``span.request``            per-request latency breakdown at completion
+``span.op``                 per-client-op latency breakdown at completion
+==========================  ===================================================
 
 The two ``span.*`` topics carry the latency-attribution payload: a
 ``stages`` mapping whose values sum to the end-to-end latency of the
@@ -50,10 +52,10 @@ import json
 from repro.obs.schema import (CACHE_HIT, CACHE_MISS, CACHE_SWAPIN, DECISION,
                               DEVICE_CLEAN, FAULT, FORENSICS_BLAME,
                               IO_CANCEL, IO_COMPLETE, IO_DISPATCH,
-                              IO_SERVICE_START, IO_SUBMIT, OS_EBUSY, OS_READ,
-                              OS_WRITE, RPC_DROP, RPC_RECV, RPC_SEND,
-                              SCHEMAS, SLO_KILLSWITCH, SLO_SHED,
-                              SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
+                              IO_SERVICE_START, IO_SUBMIT, LATE_REJECT,
+                              OS_EBUSY, OS_READ, OS_WRITE, RPC_DROP,
+                              RPC_RECV, RPC_SEND, SCHEMAS, SLO_KILLSWITCH,
+                              SLO_SHED, SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
                               SPAN_REQUEST, VERDICT)
 
 #: Every declared topic, in the schema registry's canonical order.

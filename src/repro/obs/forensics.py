@@ -18,10 +18,10 @@ pass builds a small context index from the non-span topics:
 * ``rpc.drop`` instants (message loss, partitions);
 * ``slo.shed`` admission-guard rejections (tiered backpressure);
 * ``strategy.decision`` failover/timeout moves;
-* ``predictor.verdict`` **false-accepts**: an accepted, deadline-bearing
-  verdict joined by ``req`` to its ``io.complete`` whose actual wait
-  exceeded the deadline — the accuracy observatory's join, reduced to
-  the one cell forensics cares about.
+* **false-accepts**: ``predictor.verdict``, ``predictor.late_reject``,
+  ``io.complete`` and ``io.cancel`` feed an
+  :class:`~repro.obs.accuracy.AccuracyJoiner`, and forensics keeps the
+  decisions it grades false_accept (admitted, then missed the deadline).
 
 Each flagged span's ``stages`` partition is then *charged*, stage by
 stage, to one of the seven blame classes of
@@ -56,13 +56,14 @@ from repro.metrics.blame import (BLAME_CLIENT_OTHER, BLAME_DEVICE_QUEUEING,
                                  BLAME_PREDICTOR_MISS, BLAME_SHED_WAIT,
                                  BlameShare, blame_key)
 from repro.metrics.latency import percentile
-from repro.obs.events import (DECISION, FAULT, FORENSICS_BLAME, IO_COMPLETE,
-                              RPC_DROP, SLO_SHED, SPAN_OP, SPAN_REQUEST,
-                              STAGE_BACKOFF, STAGE_DEVICE_QUEUE,
-                              STAGE_DEVICE_SERVICE, STAGE_FAILOVER_HOP,
-                              STAGE_PARALLEL_WAIT, STAGE_SCHED_QUEUE,
-                              STAGE_SERVER, STAGE_TIMEOUT_WAIT, VERDICT,
-                              TraceEvent)
+from repro.obs.accuracy import FALSE_ACCEPT, AccuracyJoiner
+from repro.obs.events import (DECISION, FAULT, FORENSICS_BLAME, IO_CANCEL,
+                              IO_COMPLETE, LATE_REJECT, RPC_DROP, SLO_SHED,
+                              SPAN_OP, SPAN_REQUEST, STAGE_BACKOFF,
+                              STAGE_DEVICE_QUEUE, STAGE_DEVICE_SERVICE,
+                              STAGE_FAILOVER_HOP, STAGE_PARALLEL_WAIT,
+                              STAGE_SCHED_QUEUE, STAGE_SERVER,
+                              STAGE_TIMEOUT_WAIT, VERDICT, TraceEvent)
 
 #: Event references kept per (request, blame class) — enough to point a
 #: human at the causal events without ballooning the JSON report.
@@ -84,6 +85,8 @@ _DEVICE_STAGES = frozenset({STAGE_SCHED_QUEUE, STAGE_DEVICE_QUEUE,
 _FAILOVER_DECISIONS = frozenset({"rpc-timeout", "coarse-timeout",
                                  "timeout-failover", "eio-failover",
                                  "ebusy-failover", "all-busy"})
+#: Topics the accuracy joiner grades decisions from.
+_ACCURACY_TOPICS = frozenset({VERDICT, LATE_REJECT, IO_COMPLETE, IO_CANCEL})
 
 
 def _dominant(charged):
@@ -194,9 +197,9 @@ class TailForensics:
     Feed :class:`~repro.obs.events.TraceEvent` objects in trace order
     (``observe`` one at a time, or ``consume``/``from_events`` for a
     batch), ``finalize`` at end of stream, then ask for a
-    :meth:`report`.  Only span events and a small context index are
-    retained, so JSONL traces can be streamed (``iter_jsonl``) without a
-    full in-memory load.
+    :meth:`report`.  Only span events, a small context index and the
+    joiner's graded decisions are retained, so JSONL traces can be
+    streamed (``iter_jsonl``) without a full in-memory load.
     """
 
     def __init__(self):
@@ -210,7 +213,7 @@ class TailForensics:
         self.false_accepts = []  # (verdict time, completion time, req)
         self._open_crash = {}    # node -> (start, note)
         self._open_slow = {}     # ("storm", dev) / ("fail-slow", node)
-        self._pending = {}       # req -> (verdict time, deadline)
+        self._accuracy = AccuracyJoiner()
         self._finalized = False
 
     # -- streaming ---------------------------------------------------------
@@ -229,10 +232,8 @@ class TailForensics:
             self.sheds.append(event.time)
         elif topic == DECISION:
             self.decisions.append((event.time, event.fields["kind"]))
-        elif topic == VERDICT:
-            self._on_verdict(event)
-        elif topic == IO_COMPLETE:
-            self._on_complete(event)
+        elif topic in _ACCURACY_TOPICS:
+            self._accuracy.observe(event)
 
     def consume(self, events):
         for event in events:
@@ -282,24 +283,6 @@ class TailForensics:
                     self.slow_windows.append(
                         (open_window[0], time, open_window[1]))
 
-    def _on_verdict(self, event):
-        fields = event.fields
-        if fields.get("probe") or not fields.get("accept"):
-            return
-        deadline = fields.get("deadline")
-        if deadline is None:
-            return
-        self._pending[fields.get("req")] = (event.time, deadline)
-
-    def _on_complete(self, event):
-        req = event.fields.get("req")
-        pending = self._pending.pop(req, None)
-        if pending is None:
-            return
-        verdict_time, deadline = pending
-        if event.time - verdict_time > deadline:
-            self.false_accepts.append((verdict_time, event.time, req))
-
     def finalize(self):
         """Close still-open fault windows at +inf; sort the index."""
         for start, note in self._open_crash.values():
@@ -308,13 +291,15 @@ class TailForensics:
         for start, note in self._open_slow.values():
             self.slow_windows.append((start, float("inf"), note))
         self._open_slow.clear()
-        self._pending.clear()
+        self.false_accepts = sorted(
+            (record.verdict_time, record.complete_time, record.req)
+            for record in self._accuracy.finalize().records
+            if record.cell == FALSE_ACCEPT)
         self.crash_windows.sort()
         self.slow_windows.sort()
         self.drops.sort()
         self.sheds.sort()
         self.decisions.sort()
-        self.false_accepts.sort()
         self._finalized = True
         return self
 

@@ -53,6 +53,7 @@ OS_WRITE = "os.write"
 OS_EBUSY = "os.ebusy"
 
 VERDICT = "predictor.verdict"
+LATE_REJECT = "predictor.late_reject"
 
 CACHE_HIT = "cache.hit"
 CACHE_MISS = "cache.miss"
@@ -142,6 +143,10 @@ SCHEMAS = {s.topic: s for s in (
              "probe": "bool", "shadow": "bool", "deadline": "number?",
              "predicted_wait": "number?", "predicted_service": "number?"},
             optional={"device": "str", "dev_kind": "str", "sched": "str"}),
+    _schema(LATE_REJECT,
+            "shadow-mode MittCFQ bump-back: a queued request's recorded "
+            "decision became EBUSY after admission (the IO still runs)",
+            {**REQUEST_IDENTITY, "predictor": "str"}),
     _schema(CACHE_HIT,
             "page-cache residency: full hit",
             {"file": "key", "offset": "number", "size": "number"}),
@@ -237,8 +242,8 @@ def render_markdown():
     """The auto-generated topic/payload reference table (GitHub markdown).
 
     Rendered by ``python -m repro.obs schema --markdown`` and checked
-    into DESIGN.md §8; CI regenerates and diffs so the docs cannot drift
-    from this registry (``--check DESIGN.md``).
+    into DESIGN.md §8; tier-1's ``test_design_md_schema_table_is_current``
+    fails when the checked-in table drifts from this registry.
     """
     lines = [
         "| topic | required | optional | doc |",

@@ -1,84 +1,95 @@
-"""Tests of FP/FN accuracy accounting (§7.6)."""
+"""Tests of FP/FN accuracy accounting (§7.6), as fig9 grades it.
 
-from repro.devices.request import BlockRequest, IoOp
-from repro.mittos import AccuracyTracker
+fig9 hands :class:`AccuracyJoiner` one :class:`PredictionRecord` per
+completed shadow-mode request and reads its columns back through
+``fig9._rates``: FP% is false rejects, FN% false accepts, both over the
+graded decisions, and the mean |error| is over the mispredicted ones.
+"""
+
+from repro.experiments.fig9 import _rates
+from repro.obs.accuracy import (FALSE_ACCEPT, FALSE_REJECT, TRUE_ACCEPT,
+                                TRUE_REJECT, AccuracyJoiner,
+                                PredictionRecord)
+from repro.obs.events import IO_CANCEL, IO_COMPLETE, VERDICT, TraceEvent
 
 
-def _completed_req(submit, deadline, complete, rejected,
-                   predicted=(0.0, 0.0)):
-    req = BlockRequest(IoOp.READ, 0, 4096)
-    req.submit_time = submit
-    req.abs_deadline = submit + deadline
-    req.predicted_wait, req.predicted_service = predicted
-    tracker_input = req
-    tracker_input.tag["accuracy_rejected"] = rejected
-    req.complete_time = complete
-    return req
+def _record(deadline, complete, rejected, predicted=(0.0, 0.0),
+            submit=0.0):
+    wait, service = predicted
+    return PredictionRecord(1, ("disk", "cfq", "n0"), not rejected,
+                            deadline, wait + service, submit, complete)
+
+
+def _graded(*records):
+    joiner = AccuracyJoiner()
+    for record in records:
+        joiner.add(record)
+    return joiner
 
 
 def test_true_positive_counts_correct():
-    tracker = AccuracyTracker()
-    req = _completed_req(0.0, 100.0, 500.0, rejected=True)
-    tracker.observe_completion(req)
-    assert tracker.correct == 1
-    assert tracker.inaccuracy == 0.0
+    joiner = _graded(_record(100.0, 500.0, rejected=True))
+    assert joiner.confusion()[TRUE_REJECT] == 1
+    fp, fn, _ = _rates(joiner)
+    assert fp + fn == 0.0
 
 
 def test_false_positive():
-    tracker = AccuracyTracker()
-    req = _completed_req(0.0, 100.0, 50.0, rejected=True,
-                         predicted=(200.0, 100.0))
-    tracker.observe_completion(req)
-    assert tracker.false_positives == 1
-    assert tracker.fp_rate == 1.0
-    # diff recorded: |50 - (0 + 200 + 100)| = 250
-    assert tracker.error_diffs == [250.0]
+    joiner = _graded(_record(100.0, 50.0, rejected=True,
+                             predicted=(200.0, 100.0)))
+    (record,) = joiner.records
+    assert record.cell == FALSE_REJECT
+    assert _rates(joiner)[0] == 1.0
+    # |error|: |50 - (0 + 200 + 100)| = 250
+    assert abs(record.error) == 250.0
 
 
 def test_false_negative():
-    tracker = AccuracyTracker()
-    req = _completed_req(0.0, 100.0, 500.0, rejected=False,
-                         predicted=(10.0, 20.0))
-    tracker.observe_completion(req)
-    assert tracker.false_negatives == 1
-    assert tracker.fn_rate == 1.0
+    joiner = _graded(_record(100.0, 500.0, rejected=False,
+                             predicted=(10.0, 20.0)))
+    assert joiner.confusion()[FALSE_ACCEPT] == 1
+    assert _rates(joiner)[1] == 1.0
 
 
 def test_ignores_requests_without_deadline():
-    tracker = AccuracyTracker()
-    req = BlockRequest(IoOp.READ, 0, 4096)
-    req.tag["accuracy_rejected"] = False
-    req.submit_time, req.complete_time = 0.0, 10.0
-    tracker.observe_completion(req)
-    assert tracker.total == 0
+    events = [
+        TraceEvent(0.0, VERDICT, {"req": 1, "accept": True,
+                                  "probe": False, "shadow": True,
+                                  "deadline": None}),
+        TraceEvent(10.0, IO_COMPLETE, {"req": 1, "latency": 10.0}),
+    ]
+    joiner = AccuracyJoiner.from_events(events)
+    assert joiner.graded == 0
 
 
 def test_ignores_cancelled_requests():
-    tracker = AccuracyTracker()
-    req = _completed_req(0.0, 100.0, 500.0, rejected=True)
-    req.cancelled = True
-    tracker.observe_completion(req)
-    assert tracker.total == 0
+    events = [
+        TraceEvent(0.0, VERDICT, {"req": 1, "accept": True,
+                                  "probe": False, "shadow": False,
+                                  "deadline": 100.0}),
+        TraceEvent(5.0, IO_CANCEL, {"req": 1}),
+    ]
+    joiner = AccuracyJoiner.from_events(events)
+    assert joiner.graded == 0
+    assert joiner.late_cancels == 1
 
 
 def test_summary_and_diff_stats():
-    tracker = AccuracyTracker()
-    tracker.observe_completion(
-        _completed_req(0.0, 100.0, 50.0, True, predicted=(150.0, 50.0)))
-    tracker.observe_completion(
-        _completed_req(0.0, 100.0, 150.0, False, predicted=(10.0, 20.0)))
-    tracker.observe_completion(
-        _completed_req(0.0, 100.0, 80.0, False))
-    summary = tracker.summary()
-    assert summary["total"] == 3
-    assert summary["fp_rate"] == 1 / 3
-    assert summary["fn_rate"] == 1 / 3
-    assert tracker.mean_diff_us() > 0
-    assert tracker.max_diff_us() >= tracker.mean_diff_us()
+    joiner = _graded(
+        _record(100.0, 50.0, True, predicted=(150.0, 50.0)),   # |err| 150
+        _record(100.0, 150.0, False, predicted=(10.0, 20.0)),  # |err| 120
+        _record(100.0, 80.0, False))                           # correct
+    assert joiner.graded == 3
+    assert joiner.confusion() == {TRUE_ACCEPT: 1, FALSE_ACCEPT: 1,
+                                  TRUE_REJECT: 0, FALSE_REJECT: 1}
+    fp, fn, mean_error = _rates(joiner)
+    assert fp == 1 / 3
+    assert fn == 1 / 3
+    # The correct decision's |error| (80) is left out of the mean.
+    assert mean_error == 135.0
 
 
 def test_rates_zero_when_empty():
-    tracker = AccuracyTracker()
-    assert tracker.fp_rate == 0.0
-    assert tracker.fn_rate == 0.0
-    assert tracker.mean_diff_us() == 0.0
+    joiner = AccuracyJoiner()
+    assert joiner.graded == 0
+    assert _rates(joiner) == (0.0, 0.0, 0.0)

@@ -5,7 +5,11 @@ from repro.devices import BlockRequest, Disk, DiskParams, IoClass, IoOp
 from repro.devices.disk_profile import profile_disk
 from repro.errors import is_ebusy
 from repro.kernel import CfqScheduler, OS
-from repro.mittos import AccuracyTracker, MittCfq
+from repro.mittos import MittCfq
+from repro.obs.accuracy import AccuracyJoiner
+from repro.obs.bus import TraceRecorder
+from repro.obs.events import LATE_REJECT, VERDICT
+from repro.sim import Simulator
 
 MODEL = profile_disk(lambda sim: Disk(sim, DiskParams(
     jitter_frac=0.0, hiccup_prob=0.0)))
@@ -114,21 +118,37 @@ def test_dispatched_requests_are_not_cancelled(sim):
     assert not is_ebusy(ev.value)
 
 
-def test_shadow_mode_flips_accuracy_decision(sim):
+def test_shadow_mode_flips_accuracy_decision():
+    """A shadow bump-back turns the admitted request's recorded decision
+    into EBUSY: on the request, on the trace, and in the grading."""
+    recorder = TraceRecorder()
+    sim = Simulator(seed=42, recorder=recorder)
     disk = Disk(sim, DiskParams(jitter_frac=0.0, hiccup_prob=0.0,
                                 queue_depth=1))
     sched = CfqScheduler(sim, disk)
-    accuracy = AccuracyTracker()
-    predictor = MittCfq(MODEL, shadow=True, accuracy=accuracy)
+    predictor = MittCfq(MODEL, shadow=True)
     os_ = OS(sim, disk, sched, predictor=predictor)
 
+    bumped = []
     os_.read(0, 0, 4 * KB, pid=9)
-    ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS)
+    ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS,
+                  io_observer=bumped.append)
     for i in range(15):
         os_.read(0, i * GB, 1024 * KB, pid=1)
     sim.run()
     assert not is_ebusy(ev.value)  # shadow: the IO still ran
-    assert predictor.late_cancellations >= 1
+    assert predictor.late_cancellations == 1
+    (req,) = bumped
+    assert req.shadow_ebusy
+
+    (verdict,) = recorder.by_topic(VERDICT)
+    assert verdict.fields["req"] == req.req_id
+    assert verdict.fields["accept"]  # admitted first ...
+    (late,) = recorder.by_topic(LATE_REJECT)
+    assert late.fields["req"] == req.req_id  # ... then bumped back
+    (record,) = AccuracyJoiner.from_events(recorder.events).records
+    assert record.req == req.req_id
+    assert not record.accept
 
 
 def test_ledger_pruning(sim):

@@ -2,7 +2,8 @@
 
 from repro.obs.accuracy import (CELLS, FALSE_ACCEPT, FALSE_REJECT,
                                 TRUE_ACCEPT, TRUE_REJECT, AccuracyJoiner)
-from repro.obs.events import IO_CANCEL, IO_COMPLETE, VERDICT, TraceEvent
+from repro.obs.events import (IO_CANCEL, IO_COMPLETE, LATE_REJECT, VERDICT,
+                              TraceEvent)
 
 DEADLINE = 100.0
 
@@ -24,6 +25,12 @@ def complete(t, req, dev="n0"):
 
 def cancel(t, req, dev="n0"):
     return TraceEvent(t, IO_CANCEL, {"req": req, "dev": dev})
+
+
+def late_reject(t, req):
+    return TraceEvent(t, LATE_REJECT, {
+        "req": req, "op": "read", "offset": 0, "size": 4096, "pid": 1,
+        "predictor": "mittcfq"})
 
 
 # -- the 2x2 classification --------------------------------------------------
@@ -76,6 +83,25 @@ def test_cancel_after_verdict_is_a_late_cancel():
     assert joiner.late_cancels == 1
     # The cancelled request's id is free again: no stale pending state.
     assert joiner.unresolved == 0
+
+
+def test_late_reject_turns_a_pending_accept_into_a_reject():
+    """MittCFQ's shadow bump-back: admitted, then EBUSY'd in the queue,
+    and the IO (still run) missed its deadline — a true reject."""
+    events = [verdict(0.0, 1, True), late_reject(5.0, 1),
+              complete(150.0, 1)]
+    joiner = AccuracyJoiner.from_events(events)
+    (record,) = joiner.records
+    assert not record.accept
+    assert record.cell == TRUE_REJECT
+    assert joiner.late_cancels == 0
+
+
+def test_late_reject_without_pending_verdict_is_ignored():
+    joiner = AccuracyJoiner.from_events([late_reject(5.0, 1),
+                                         complete(9.0, 1)])
+    assert joiner.graded == 0
+    assert joiner.unmatched_completions == 1
 
 
 def test_duplicate_req_id_across_simulator_restart():
@@ -192,6 +218,31 @@ def test_accuracy_cli_grades_the_named_scenario(capsys):
     out = capsys.readouterr().out
     assert "scenario=fig3-ssd" in out
     assert "disk/cfq" not in out
+
+
+def test_fig9_scenario_trace_join_matches_fig9_grading(capsys):
+    """fig9 grades each request at completion; ``obs accuracy --scenario
+    fig9`` joins the same pass's trace.  With the shadow bump-backs on
+    the trace (``predictor.late_reject``) the two agree cell for cell."""
+    from repro.experiments import fig9
+    from repro.obs.__main__ import main
+    from repro.obs.bus import TraceRecorder
+    from repro.sim import Simulator
+
+    recorder = TraceRecorder()
+    graded = fig9.accuracy_scenario(Simulator(seed=7, recorder=recorder))
+    traced = AccuracyJoiner.from_events(recorder.events)
+    assert len(recorder.by_topic(LATE_REJECT)) == 19
+    assert graded.confusion() == {TRUE_ACCEPT: 248, FALSE_ACCEPT: 1,
+                                  TRUE_REJECT: 18, FALSE_REJECT: 5}
+    assert traced.confusion() == graded.confusion()
+    assert [(r.req, r.cell, r.error) for r in traced.records] == \
+        [(r.req, r.cell, r.error) for r in graded.records]
+
+    assert main(["accuracy", "--scenario", "fig9"]) == 0
+    out = capsys.readouterr().out
+    assert "Admission confusion (272 graded decisions" in out
+    assert "(false-accept 1, false-reject 5)" in out
 
 
 def test_accuracy_cli_unknown_scenario(capsys):
