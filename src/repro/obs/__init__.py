@@ -30,11 +30,11 @@ Second-story consumers of the stream (this package too):
   attribution with event-ref evidence, plus the cross-run blame diff
   (``python -m repro.obs tails [--against]``).
 
-``python -m repro.obs summarize trace.jsonl`` renders an exported trace
-and ``perfguard`` is the kernel microbench trend gate; trace determinism
-and schema conformance are gated by ``python -m repro.analysis check``.
-Host wall-clock per layer (exclusive self time) comes from
-``python3 benchmarks/e2e/run.py --workload W --trace 1``.
+``python -m repro.obs summarize trace.jsonl`` renders an exported trace;
+trace determinism and schema conformance are gated by ``python -m
+repro.analysis check``.  Host wall-clock per layer (exclusive self time)
+comes from ``python3 benchmarks/e2e/run.py --workload W --trace 1``, and
+``python3 benchmarks/compare.py --base REV`` times a change against REV.
 """
 
 from repro.obs import events

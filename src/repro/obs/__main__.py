@@ -32,14 +32,10 @@
     between two traces of the same (seed, workload).  Exits 0 when the
     traces agree, 1 when they diverge or cannot be read.
 
-``python -m repro.obs perfguard [--speed BENCH_speed.json] [--reps N]``
-    Kernel-throughput trend gate: rerun the ``benchmarks/kernel_bench``
-    microbench suite, append the combined events/sec to the committed
-    ``BENCH_speed.json`` per-PR history, and fail when the fresh rate
-    falls below 75% of the committed ``floor_events_per_s`` — the CI
-    regression gate for the kernel speed rewrite's perf trajectory.
-    For where host time goes, layer by layer (exclusive self time), run
-    ``python3 benchmarks/e2e/run.py --workload W --trace 1``.
+Host speed is not measured here.  ``python3 benchmarks/compare.py --base
+REV`` times the repo benchmark on REV and on the working tree, and
+``python3 benchmarks/e2e/run.py --workload W --trace 1`` shows where host
+time goes, layer by layer.
 """
 
 import argparse
@@ -265,48 +261,6 @@ def diff(path_a, path_b, canonical=False):
     return 0 if report.identical else 1
 
 
-def perfguard(speed_path="BENCH_speed.json", reps=3, label=None):
-    """Kernel microbench trend gate against the committed speed floor.
-
-    Reruns the ``benchmarks/kernel_bench`` suite, appends the result to
-    the committed per-PR history, and fails below 75% of the committed
-    ``floor_events_per_s``.  The floor itself carries a 4x hardware
-    cushion (see :mod:`repro.obs.kernelbench`), so this catches
-    order-of-magnitude hot-path regressions across heterogeneous CI
-    runners, not single-digit machine drift.
-    """
-    from repro.obs import kernelbench
-
-    result = kernelbench.run_suite(reps=reps)
-    label = label or kernelbench.git_label()
-    doc = kernelbench.load_speed(speed_path)
-    if doc is None:
-        # First run on this checkout: seed the trajectory and pass.
-        doc = kernelbench.update_speed(None, result, label)
-        doc["floor_events_per_s"] = round(
-            kernelbench.FLOOR_FRACTION * result["combined_events_per_s"], 1)
-        kernelbench.write_speed(speed_path, doc)
-        print(f"trend gate: no committed {speed_path} — trajectory seeded, "
-              "commit it to arm the gate")
-        print(kernelbench.render(result, doc))
-        return 0
-    doc = kernelbench.update_speed(doc, result, label)
-    kernelbench.write_speed(speed_path, doc)
-    rate = result["combined_events_per_s"]
-    floor = doc.get("floor_events_per_s", 0.0)
-    gate = kernelbench.TREND_GATE_FRACTION * floor
-    print(f"kernel bench trend: label={label}")
-    print(kernelbench.render(result, doc))
-    print(f"committed floor: {floor:,.0f} ev/s -> gate at {gate:,.0f} ev/s")
-    if floor and rate < gate:
-        print(f"trend gate: {rate:,.0f} ev/s below "
-              f"{kernelbench.TREND_GATE_FRACTION:.0%} of the committed "
-              "floor — FAIL", file=sys.stderr)
-        return 1
-    print("trend gate: OK")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -373,17 +327,6 @@ def main(argv=None):
     p_diff.add_argument("--canonical", action="store_true",
                         help="tie-insensitive comparison: drop volatile "
                              "identity counters (req/pid) first")
-    p_perf = sub.add_parser("perfguard",
-                            help="kernel microbench trend gate: rerun "
-                                 "benchmarks/kernel_bench, append to the "
-                                 "committed history, fail below 75%% of "
-                                 "the committed floor")
-    p_perf.add_argument("--speed", metavar="PATH", default="BENCH_speed.json",
-                        help="committed speed trajectory "
-                             "(default BENCH_speed.json)")
-    p_perf.add_argument("--reps", type=int, default=3,
-                        help="timed repetitions per microbench "
-                             "(default 3)")
     args = parser.parse_args(argv)
     if args.cmd == "summarize":
         return summarize(args.trace, top=args.top)
@@ -398,9 +341,7 @@ def main(argv=None):
                      as_json=args.json, top=args.top)
     if args.cmd == "schema":
         return schema_reference(markdown=args.markdown)
-    if args.cmd == "diff":
-        return diff(args.trace_a, args.trace_b, canonical=args.canonical)
-    return perfguard(speed_path=args.speed, reps=args.reps)
+    return diff(args.trace_a, args.trace_b, canonical=args.canonical)
 
 
 if __name__ == "__main__":

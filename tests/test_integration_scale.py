@@ -12,12 +12,14 @@ def _line(name, sf, deadline=None, seed=21):
 
 
 def test_scale_factor_amplifies_the_fraction_of_slow_requests():
-    base1, _ = _line("base", 1)
-    base5, _ = _line("base", 5)
-    threshold = base1.p(95)
-    # 1-(1-P)^5 amplification: the slow fraction grows superlinearly.
-    assert base5.fraction_above(threshold) > \
-        2.5 * base1.fraction_above(threshold)
+    lines = {sf: _line("base", sf)[0] for sf in (1, 2, 5, 10)}
+    threshold = lines[1].p(95)
+    share = {sf: rec.fraction_above(threshold) for sf, rec in lines.items()}
+    # Waiting on SF gets makes more user ops slow at every step (0.05,
+    # 0.092, 0.191, 0.372 here).  The share is neither bounded by the
+    # independence formula 1-(1-P)^SF nor held above it: see fig6.
+    assert share[1] < share[2] < share[5] < share[10]
+    assert share[5] > 2.5 * share[1]
 
 
 def test_mittos_beats_hedged_at_every_scale():
