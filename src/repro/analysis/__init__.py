@@ -12,10 +12,7 @@ package enforces that contract from two sides:
   dead-topic detection; ``DET014``-``DET015``: interprocedural effect
   inference over a project call graph) across ``src/repro``,
   ``benchmarks`` and ``examples``.  ``--format sarif`` emits a SARIF
-  2.1.0 log for code-scanning UIs; ``--jobs N`` fans both layers out
-  over processes (one task per file plus one per whole-program pass);
-  ``--baseline``/``--write-baseline`` make the gate fail only on
-  findings *new* relative to a committed snapshot.
+  2.1.0 log for code-scanning UIs.
 * ``python -m repro.analysis check`` — the runtime gate
   (:func:`repro.analysis.check.check`) over every registered scenario:
   exact same-seed replay, tracing neutrality, schema validation of every
@@ -39,9 +36,7 @@ Two forms, both requiring a human-readable reason after the bracket:
   bulk-silence real hazards.
 """
 
-from repro.analysis.linter import (Finding, lint_file, lint_paths,
-                                   lint_paths_program)
+from repro.analysis.linter import Finding, lint_file, lint_paths
 from repro.analysis.rules import RULES
 
-__all__ = ["Finding", "lint_file", "lint_paths", "lint_paths_program",
-           "RULES"]
+__all__ = ["Finding", "lint_file", "lint_paths", "RULES"]

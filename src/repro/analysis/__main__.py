@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.analysis <lint|check|rules> ...``.
 
-* ``lint [paths...] [--format human|json|sarif] [--jobs N]
-  [--baseline FILE | --write-baseline FILE]`` — the static linter:
+* ``lint [paths...] [--format human|json|sarif] [--rules IDS]`` — the
+  static linter:
   per-file rules DET001-DET010/DET016 plus the whole-program passes
   DET011-DET015 (event flow, effects) and DETW01 (dead topics).
 * ``check [--scenario ID] [--perturbations N] [--seed N] [--list]`` —
@@ -11,13 +11,10 @@
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from repro.analysis.linter import (filter_baseline, lint_paths_program,
-                                   load_baseline, render_findings,
-                                   write_baseline)
+from repro.analysis.linter import lint_paths, render_findings
 from repro.analysis.rules import RULES
 
 #: Default lint targets, relative to the repo root: everything we ship
@@ -40,16 +37,6 @@ def main(argv=None):
                            + " ".join(DEFAULT_LINT_PATHS) + ")")
     lint.add_argument("--format", choices=("human", "json", "sarif"),
                       default="human")
-    lint.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default: cpu count, capped "
-                           "at 8); fans out one task per file plus one "
-                           "per whole-program pass")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="fail only on findings not recorded in this "
-                           "baseline file (see --write-baseline)")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record the current findings as the accepted "
-                           "baseline and exit 0")
     lint.add_argument("--rules", metavar="IDS",
                       help="comma-separated rule IDs to run "
                            "(default: all)")
@@ -102,20 +89,7 @@ def _lint(args, parser, rules):
         if not paths:
             parser.error("none of the default lint paths exist here; "
                          "pass explicit paths")
-    jobs = args.jobs if args.jobs is not None \
-        else min(os.cpu_count() or 1, 8)
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
-    findings = lint_paths_program(paths, rules=rules, jobs=jobs)
-    if args.write_baseline:
-        count = write_baseline(findings, args.write_baseline)
-        print(f"baseline: recorded {count} finding(s) "
-              f"-> {args.write_baseline}")
-        return 0
-    if args.baseline:
-        if not Path(args.baseline).exists():
-            parser.error(f"no such baseline file: {args.baseline}")
-        findings = filter_baseline(findings, load_baseline(args.baseline))
+    findings = lint_paths(paths, rules=rules)
     print(render_findings(findings, fmt=args.format))
     if any(f.rule == "DET000" for f in findings):
         return 2

@@ -35,8 +35,8 @@ error.  This pass checks both ends against the declared contracts in
     module itself (``repro.obs.schema``) is in the linted file set —
     linting a partial tree (one package, a fixture) just means "emitter
     not in view", which is not a finding.  Each finding anchors at the
-    topic constant's declaration line so the suppression and baseline
-    machinery have a real location to bind to.
+    topic constant's declaration line so a suppression pragma has a real
+    location to bind to.
 
 Only payload-shaped receivers are treated as event-field reads: a name
 ``fields`` / ``*_fields`` or an attribute ``.fields`` — the naming

@@ -3,17 +3,13 @@
 Two layers of rules run over every lint invocation:
 
 * **per-file** rules (``DET001``-``DET010``, ``DET016``) — one AST
-  checker per file, embarrassingly parallel;
+  checker per file;
 * **whole-program** rules (``DET011``-``DET015``, ``DETW01``) — the
   event-flow contract pass (:mod:`repro.analysis.eventflow`) and the
   interprocedural effect pass (:mod:`repro.analysis.effects`), each of
   which needs every file's AST at once.
 
-``jobs=N`` fans *both* layers out across a process pool: each per-file
-check is one task, and each whole-program pass is one task (a pass is
-indivisible, but the two passes are independent of each other).  The
-merged output is sorted, so results are byte-identical at any job
-count.
+Both run in one process, and the findings come out sorted by location.
 
 Both layers share the suppression grammar (``# repro: allow[DET00X]``
 line pragmas, ``# repro: allow-file[...]`` in the first five lines) and
@@ -189,23 +185,17 @@ def _wanted_passes(rules):
                   if owned & want]
 
 
-def _filter_raw(raw, by_path, rules):
-    """Route raw program-pass tuples through each file's suppressions."""
-    findings = []
-    for rule_id, path, line, col, message in raw:
-        pf = by_path[path]
-        findings.extend(_filter(pf, [(rule_id, line, col, message)], rules))
-    return findings
-
-
 def _program_findings(program, rules=None):
     """All whole-program rules over the file set, suppressions applied."""
     want, passes = _wanted_passes(rules)
-    raw = []
-    for pass_name in passes:
-        raw.extend(_run_program_pass(pass_name, program, want))
     by_path = {pf.path: pf for pf in program}
-    return _filter_raw(raw, by_path, rules)
+    findings = []
+    for pass_name in passes:
+        for rule_id, path, line, col, message in \
+                _run_program_pass(pass_name, program, want):
+            findings.extend(_filter(by_path[path],
+                                    [(rule_id, line, col, message)], rules))
+    return findings
 
 
 def lint_program(program, rules=None):
@@ -243,102 +233,10 @@ def iter_python_files(paths):
                 yield candidate
 
 
-def _parallel_worker(task):
-    """One pool task (module-level: picklable).  Two task shapes:
-
-    ``("file", path, rules)`` — per-file rules of one file; returns the
-    already-filtered :class:`Finding` list.
-    ``("pass", name, paths, rules)`` — one whole-program pass; reloads
-    the program from disk and returns *raw* tuples (the parent applies
-    suppressions, which need each file's pragma tables).
-    """
-    kind = task[0]
-    if kind == "file":
-        _, path, rules = task
-        return _per_file_findings(ProgramFile.load(path),
-                                  rules=set(rules) if rules else None)
-    _, pass_name, paths, rules = task
-    program = [ProgramFile.load(p) for p in paths]
-    want, _passes = _wanted_passes(set(rules) if rules else None)
-    return _run_program_pass(pass_name, program, want)
-
-
-def lint_paths_program(paths, rules=None, jobs=1):
-    """Lint every ``.py`` file under ``paths``.
-
-    ``jobs > 1`` fans out over a process pool: one task per file for the
-    per-file rules plus one task per whole-program pass (eventflow /
-    effects — each pass needs every AST, but the passes are independent
-    of each other).  Program passes are queued first so the slowest
-    tasks start immediately.  The merged output is sorted, so it is
-    byte-identical at any job count.
-    """
-    files = list(iter_python_files(paths))
-    if jobs and jobs > 1 and len(files) > 1:
-        import multiprocessing
-        rule_arg = sorted(rules) if rules else None
-        path_args = tuple(str(p) for p in files)
-        _want, passes = _wanted_passes(rules)
-        tasks = [("pass", name, path_args, rule_arg) for name in passes]
-        tasks += [("file", p, rule_arg) for p in path_args]
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_parallel_worker, tasks)
-        findings = []
-        raw = []
-        for task, result in zip(tasks, results):
-            if task[0] == "file":
-                findings.extend(result)
-            else:
-                raw.extend(result)
-        by_path = {p: ProgramFile.load(p) for p in path_args}
-        findings.extend(_filter_raw(raw, by_path, rules))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
-    return lint_program([ProgramFile.load(p) for p in files], rules=rules)
-
-
 def lint_paths(paths, rules=None):
     """Lint every ``.py`` file under the given files/directories."""
-    return lint_paths_program(paths, rules=rules)
-
-
-# -- baselines ---------------------------------------------------------------
-
-def baseline_key(finding):
-    """Location-insensitive identity of a finding: line numbers drift on
-    every edit, so baselines key on (rule, path, message) with counts."""
-    return f"{finding.rule}|{finding.path}|{finding.message}"
-
-
-def write_baseline(findings, path):
-    """Record the current findings as the accepted baseline."""
-    counts = {}
-    for finding in findings:
-        key = baseline_key(finding)
-        counts[key] = counts.get(key, 0) + 1
-    Path(path).write_text(json.dumps(
-        {"version": 1, "findings": dict(sorted(counts.items()))},
-        indent=2) + "\n", encoding="utf-8")
-    return len(findings)
-
-
-def load_baseline(path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return dict(data.get("findings", {}))
-
-
-def filter_baseline(findings, baseline):
-    """Drop findings covered by the baseline (each key has a budget of
-    ``count`` occurrences); what remains is *new* since it was written."""
-    budget = dict(baseline)
-    fresh = []
-    for finding in findings:
-        key = baseline_key(finding)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
+    files = iter_python_files(paths)
+    return lint_program([ProgramFile.load(p) for p in files], rules=rules)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -80,9 +80,11 @@ SCHEDULE_METHODS = frozenset({
     "schedule", "schedule_at", "schedule_in", "timeout",
 })
 
-#: Callback-registration methods whose lambdas run as event callbacks.
+#: Callback-registration methods whose lambdas run as event callbacks
+#: (the ``add_*_listener`` trio registers IO-scheduler hooks).
 CALLBACK_METHODS = SCHEDULE_METHODS | frozenset({
-    "subscribe", "add_callback",
+    "subscribe", "add_callback", "add_submit_listener",
+    "add_dispatch_listener", "add_complete_listener",
 })
 
 #: Container methods that mutate their receiver (DET008/DET010).

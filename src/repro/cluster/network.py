@@ -6,30 +6,13 @@ per-message latency draw; contention-free, since the paper attributes its
 residual network tail to uncontrolled Emulab noise, which we expose as an
 optional jitter term.
 
-Messages are observable: every :meth:`send` emits ``rpc.send`` (or
-``rpc.drop`` when the fault plane eats the datagram) on the simulator's bus,
-and — while a recorder is active — delivery is recorded as ``rpc.recv``.
-The legacy ``dropped`` counter is a derived property over the bus-fed
-:class:`NetStats`.
+Messages are observable: while a recorder is active, every :meth:`send`
+records ``rpc.send`` (or ``rpc.drop`` when the fault plane eats the
+datagram), and delivery is recorded as ``rpc.recv``.  ``dropped`` counts
+the lost messages.
 """
 
 from repro.obs.events import RPC_DROP, RPC_RECV, RPC_SEND
-
-
-class NetStats:
-    """Bus-fed message counters for one network."""
-
-    __slots__ = ("sent", "dropped")
-
-    def __init__(self):
-        self.sent = 0
-        self.dropped = 0
-
-    def on_send(self, src, dst):
-        self.sent += 1
-
-    def on_drop(self, src, dst):
-        self.dropped += 1
 
 
 class Network:
@@ -49,18 +32,8 @@ class Network:
         #: Installed by ``FaultPlane.arm``; None = fail-free network.
         self.fault_plane = None
         self.bus = sim.bus
-        self.stats = NetStats()
-        self.bus.subscribe(RPC_SEND, self.stats.on_send, source=self)
-        self.bus.subscribe(RPC_DROP, self.stats.on_drop, source=self)
-        # Hoisted live subscriber lists (TraceBus.channel): send() runs
-        # once per message, so it iterates these directly.
-        self._send_subs = self.bus.channel(RPC_SEND, self)
-        self._drop_subs = self.bus.channel(RPC_DROP, self)
+        self.dropped = 0
         self._rng = sim.rng("network")
-
-    @property
-    def dropped(self):
-        return self.stats.dropped
 
     def hop_latency(self):
         latency = max(1.0, self._rng.gauss(self.hop_us, self.jitter_us))
@@ -91,13 +64,10 @@ class Network:
         bus = self.bus
         if self.fault_plane is not None and \
                 self.fault_plane.drop_message(src, dst):
-            for fn in self._drop_subs:
-                fn(src, dst)
+            self.dropped += 1
             if bus.recorder.active:
                 bus.record(RPC_DROP, {"src": src, "dst": dst})
             return self.sim.event()  # lost: never fires
-        for fn in self._send_subs:
-            fn(src, dst)
         latency = self.hop_latency()
         if bus.recorder.active:
             bus.record(RPC_SEND, {"src": src, "dst": dst,

@@ -8,7 +8,7 @@ model here — no exception cost).
 """
 
 from repro.errors import EIO, is_ebusy
-from repro.obs.events import FAULT, IO_DISPATCH
+from repro.obs.events import FAULT
 from repro.sim.resources import Semaphore
 
 
@@ -120,8 +120,7 @@ class StorageNode:
             if ev is not None:
                 ev.try_succeed(self.node_id)
 
-        self.sim.bus.subscribe(IO_DISPATCH, on_dispatch,
-                               source=self.os.scheduler)
+        self.os.scheduler.add_dispatch_listener(on_dispatch)
 
     def put(self, key):
         """Server-side put (buffered write path, §7.8.6)."""

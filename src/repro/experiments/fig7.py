@@ -38,6 +38,29 @@ def _run_line(name, deadline_us, sf, params, seed):
     return rec
 
 
+def cache_scenario(sim):
+    """A scaled-down fig7 slice for the determinism harnesses.
+
+    The MittCache line at fig7's 0.2 ms deadline on 6 cache nodes for
+    1 s, with staggered client starts (see ``faultsweep.race_scenario``).
+    Each node re-evicts 20-40 % of its cache every 200 ms, far above
+    fig7's 0.5-4 %: at fig7's own range no read of this slice misses the
+    cache, and it must cover ``cache.miss`` besides the addrcheck-probe
+    EBUSY and ``cache.swapin`` paths.
+    """
+    horizon = 1 * SEC
+    env = build_cache_cluster(sim, 6, n_keys=3_000)
+    rng = sim.rng("ec2")
+    for injector in env.injectors:
+        injector.periodic_cache_eviction(fraction=rng.uniform(0.2, 0.4),
+                                         period_us=200 * MS,
+                                         until_us=horizon)
+    strategy = make_strategy("mittos", env.cluster, deadline_us=0.2 * MS)
+    run_clients(env, strategy, n_clients=4, n_ops=100,
+                think_time_us=2 * MS, name="mittos", limit_us=horizon,
+                stagger_us=17.0)
+
+
 def run(quick=True, seed=7):
     params = dict(n_nodes=20, n_keys=3_000,
                   n_clients=20 if quick else 30,

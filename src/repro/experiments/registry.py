@@ -40,6 +40,9 @@ SCENARIOS = {
     "fig3-accuracy": ("repro.experiments.fig3", "accuracy_scenario",
                       "shadow-mode MittCFQ disk slice graded by "
                       "obs accuracy (5 nodes, 2 s)"),
+    "fig7": ("repro.experiments.fig7", "cache_scenario",
+             "MittCache slice: 6 cache nodes re-evicting 20-40 % every "
+             "200 ms, 0.2 ms deadline, 1 s (staggered client starts)"),
     "fig8": ("repro.experiments.fig8", "race_scenario",
              "MittSSD slice: 6 partitions x 2x8 chips, SSD + erase noise, "
              "0.3 ms deadline, 1 s (staggered client starts)"),

@@ -5,42 +5,17 @@ dispatches into the device whenever the device has room, mirroring the block
 layer feeding NCQ slots.  Completion and cancellation flow back through
 request callbacks.
 
-Observation is bus-first: every lifecycle edge (submit, dispatch, complete,
-cancel) is emitted on the simulator's :class:`~repro.obs.bus.TraceBus`,
-source-scoped to this scheduler.  The MittOS predictors subscribe to those
-topics (the ``add_*_listener`` methods remain as thin subscription shims),
-and the scheduler's own counters are a bus consumer too: ``submitted`` /
-``cancelled`` are derived properties over :class:`SchedulerStats`, which
-counts the same events every other consumer sees.
+Observation: the MittOS predictors follow the scheduler's own queue events
+(§4.1-§4.2) through hooks registered with the ``add_*_listener`` methods.
+Each lifecycle edge (submit, dispatch, complete) runs its hooks in
+registration order, then — when a recorder is active — records the edge
+on the simulator's :class:`~repro.obs.bus.TraceBus`; cancel is recorded
+only.  ``submitted`` and ``cancelled`` are plain counters bumped at the
+same edges.
 """
 
 from repro.obs.events import (IO_CANCEL, IO_COMPLETE, IO_DISPATCH, IO_SUBMIT,
                               request_fields)
-
-
-class SchedulerStats:
-    """Bus-fed lifecycle counters for one scheduler."""
-
-    __slots__ = ("submitted", "dispatched", "completed", "cancelled")
-
-    def __init__(self):
-        self.submitted = 0
-        self.dispatched = 0
-        self.completed = 0
-        self.cancelled = 0
-
-    # Subscribed to the scheduler's own (topic, source) streams.
-    def on_submit(self, req):
-        self.submitted += 1
-
-    def on_dispatch(self, req):
-        self.dispatched += 1
-
-    def on_complete(self, req):
-        self.completed += 1
-
-    def on_cancel(self, req):
-        self.cancelled += 1
 
 
 class IOScheduler:
@@ -55,49 +30,33 @@ class IOScheduler:
         #: request to its device/node without object references.
         self._dev_label = device.name
         device.add_drain_callback(self._dispatch)
-        #: Counters are a bus consumer like any other: the stats object
-        #: subscribes to this scheduler's own lifecycle topics.
-        self.stats = SchedulerStats()
-        self.bus.subscribe(IO_SUBMIT, self.stats.on_submit, source=self)
-        self.bus.subscribe(IO_DISPATCH, self.stats.on_dispatch, source=self)
-        self.bus.subscribe(IO_COMPLETE, self.stats.on_complete, source=self)
-        self.bus.subscribe(IO_CANCEL, self.stats.on_cancel, source=self)
-        # Hoisted live subscriber lists (see TraceBus.channel): submit /
-        # dispatch / complete run per IO, so they iterate these directly.
-        self._submit_subs = self.bus.channel(IO_SUBMIT, self)
-        self._dispatch_subs = self.bus.channel(IO_DISPATCH, self)
-        self._complete_subs = self.bus.channel(IO_COMPLETE, self)
-        self._cancel_subs = self.bus.channel(IO_CANCEL, self)
+        self.submitted = 0
+        self.cancelled = 0
+        self._submit_listeners = []
+        self._dispatch_listeners = []
+        self._complete_listeners = []
 
-    # -- legacy counters (derived from the bus-fed stats) --------------------
-    @property
-    def submitted(self):
-        return self.stats.submitted
-
-    @property
-    def cancelled(self):
-        return self.stats.cancelled
-
-    # -- observation hooks (thin shims over bus subscriptions) ---------------
+    # -- observation hooks ----------------------------------------------------
     def add_submit_listener(self, fn):
         """``fn(req)`` runs when a request enters the scheduler queues."""
-        self.bus.subscribe(IO_SUBMIT, fn, source=self)
+        self._submit_listeners.append(fn)
 
     def add_dispatch_listener(self, fn):
         """``fn(req)`` runs when a request enters the device."""
-        self.bus.subscribe(IO_DISPATCH, fn, source=self)
+        self._dispatch_listeners.append(fn)
 
     def add_complete_listener(self, fn):
         """``fn(req)`` runs when a request completes at the device."""
-        self.bus.subscribe(IO_COMPLETE, fn, source=self)
+        self._complete_listeners.append(fn)
 
     # -- public API ---------------------------------------------------------
     def submit(self, req):
         """Queue ``req`` and dispatch as far as device slots allow."""
         req.submit_time = self.sim.now
         self._enqueue(req)
+        self.submitted += 1
         bus = self.bus
-        for fn in self._submit_subs:
+        for fn in self._submit_listeners:
             fn(req)
         if bus.recorder.active:
             bus.record(IO_SUBMIT,
@@ -112,9 +71,8 @@ class IOScheduler:
         """
         if self._remove(req):
             req.cancelled = True
+            self.cancelled += 1
             bus = self.bus
-            for fn in self._cancel_subs:
-                fn(req)
             if bus.recorder.active:
                 bus.record(IO_CANCEL,
                            dict(request_fields(req), dev=self._dev_label))
@@ -151,7 +109,7 @@ class IOScheduler:
             if req.cancelled:
                 continue
             bus = self.bus
-            for fn in self._dispatch_subs:
+            for fn in self._dispatch_listeners:
                 fn(req)
             if bus.recorder.active:
                 bus.record(IO_DISPATCH,
@@ -161,7 +119,7 @@ class IOScheduler:
 
     def _on_complete(self, req):
         bus = self.bus
-        for fn in self._complete_subs:
+        for fn in self._complete_listeners:
             fn(req)
         if bus.recorder.active:
             fields = request_fields(req)

@@ -14,13 +14,13 @@ pages are missing.
 Writes are buffered (memtable/NVRAM absorb) and flushed in the background at
 Idle priority — the reason user-facing write latency is flat (§7.8.6).
 
-Observability: the OS emits ``os.read`` / ``os.write`` / ``os.ebusy``
-events on the simulator's bus (EBUSY events carry a ``probe`` flag so
-addrcheck rejections are distinguishable from read-path ones), and — when a
-recorder is active — a ``span.request`` event for every read outcome whose
-stages provably sum to the end-to-end latency the caller saw.  The legacy
-counters (``reads``, ``writes``, ``ebusy_returned``) are derived properties
-over :class:`OsStats`, itself just another bus subscriber.
+Observability: the counters ``reads``, ``writes``, ``ebusy_returned`` and
+``addrcheck_ebusy`` are plain attributes, bumped where the matching
+``os.read`` / ``os.write`` / ``os.ebusy`` event is recorded (EBUSY events
+carry a ``probe`` flag so addrcheck rejections are distinguishable from
+read-path ones).  When a recorder is active, every read outcome also
+records a ``span.request`` event whose stages provably sum to the
+end-to-end latency the caller saw.
 """
 
 from repro._units import MS, US
@@ -65,31 +65,6 @@ class ReadResult:
         return f"<ReadResult {where} {self.latency:.1f}us>"
 
 
-class OsStats:
-    """Bus-fed syscall counters for one OS instance."""
-
-    __slots__ = ("reads", "writes", "ebusy_returned", "addrcheck_ebusy")
-
-    def __init__(self):
-        self.reads = 0
-        self.writes = 0
-        self.ebusy_returned = 0
-        self.addrcheck_ebusy = 0
-
-    def on_read(self):
-        self.reads += 1
-
-    def on_write(self):
-        self.writes += 1
-
-    def on_ebusy(self, probe):
-        # Legacy compat: ``ebusy_returned`` counts every EBUSY, probe or
-        # not; ``addrcheck_ebusy`` separates the page-table-walk rejections.
-        self.ebusy_returned += 1
-        if probe:
-            self.addrcheck_ebusy += 1
-
-
 class OS:
     """One node's storage stack: cache above scheduler above device."""
 
@@ -109,38 +84,19 @@ class OS:
         self._dirty_bytes = 0
         self._flusher_running = False
         self._flush_offset = 0
-        self.stats = OsStats()
-        self.bus.subscribe(OS_READ, self.stats.on_read, source=self)
-        self.bus.subscribe(OS_WRITE, self.stats.on_write, source=self)
-        self.bus.subscribe(OS_EBUSY, self.stats.on_ebusy, source=self)
-        # Hoisted live subscriber list (TraceBus.channel): one read per
-        # client IO makes OS_READ a hot emit site.
-        self._read_subs = self.bus.channel(OS_READ, self)
+        self.reads = 0
+        self.writes = 0
+        self.ebusy_returned = 0
+        #: The addrcheck-probe subset of ``ebusy_returned``.
+        self.addrcheck_ebusy = 0
         if predictor is not None:
             predictor.attach(self)
 
-    # -- legacy counters (derived from the bus-fed stats) --------------------
-    @property
-    def reads(self):
-        return self.stats.reads
-
-    @property
-    def writes(self):
-        return self.stats.writes
-
-    @property
-    def ebusy_returned(self):
-        return self.stats.ebusy_returned
-
-    @property
-    def addrcheck_ebusy(self):
-        """EBUSY verdicts issued for addrcheck probes only (subset of
-        ``ebusy_returned``)."""
-        return self.stats.addrcheck_ebusy
-
     def _note_ebusy(self, probe, predicted_wait=None):
+        self.ebusy_returned += 1
+        if probe:
+            self.addrcheck_ebusy += 1
         bus = self.bus
-        bus.emit(OS_EBUSY, self, probe)
         if bus.recorder.active:
             bus.record(OS_EBUSY, {"probe": probe,
                                   "predicted_wait": predicted_wait})
@@ -155,9 +111,8 @@ class OS:
         callers track begin-execution or revoke queued IOs (tied requests).
         """
         ev = self.sim.event()
+        self.reads += 1
         bus = self.bus
-        for fn in self._read_subs:
-            fn()
         recording = bus.recorder.active
         if recording:
             bus.record(OS_READ, {"file": file_id, "offset": offset,
@@ -285,8 +240,8 @@ class OS:
     def write(self, file_id, offset, size, pid=0):
         """Buffered write: absorbed by memory/NVRAM, flushed in background."""
         ev = self.sim.event()
+        self.writes += 1
         bus = self.bus
-        bus.emit(OS_WRITE, self)
         if bus.recorder.active:
             bus.record(OS_WRITE, {"file": file_id, "offset": offset,
                                   "size": size, "pid": pid})

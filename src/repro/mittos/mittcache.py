@@ -36,13 +36,8 @@ class MittCache(Predictor):
         if os.cache is None:
             raise RuntimeError("MittCache requires an OS with a page cache")
         if self.io_predictor is not None:
-            # Stacked predictor shares the same OS (device bookkeeping) and
-            # wires onto the same bus streams as a directly-attached one.
-            self.io_predictor.os = os
-            self.io_predictor.sim = os.sim
-            self.io_predictor.bus = os.sim.bus
-            self.io_predictor._wire_bus(os.scheduler)
-            self.io_predictor._attached()
+            # The stacked predictor shares the OS and its scheduler hooks.
+            self.io_predictor.attach(os)
 
     # The OS only consults the predictor on cache *misses*, so admit() here
     # decides the fate of an IO that must touch the device.

@@ -24,7 +24,7 @@ Two things change relative to MittNoop:
 """
 
 from repro.mittos.mittnoop import MittNoop
-from repro.obs.events import IO_SUBMIT, LATE_REJECT, request_fields
+from repro.obs.events import LATE_REJECT, request_fields
 
 
 class _LedgerEntry:
@@ -52,8 +52,7 @@ class MittCfq(MittNoop):
 
     def _attached(self):
         super()._attached()
-        self.bus.subscribe(IO_SUBMIT, self._on_submit,
-                           source=self.os.scheduler)
+        self.os.scheduler.add_submit_listener(self._on_submit)
 
     # -- CFQ-aware wait estimation ----------------------------------------------
     def _ahead_in_scheduler(self, req):

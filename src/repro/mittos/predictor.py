@@ -15,16 +15,18 @@ testbed).  The base class also hosts the two evaluation facilities:
 * **fault injection** (§7.7): flip decisions at a configured false-positive /
   false-negative rate to study tail sensitivity to prediction error.
 
-Bus wiring: :meth:`Predictor.attach` subscribes the predictor to its
-scheduler's ``io.dispatch`` / ``io.complete`` streams.  When a recorder is
-active, every :meth:`admit` records a ``predictor.verdict`` event carrying
-the decision *before* shadow-mode enforcement, tagged with the ``probe``
-flag so addrcheck probes stay distinguishable downstream.  Shadow-mode
-decisions are graded by :class:`~repro.obs.accuracy.AccuracyJoiner`, off
-the trace or (fig9) off ``req.shadow_ebusy`` at completion.
+Scheduler hooks: :meth:`Predictor.attach` registers ``_on_dispatch`` and
+``_on_complete`` as its scheduler's dispatch and complete listeners, so the
+predictor follows the queue as the scheduler moves it (§4.1).  When a
+recorder is active, every :meth:`admit` records a ``predictor.verdict``
+event carrying the decision *before* shadow-mode enforcement, tagged with
+the ``probe`` flag so addrcheck probes stay distinguishable downstream.
+Shadow-mode decisions are graded by
+:class:`~repro.obs.accuracy.AccuracyJoiner`, off the trace or (fig9) off
+``req.shadow_ebusy`` at completion.
 """
 
-from repro.obs.events import IO_COMPLETE, IO_DISPATCH, VERDICT, request_fields
+from repro.obs.events import VERDICT, request_fields
 
 
 class Verdict:
@@ -74,13 +76,9 @@ class Predictor:
         self.os = os
         self.sim = os.sim
         self.bus = os.sim.bus
-        self._wire_bus(os.scheduler)
+        os.scheduler.add_dispatch_listener(self._on_dispatch)
+        os.scheduler.add_complete_listener(self._on_complete)
         self._attached()
-
-    def _wire_bus(self, scheduler):
-        """Subscribe this predictor to its scheduler's bus streams."""
-        self.bus.subscribe(IO_DISPATCH, self._on_dispatch, source=scheduler)
-        self.bus.subscribe(IO_COMPLETE, self._on_complete, source=scheduler)
 
     def _attached(self):
         """Subclass hook: extra wiring after attach."""
@@ -118,8 +116,8 @@ class Predictor:
 
     def verdict_labels(self):
         """(device, dev_kind, sched) identity of the stack this predictor
-        guards — the accuracy joiner's aggregation key.  Computed lazily
-        (stacked predictors get ``os`` assigned outside :meth:`attach`)."""
+        guards — the accuracy joiner's aggregation key, computed on first
+        use."""
         labels = self._trace_labels
         if labels is None and self.os is not None:
             os_ = self.os

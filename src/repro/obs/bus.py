@@ -1,18 +1,16 @@
-"""The TraceBus: one synchronized event stream per simulator.
+"""The TraceBus: one synchronized trace stream per simulator.
 
-The bus serves two planes with one mechanism:
+The bus has one job, recording the trace.  Layers call
+``bus.record(topic, fields)`` at each edge they want on the trace, behind
+a ``bus.recorder.active`` check: the default :class:`NullRecorder` makes
+that check the whole cost of an untraced run, and no event object is ever
+constructed (the hot path's speed is measured end to end by the repo
+benchmark, ``BENCHMARK.json``).  An installed :class:`TraceRecorder`
+materializes typed :class:`~repro.obs.events.TraceEvent` records.
 
-* **control plane** — source-scoped subscriptions (``subscribe(topic, fn,
-  source=obj)``) replace the ad-hoc listener lists layers used to wire by
-  hand (scheduler dispatch/complete listeners, accuracy hooks).  Emission
-  is synchronous and deterministic: subscribers run in subscription order
-  at the emitting call site, exactly like the lists they replace.
-
-* **trace plane** — an optional :class:`TraceRecorder` materializes typed
-  :class:`~repro.obs.events.TraceEvent` records.  The default
-  :class:`NullRecorder` is a single ``active`` flag check at every emit
-  site: no event object is ever constructed; the un-traced hot path's
-  speed is measured end to end by the repo benchmark (``BENCHMARK.json``).
+Nothing steers through the bus.  Counters are plain attributes on the
+layer that owns the event, and the MittOS predictors hook the IO
+scheduler through its own ``add_*_listener`` methods.
 
 Determinism contract: recorded events carry only sim-clock timestamps and
 their canonical JSON lines feed the paranoid sanitizer's hash (when
@@ -256,13 +254,12 @@ def read_jsonl(path):
 
 
 class TraceBus:
-    """Per-simulator event bus: control subscriptions + trace recording."""
+    """Per-simulator trace sink: records events when a recorder is active."""
 
-    __slots__ = ("sim", "_subs", "recorder")
+    __slots__ = ("sim", "recorder")
 
     def __init__(self, sim, recorder=None):
         self.sim = sim
-        self._subs = {}
         if recorder is None:
             recorder = default_recorder() or _NULL
         self.recorder = recorder
@@ -271,49 +268,6 @@ class TraceBus:
     def recording(self):
         return self.recorder.active
 
-    # -- control plane ----------------------------------------------------
-    def subscribe(self, topic, fn, source=None):
-        """Run ``fn(*args)`` on every ``emit(topic, source, *args)``.
-
-        Subscriptions are source-scoped: a consumer observing one
-        scheduler never pays for (or hears) another scheduler's events.
-        """
-        self._subs.setdefault(topic, {}).setdefault(source, []).append(fn)
-        return fn
-
-    def unsubscribe(self, topic, fn, source=None):
-        subs = self._subs.get(topic, {}).get(source)
-        if subs and fn in subs:
-            subs.remove(fn)
-
-    def channel(self, topic, source=None):
-        """The live subscriber list for ``(topic, source)``.
-
-        Emit-site hoisting: the returned list is the very object
-        ``subscribe``/``unsubscribe`` mutate in place, so a hot emitter
-        may fetch it once and iterate it directly — skipping the two
-        per-emission dict lookups — while still seeing consumers that
-        come and go later.
-        """
-        return self._subs.setdefault(topic, {}).setdefault(source, [])
-
-    def emit(self, topic, source, *args):
-        """Synchronously deliver to the (topic, source) subscribers.
-
-        The subscription table is nested (topic -> source -> [fns]) rather
-        than keyed by ``(topic, source)`` tuples: emit sits on the per-IO
-        hot path, and two small-dict lookups beat allocating and hashing a
-        fresh tuple per emission — unsubscribed topics bail on the first.
-        """
-        by_source = self._subs.get(topic)
-        if by_source is None:
-            return
-        subs = by_source.get(source)
-        if subs:
-            for fn in subs:
-                fn(*args)
-
-    # -- trace plane -------------------------------------------------------
     def record(self, topic, fields):
         """Materialize one typed event (call only when ``recording``)."""
         event = TraceEvent(self.sim.now, topic, fields)

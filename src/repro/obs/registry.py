@@ -306,8 +306,8 @@ class MetricsRegistry:
 class MeteredRecorder(TraceRecorder):
     """A :class:`TraceRecorder` that also folds every event into a
     :class:`MetricsRegistry` as it is recorded — the live-metrics hook:
-    the registry stays a pure trace-plane consumer, fed by the same typed
-    events every other subscriber sees, just without the replay step."""
+    the registry stays a pure trace consumer, fed by the same typed
+    events every other trace reader sees, just without the replay step."""
 
     def __init__(self, registry, keep_events=True, validate=False):
         super().__init__(keep_events=keep_events, validate=validate)

@@ -1,20 +1,13 @@
-"""Whole-program contract analyzer: DET011-DET015, DETW01, --jobs,
-baselines.
+"""Whole-program contract analyzer: DET011-DET015, DETW01.
 
 The planted-drift tests mutate *real* repo sources (a topic typo, a
 payload-key rename, a consumer-key rename) and assert the right rule
 catches each — the end-to-end failure mode this PR exists to close.
 """
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.linter import (filter_baseline, lint_paths_program,
-                                   lint_source, load_baseline,
-                                   write_baseline)
+from repro.analysis.linter import lint_paths, lint_source
 
 ROOT = Path(__file__).parent.parent
 SCHEDULER = ROOT / "src" / "repro" / "kernel" / "scheduler.py"
@@ -213,13 +206,13 @@ def test_det015_sorted_iteration_is_clean():
 def test_dead_topics_silent_without_registry_in_view():
     # A partial program without repro.obs.schema in the linted set just
     # means "emitter not in view" — never a finding.
-    findings = lint_paths_program([FIXTURES / "det012_bad.py"])
+    findings = lint_paths([FIXTURES / "det012_bad.py"])
     assert not any(f.rule == "DETW01" for f in findings)
 
 
 def test_dead_topic_findings_anchor_at_the_registry():
     registry = FIXTURES / "repro" / "obs" / "schema.py"
-    findings = lint_paths_program([registry, FIXTURES / "detw01_ok.py"])
+    findings = lint_paths([registry, FIXTURES / "detw01_ok.py"])
     dead = [f for f in findings if f.rule == "DETW01"]
     assert dead and all(f.path == str(registry) for f in dead)
     messages = " | ".join(f.message for f in dead)
@@ -237,7 +230,7 @@ def test_dead_topic_suppressible_at_the_declaration_line(tmp_path):
     registry.parent.mkdir(parents=True)
     registry.write_text(
         "SLO_SHED = 'slo.shed'  # repro: allow[DETW01] emitter pending\n")
-    findings = lint_paths_program([registry])
+    findings = lint_paths([registry])
     assert not any("'slo.shed'" in f.message for f in findings
                    if f.rule == "DETW01")
 
@@ -245,64 +238,5 @@ def test_dead_topic_suppressible_at_the_declaration_line(tmp_path):
 def test_no_dead_topics_over_the_whole_repo():
     paths = [ROOT / "src" / "repro", ROOT / "benchmarks",
              ROOT / "examples"]
-    findings = lint_paths_program([p for p in paths if p.exists()])
+    findings = lint_paths([p for p in paths if p.exists()])
     assert findings == [], "\n".join(f.render() for f in findings)
-
-
-# -- --jobs parallel fan-out -------------------------------------------------
-
-def test_parallel_lint_matches_serial():
-    serial = lint_paths_program([FIXTURES], jobs=1)
-    parallel = lint_paths_program([FIXTURES], jobs=2)
-    assert serial == parallel
-    assert serial, "fixture tree should produce findings"
-
-
-def test_cli_jobs_flag(capsys):
-    code = analysis_main(["lint", str(FIXTURES / "det001_ok.py"),
-                          "--jobs", "2"])
-    assert code == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        analysis_main(["lint", str(FIXTURES), "--jobs", "0"])
-    capsys.readouterr()
-
-
-# -- baselines ---------------------------------------------------------------
-
-def test_baseline_roundtrip(tmp_path):
-    findings = lint_paths_program([FIXTURES / "det001_bad.py"])
-    assert findings
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_path)
-    assert filter_baseline(findings, load_baseline(baseline_path)) == []
-    # A fresh finding (not in the baseline) survives the filter.
-    more = lint_paths_program([FIXTURES / "det004_bad.py"])
-    fresh = filter_baseline(findings + more,
-                            load_baseline(baseline_path))
-    assert fresh == more
-
-
-def test_baseline_budget_is_per_occurrence(tmp_path):
-    findings = lint_paths_program([FIXTURES / "det001_bad.py"])
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(findings[:1], baseline_path)
-    fresh = filter_baseline(findings, load_baseline(baseline_path))
-    assert len(fresh) == len(findings) - 1
-
-
-def test_cli_baseline_flags(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    bad = str(FIXTURES / "det001_bad.py")
-    assert analysis_main(["lint", bad, "--write-baseline",
-                          str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out
-    assert json.loads(baseline.read_text())["version"] == 1
-    # With the baseline installed the same findings no longer fail...
-    assert analysis_main(["lint", bad, "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    # ...but a file with new findings still does.
-    assert analysis_main(["lint", bad, str(FIXTURES / "det004_bad.py"),
-                          "--baseline", str(baseline)]) == 1
-    capsys.readouterr()

@@ -126,6 +126,13 @@ def test_det007_flags_wall_clock_schedule_time():
         == {"DET007"}
 
 
+def test_det008_flags_mutating_scheduler_listener():
+    src = ("def watch(sched, seen):\n"
+           "    sched.add_dispatch_listener(lambda req: seen.append(req))\n")
+    assert [(f.rule, f.line) for f in lint_source(src, "foo.py")] \
+        == [("DET008", 2)]
+
+
 def test_parse_error_reported_as_det000():
     findings = lint_source("def broken(:\n", "bad.py")
     assert [f.rule for f in findings] == ["DET000"]

@@ -54,6 +54,7 @@ CELLS = [
     # seqs the SSD model consumes is an implementation detail.
     ("fig3-ssd", 7, None),
     ("fig8", 7, None),
+    ("fig7", 7, None),
 ]
 
 
@@ -114,8 +115,8 @@ def test_untraced_run_behaves_like_traced(scenario_id):
 
 
 def test_noisy_cluster_counters_unchanged():
-    """Seed-11 noisy 5-node MittOS cluster: every counter derived from
-    the bus, plus per-stream RNG draws, pinned."""
+    """Seed-11 noisy 5-node MittOS cluster: the OS, scheduler, predictor
+    and strategy counters, plus per-stream RNG draws, pinned."""
     sim = Simulator(seed=11, paranoid=True)
     horizon = 20 * SEC
     env = build_disk_cluster(sim, 5)

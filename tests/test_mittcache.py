@@ -30,6 +30,15 @@ def test_requires_cache(sim):
         OS(sim, disk, sched, cache=None, predictor=MittCache())
 
 
+def test_stacked_predictor_hooks_register_once(sim):
+    os_, predictor = _stack(sim)
+    sched, io_pred = os_.scheduler, predictor.io_predictor
+    for hooks, fn in ((sched._submit_listeners, io_pred._on_submit),
+                      (sched._dispatch_listeners, io_pred._on_dispatch),
+                      (sched._complete_listeners, io_pred._on_complete)):
+        assert hooks.count(fn) == 1
+
+
 def test_resident_addrcheck_true(sim):
     os_, _ = _stack(sim)
     os_.cache.insert(0, 0, 4 * KB)

@@ -72,6 +72,17 @@ def test_listeners_fire_in_order(sim):
     assert log == ["submit", "dispatch", "complete"]
 
 
+def test_listeners_on_one_edge_run_in_registration_order(sim):
+    disk = _quiet_disk(sim)
+    sched = NoopScheduler(sim, disk)
+    log = []
+    sched.add_dispatch_listener(lambda r: log.append("first"))
+    sched.add_dispatch_listener(lambda r: log.append("second"))
+    sched.submit(_read(0))
+    sim.run()
+    assert log == ["first", "second"]
+
+
 def test_queued_requests_excludes_dispatched(sim):
     disk = _quiet_disk(sim, depth=1)
     sched = NoopScheduler(sim, disk)

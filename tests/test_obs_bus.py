@@ -1,4 +1,4 @@
-"""Tests of the TraceBus: control plane, recorders, JSONL, ambient defaults."""
+"""Tests of the TraceBus: recorders, JSONL, ambient defaults."""
 
 import pytest
 
@@ -8,39 +8,6 @@ from repro.obs.bus import (NullRecorder, TraceBus, TraceRecorder,
                            tracing)
 from repro.obs.events import IO_COMPLETE, IO_SUBMIT, TraceEvent
 from repro.sim import Simulator
-
-
-# -- control plane ----------------------------------------------------------
-def test_emit_reaches_only_matching_source(sim):
-    got_a, got_b = [], []
-    src_a, src_b = object(), object()
-    sim.bus.subscribe(IO_SUBMIT, got_a.append, source=src_a)
-    sim.bus.subscribe(IO_SUBMIT, got_b.append, source=src_b)
-    sim.bus.emit(IO_SUBMIT, src_a, "req1")
-    assert got_a == ["req1"]
-    assert got_b == []
-
-
-def test_subscribers_run_in_subscription_order(sim):
-    order = []
-    src = object()
-    sim.bus.subscribe(IO_SUBMIT, lambda _: order.append("first"), source=src)
-    sim.bus.subscribe(IO_SUBMIT, lambda _: order.append("second"), source=src)
-    sim.bus.emit(IO_SUBMIT, src, None)
-    assert order == ["first", "second"]
-
-
-def test_unsubscribe_stops_delivery(sim):
-    got = []
-    src = object()
-    sim.bus.subscribe(IO_SUBMIT, got.append, source=src)
-    sim.bus.unsubscribe(IO_SUBMIT, got.append, source=src)
-    sim.bus.emit(IO_SUBMIT, src, "x")
-    assert got == []
-
-
-def test_emit_with_no_subscribers_is_harmless(sim):
-    sim.bus.emit(IO_COMPLETE, object(), "anything")
 
 
 # -- recorders --------------------------------------------------------------

@@ -3,24 +3,33 @@
 Covers the unit-level span constructors, the traced OS read paths (disk,
 SSD, cache hit, fast EBUSY, MittCFQ late cancellation), client op spans,
 and the whole-scenario invariant over fig3 and the faulted faultsweep
-slice.
+slice.  The OS, scheduler and network counters are checked against the
+events their topics recorded on the same runs.
 """
+
+import pytest
 
 from repro._units import GB, KB, MS, SEC
 from repro.devices import BlockRequest, Disk, DiskParams, IoOp, Ssd
 from repro.devices.disk_profile import profile_disk
 from repro.errors import is_ebusy
+from repro.experiments.common import (apply_ec2_noise, build_cache_cluster,
+                                      build_disk_cluster, make_strategy,
+                                      run_clients)
+from repro.faults import FaultPlane, FaultSpec, MessageLoss
 from repro.kernel import CfqScheduler, NoopScheduler, OS, PageCache
 from repro.mittos import MittCfq
 from repro.obs.bus import TraceRecorder
-from repro.obs.events import (SPAN_OP, SPAN_REQUEST, STAGE_CACHE,
-                              STAGE_CLIENT_OTHER, STAGE_DEVICE_QUEUE,
-                              STAGE_DEVICE_SERVICE, STAGE_SCHED_QUEUE,
-                              STAGE_SYSCALL)
+from repro.obs.events import (IO_CANCEL, IO_SUBMIT, OS_EBUSY, OS_READ,
+                              OS_WRITE, RPC_DROP, SPAN_OP, SPAN_REQUEST,
+                              STAGE_CACHE, STAGE_CLIENT_OTHER,
+                              STAGE_DEVICE_QUEUE, STAGE_DEVICE_SERVICE,
+                              STAGE_SCHED_QUEUE, STAGE_SYSCALL)
 from repro.obs.spans import (cache_hit_spans, check_span_invariant,
                              close_op_spans, ebusy_spans, request_spans,
                              spans_sum)
 from repro.sim import Simulator
+from repro.workloads import Ec2NoiseModel
 from tests.conftest import run_process
 
 MODEL = profile_disk(lambda s: Disk(s, DiskParams(jitter_frac=0.0,
@@ -237,9 +246,6 @@ def test_traced_runs_are_deterministic():
 def test_tracing_does_not_change_simulation_outcomes():
     """A recorder observes; it must never steer.  Counters and latencies
     of a traced run match the untraced run exactly."""
-    from repro.experiments.common import (build_disk_cluster, make_strategy,
-                                          run_clients)
-
     def run(recorder):
         sim = Simulator(seed=13, recorder=recorder)
         env = build_disk_cluster(sim, 3)
@@ -254,3 +260,91 @@ def test_tracing_does_not_change_simulation_outcomes():
                 [n.os.scheduler.submitted for n in env.nodes])
 
     assert run(None) == run(TraceRecorder(keep_events=False))
+
+
+# -- counters against the trace ---------------------------------------------
+#: (owner, counter, topic it counts, only events with ``probe`` set)
+COUNTERS = [
+    ("os", "reads", OS_READ, False),
+    ("os", "writes", OS_WRITE, False),
+    ("os", "ebusy_returned", OS_EBUSY, False),
+    ("os", "addrcheck_ebusy", OS_EBUSY, True),
+    ("scheduler", "submitted", IO_SUBMIT, False),
+    ("scheduler", "cancelled", IO_CANCEL, False),
+    ("network", "dropped", RPC_DROP, False),
+]
+
+
+def _cluster_owners(env):
+    oses = [node.os for node in env.nodes]
+    return {"os": oses, "scheduler": [os_.scheduler for os_ in oses],
+            "network": [env.cluster.network]}
+
+
+def _faulted_disk_cluster():
+    """Message loss, EC2 noise and MittOS failovers: reads, submits,
+    read-path EBUSYs and drops."""
+    rec = TraceRecorder()
+    sim = Simulator(seed=11, recorder=rec)
+    horizon = 20 * SEC
+    env = build_disk_cluster(sim, 6)
+    apply_ec2_noise(env, Ec2NoiseModel("disk"), horizon)
+    FaultPlane(sim, FaultSpec(message_loss=(MessageLoss(rate=0.1),))).arm(
+        env.cluster)
+    strategy = make_strategy("mittos", env.cluster, deadline_us=20 * MS)
+    run_clients(env, strategy, n_clients=6, n_ops=60, think_time_us=2 * MS,
+                name="mittos", limit_us=horizon)
+    return rec, _cluster_owners(env)
+
+
+def _evicting_cache_cluster():
+    """fig7's MittCache line under heavy eviction: addrcheck probes."""
+    rec = TraceRecorder()
+    sim = Simulator(seed=7, recorder=rec)
+    env = build_cache_cluster(sim, 6, n_keys=3_000)
+    for injector in env.injectors:
+        injector.periodic_cache_eviction(fraction=0.3, period_us=200 * MS,
+                                         until_us=1 * SEC)
+    strategy = make_strategy("mittos", env.cluster, deadline_us=0.2 * MS)
+    run_clients(env, strategy, n_clients=4, n_ops=100, think_time_us=2 * MS,
+                name="mittos", limit_us=1 * SEC, stagger_us=17.0)
+    return rec, _cluster_owners(env)
+
+
+def _bump_back_stack():
+    """A MittCFQ late cancellation plus one buffered write."""
+    sim, os_, rec = _traced_os(mitt=True, depth=1)
+
+    def gen():
+        os_.read(0, 0, 4 * KB, pid=9)
+        ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS)
+        for i in range(15):
+            os_.read(0, i * GB, 1024 * KB, pid=1)
+        os_.write(0, 0, 4 * KB)
+        result = yield ev
+        return result
+
+    assert is_ebusy(run_process(sim, gen()))
+    return rec, {"os": [os_], "scheduler": [os_.scheduler], "network": []}
+
+
+@pytest.fixture(scope="module")
+def counter_cases():
+    return {case.__name__: case() for case in (
+        _faulted_disk_cluster, _evicting_cache_cluster, _bump_back_stack)}
+
+
+@pytest.mark.parametrize("owner,counter,topic,probe_only", COUNTERS,
+                         ids=[f"{o}.{c}" for o, c, _, _ in COUNTERS])
+def test_counters_match_recorded_events(counter_cases, owner, counter,
+                                        topic, probe_only):
+    """Each counter, summed over its owners, equals the number of events
+    its topic recorded; every counter is nonzero in some case."""
+    totals = []
+    for name, (rec, owners) in counter_cases.items():
+        total = sum(getattr(obj, counter) for obj in owners[owner])
+        recorded = sum(1 for ev in rec.by_topic(topic)
+                       if not probe_only or ev.fields["probe"])
+        assert total == recorded, f"{name}: {owner}.{counter}"
+        totals.append(total)
+    assert any(totals), f"{owner}.{counter} is zero in every case"
