@@ -17,11 +17,12 @@ simulator — in four parts:
   ``TraceRecorder(validate=True)``, so an event whose payload breaks its
   topic's declared schema (:mod:`repro.obs.schema`) fails the scenario.
 * **ties** — N runs under ``Simulator(tie_policy=ShuffledTies(salt))``
-  must match the baseline's **canonical timeline**: the executed-event
-  stream ``(time, callback qualname)`` and the TraceBus stream in
-  canonical form (:func:`repro.obs.bus.canonical_line` — volatile
-  identity counters dropped), both grouped by timestamp and sorted
-  within each group.  A benign reorder of independent same-time events
+  must match the baseline's **canonical timeline**
+  (:func:`repro.obs.bus.canonical_timeline`): the executed-event stream
+  ``(time, callback qualname)`` and the TraceBus stream in canonical
+  form (:func:`repro.obs.bus.canonical_line` — volatile identity
+  counters dropped), both grouped by timestamp and sorted within each
+  group.  A benign reorder of independent same-time events
   compares equal; an event that moved, appeared or vanished diverges,
   and the report names the first divergent timestamp group and the two
   callback sites whose tie-break order first differed — a *tie-ordering
@@ -35,11 +36,10 @@ CLI: ``python -m repro.analysis check [--scenario ID] [--perturbations N]
 processes' outputs compare byte for byte.
 """
 
-import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.obs.bus import VOLATILE_FIELDS, TraceRecorder, canonical_line
+from repro.obs.bus import (TraceRecorder, canonical_line, canonical_timeline,
+                           first_group_mismatch, timeline_digest)
 from repro.obs.schema import SchemaViolation
 from repro.sim import ShuffledTies, Simulator
 
@@ -139,24 +139,14 @@ def _traced_run(scenario, seed, salt=None):
     scenario(sim)
     sim.run()
 
-    groups = {}
-    for time, _seq, qualname in sim.sanitizer.trace:
-        groups.setdefault(time, []).append("evt|" + qualname)
-    for event in recorder.events:
-        groups.setdefault(event.time, []).append(
-            "bus|" + canonical_line(event))
-
-    canonical = tuple((time, tuple(sorted(groups[time])))
-                      for time in sorted(groups))
-    digest = hashlib.blake2b(digest_size=16)
-    for time, records in canonical:
-        digest.update(f"t={time!r}\n".encode())
-        for record in records:
-            digest.update(record.encode())
-            digest.update(b"\n")
-    return Run(digest=digest.hexdigest(),
+    records = [(time, "evt|" + qualname)
+               for time, _seq, qualname in sim.sanitizer.trace]
+    records += [(event.time, "bus|" + canonical_line(event))
+                for event in recorder.events]
+    timeline = canonical_timeline(records)
+    return Run(digest=timeline_digest(timeline),
                bus_digest=recorder.trace_digest(),
-               trace_hash=sim.trace_hash(), groups=canonical,
+               trace_hash=sim.trace_hash(), groups=timeline,
                trace=tuple(sim.sanitizer.trace), rng_draws=sim.rng_draws(),
                events=recorder.count, now=sim.now)
 
@@ -175,45 +165,6 @@ def _draw_mismatches(draws_a, draws_b):
 def _render_draws(mismatches):
     return [f"rng stream '{name}': {a} draws vs {b}"
             for name, (a, b) in mismatches.items()]
-
-
-def group_events(events, volatile=VOLATILE_FIELDS):
-    """Timestamp-group a bus event stream into canonical timeline form:
-    ``((time, tuple(sorted(canonical lines))), ...)`` — the same structure
-    :class:`Run` carries, minus the sanitizer's executed-event entries.
-    Shared with the trace-diff tool (``repro.obs.diff``); pass
-    ``volatile=frozenset()`` to keep the identity counters (exact mode).
-    """
-    groups = {}
-    for event in events:
-        groups.setdefault(event.time, []).append(
-            canonical_line(event, volatile))
-    return tuple((time, tuple(sorted(groups[time])))
-                 for time in sorted(groups))
-
-
-def first_group_mismatch(groups_a, groups_b):
-    """(time, only_in_a, only_in_b) of the first divergent timestamp group
-    between two canonical timelines (as built by :func:`group_events`), or
-    ``None`` when they are identical."""
-    for (time_a, recs_a), (time_b, recs_b) in zip(groups_a, groups_b):
-        if time_a != time_b:
-            earlier_is_base = time_a < time_b
-            return (min(time_a, time_b),
-                    recs_a if earlier_is_base else (),
-                    () if earlier_is_base else recs_b)
-        if recs_a != recs_b:
-            only_a = Counter(recs_a) - Counter(recs_b)
-            only_b = Counter(recs_b) - Counter(recs_a)
-            return (time_a, tuple(sorted(only_a.elements())),
-                    tuple(sorted(only_b.elements())))
-    if len(groups_a) != len(groups_b):
-        longer = groups_a if len(groups_a) > len(groups_b) else groups_b
-        time, records = longer[min(len(groups_a), len(groups_b))]
-        if longer is groups_a:
-            return time, records, ()
-        return time, (), records
-    return None
 
 
 def _first_divergence(trace_a, trace_b):

@@ -12,7 +12,7 @@ Strategy     Paper role
 ``c3``       adaptive replica ranking with cubic queue penalty (§7.8.3)
 ``mittos``   EBUSY fast failover; 3rd try disables the deadline (§5)
 ``adaptive`` mittos under SLO feedback control (deadline bands +
-             admission backpressure; ROADMAP "adaptive SLO control")
+             admission backpressure; ``repro.slo_control``)
 ===========  =================================================================
 """
 

@@ -4,9 +4,10 @@ Resilience plumbing (fault plane): every strategy can run with a
 per-attempt RPC timeout, a per-operation deadline budget, and an attempt
 cap, so that no strategy process can hang — under 100% message loss or a
 fully-crashed replica set each ``get()`` terminates with ``EIO`` in
-bounded simulated time.  The knobs default to ``None`` (the historical
-fail-free behaviour, byte-identical traces); arming a
-:class:`repro.faults.FaultPlane` on the cluster turns them on.
+bounded simulated time.  Strategies read these knobs, and the replica
+health tracker, off the cluster: they default to ``None`` (the fail-free
+behaviour, byte-identical traces), and arming a
+:class:`repro.faults.FaultPlane` on the cluster sets them.
 """
 
 from repro.errors import EIO, is_ebusy
@@ -20,6 +21,11 @@ from repro.obs.spans import close_op_spans
 #: Attempt cap used when an RPC timeout is set but no explicit cap is:
 #: bounds the last-resort retry loop even with an infinite budget.
 DEFAULT_MAX_ATTEMPTS = 12
+
+#: Last-resort backoff: the first round waits about this long, each later
+#: round doubles it up to the cap (µs, before jitter).
+BACKOFF_BASE_US = 1000.0
+BACKOFF_CAP_US = 64000.0
 
 
 class OpContext:
@@ -96,9 +102,7 @@ class Strategy:
 
     name = "strategy"
 
-    def __init__(self, cluster, rpc_timeout_us=None, op_budget_us=None,
-                 max_attempts=None, backoff_base_us=1000.0,
-                 backoff_cap_us=64000.0, health=None, tier_priority=None):
+    def __init__(self, cluster, tier_priority=None):
         self.cluster = cluster
         self.sim = cluster.sim
         self.network = cluster.network
@@ -106,14 +110,6 @@ class Strategy:
         self.duplicates = 0
         self.rpc_timeouts = 0
         self.eio_failovers = 0
-        #: Resilience knobs; ``None`` falls back to the cluster defaults
-        #: (which a FaultPlane sets when armed).
-        self.rpc_timeout_us = rpc_timeout_us
-        self.op_budget_us = op_budget_us
-        self.max_attempts = max_attempts
-        self.backoff_base_us = backoff_base_us
-        self.backoff_cap_us = backoff_cap_us
-        self._health = health
         #: SLO-control work tier: the CFQ priority this strategy's reads
         #: carry server-side (None = node default; admission guards shed
         #: high-numbered tiers first, so background pools use 7).
@@ -123,7 +119,7 @@ class Strategy:
 
     def get(self, key):
         replicas = self.cluster.replicas_for(key)
-        health = self.health
+        health = self.cluster.health
         if health is not None:
             replicas = health.order(replicas)
         ctx = self._op_context()
@@ -165,37 +161,25 @@ class Strategy:
         yield  # pragma: no cover
 
     # -- resilience plumbing ----------------------------------------------
-    @property
-    def health(self):
-        if self._health is not None:
-            return self._health
-        return self.cluster.health
-
     def _op_context(self):
-        rpc = self.rpc_timeout_us
-        if rpc is None:
-            rpc = self.cluster.default_rpc_timeout_us
-        budget = self.op_budget_us
-        if budget is None:
-            budget = self.cluster.default_op_budget_us
-        cap = self.max_attempts
-        if cap is None:
-            cap = self.cluster.default_max_attempts
+        cluster = self.cluster
+        rpc = cluster.default_rpc_timeout_us
+        cap = cluster.default_max_attempts
         if cap is None and rpc is not None:
             cap = DEFAULT_MAX_ATTEMPTS
-        return OpContext(self.sim.now, budget_us=budget, rpc_timeout_us=rpc,
-                         max_attempts=cap)
+        return OpContext(self.sim.now, budget_us=cluster.default_op_budget_us,
+                         rpc_timeout_us=rpc, max_attempts=cap)
 
     def _note_result(self, node, value):
         """Feed the health tracker one completed RPC (EBUSY is healthy)."""
-        health = self.health
+        health = self.cluster.health
         if health is not None:
             health.record(node.node_id, value is EIO)
 
     def _note_timeout(self, node):
         """Feed the health tracker one timed-out / lost RPC."""
         self.rpc_timeouts += 1
-        health = self.health
+        health = self.cluster.health
         if health is not None:
             health.record(node.node_id, True)
 
@@ -203,8 +187,7 @@ class Strategy:
         """Deterministic exponential backoff with jitter (named stream)."""
         if self._backoff_rng is None:
             self._backoff_rng = self.sim.rng("strategy/backoff")
-        base = min(self.backoff_base_us * (2 ** round_no),
-                   self.backoff_cap_us)
+        base = min(BACKOFF_BASE_US * (2 ** round_no), BACKOFF_CAP_US)
         # "Equal jitter": U[base/2, base) — spreads retries, keeps a floor.
         return base / 2 + self._backoff_rng.random() * (base / 2)
 
@@ -234,11 +217,7 @@ class Strategy:
             # timeout can end this attempt.
             yield self.sim.event()
         epoch = node.epoch
-        if self.tier_priority is None:  # keep the historical call shape
-            result = yield node.get(key, deadline)
-        else:
-            result = yield node.get(key, deadline,
-                                    priority=self.tier_priority)
+        result = yield node.get(key, deadline, priority=self.tier_priority)
         if track:
             ctx.charge(STAGE_SERVER, self.sim.now)
         if not node.up or node.epoch != epoch:

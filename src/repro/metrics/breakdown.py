@@ -40,16 +40,20 @@ class LatencyBreakdown:
         for stage, us in stages.items():
             self.stage_samples.setdefault(stage, []).append(us)
 
+    def observe(self, event):
+        """Fold one trace event; anything but a span is ignored."""
+        if event.topic == SPAN_REQUEST:
+            self.add("request", event.fields["total"], event.fields["stages"])
+        elif event.topic == SPAN_OP:
+            self.add("op", event.fields["total"], event.fields["stages"])
+
     @classmethod
     def from_events(cls, events):
         """Build from an iterable of :class:`~repro.obs.events.TraceEvent`
         (or any objects with ``topic``/``fields``), keeping only spans."""
         self = cls()
-        for ev in events:
-            if ev.topic == SPAN_REQUEST:
-                self.add("request", ev.fields["total"], ev.fields["stages"])
-            elif ev.topic == SPAN_OP:
-                self.add("op", ev.fields["total"], ev.fields["stages"])
+        for event in events:
+            self.observe(event)
         return self
 
     # -- reporting ---------------------------------------------------------

@@ -17,15 +17,18 @@ or ambiently (what ``python -m repro.experiments <id> --trace`` does)::
         run_experiment()
     print(LatencyBreakdown.from_events(rec.events).render())
 
-Second-story consumers of the stream (this package too):
+Reducers over the recorded stream (this package too):
 
 * :mod:`repro.obs.accuracy` — prediction-accuracy observatory, the one
   grader of admission decisions (``python -m repro.obs accuracy``, fig9,
   tail forensics): signed-error CDFs and the confusion table;
-* :mod:`repro.obs.registry` — metrics registry: counters, gauges,
-  histograms, utilization/queue-depth time series, byte-stable JSON
-  snapshots (``--metrics`` on the experiments CLI);
-* :mod:`repro.obs.diff` — trace diff (``python -m repro.obs diff``);
+* :mod:`repro.obs.registry` — metrics registry folded from recorded
+  events: counters, gauges, histograms, utilization/queue-depth time
+  series, byte-stable JSON snapshots (``--metrics`` on the experiments
+  CLI, ``--snapshot`` on ``python -m repro.obs accuracy``);
+* :mod:`repro.obs.diff` — trace diff over the canonical timeline the
+  kernel goldens and ``python -m repro.analysis check`` compare
+  (``python -m repro.obs diff``);
 * :mod:`repro.obs.forensics` — tail forensics: per-request blame
   attribution with event-ref evidence, plus the cross-run blame diff
   (``python -m repro.obs tails [--against]``).
@@ -47,7 +50,7 @@ from repro.obs.diff import TraceDiff, diff_traces
 from repro.obs.events import TraceEvent
 from repro.obs.forensics import (BlameDiff, BlameReport, RequestBlame,
                                  TailForensics, diff_reports)
-from repro.obs.registry import MeteredRecorder, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (SPAN_SUM_TOLERANCE_US, check_span_invariant,
                              request_spans, spans_sum)
 
@@ -56,7 +59,7 @@ __all__ = [
     "TraceFormatError", "tracing", "install_tracing", "reset_tracing",
     "default_recorder", "default_paranoid", "read_jsonl", "iter_jsonl",
     "open_trace", "AccuracyJoiner", "PredictionRecord", "MetricsRegistry",
-    "MeteredRecorder", "TraceDiff", "diff_traces", "TailForensics",
+    "TraceDiff", "diff_traces", "TailForensics",
     "BlameReport", "BlameDiff", "RequestBlame", "diff_reports",
     "request_spans", "spans_sum", "check_span_invariant",
     "SPAN_SUM_TOLERANCE_US",

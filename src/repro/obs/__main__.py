@@ -1,14 +1,22 @@
 """CLI for the observability plane.
 
+Every report is a reducer over recorded events: a trace file streamed off
+disk, or a registered scenario run once under a plain
+:class:`~repro.obs.bus.TraceRecorder` and folded after it ends.  A bad
+invocation (unknown scenario, numeric option out of range) prints one
+``error:`` line and exits 2.
+
 ``python -m repro.obs summarize <trace.jsonl> [--top N]``
     Reduce an exported trace into the per-stage latency attribution table
     plus per-topic event counts (``--top`` bounds the topic table).
 
 ``python -m repro.obs accuracy [--scenario ID] [--seed N] [--snapshot P]``
-    The prediction-accuracy observatory: run a scenario with a live
-    metered recorder, join ``predictor.verdict`` against ``io.complete``,
-    and print the per-device signed-error P50/P95/P99 table plus the 2x2
-    accept/reject confusion table (the paper's Fig. 7 methodology).
+    The prediction-accuracy observatory: run a scenario, join
+    ``predictor.verdict`` against ``io.complete``, and print the
+    per-device signed-error P50/P95/P99 table plus the 2x2
+    accept/reject confusion table (the paper's §7.6 / Figure 9
+    methodology).  ``--snapshot`` writes the metrics registry folded from
+    the same events, its time series sampled up to the scenario's end.
     Output derives only from sim-clock events and every table is
     sort-keyed, so two same-seed runs print byte-identical reports and
     snapshots.
@@ -42,34 +50,20 @@ import argparse
 import sys
 
 from repro.metrics.breakdown import LatencyBreakdown
-from repro.obs.bus import (TraceFormatError, TraceRecorder, iter_jsonl,
-                           read_jsonl)
+from repro.obs.bus import TraceFormatError, TraceRecorder, iter_jsonl
 
 
-def _load_trace(path):
-    """Events of a JSONL trace, or ``None`` after a one-line error."""
-    try:
-        events = read_jsonl(path)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"error: cannot read trace '{path}': {reason}",
-              file=sys.stderr)
-        return None
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    if not events:
-        print(f"error: trace '{path}' contains no events", file=sys.stderr)
-        return None
-    return events
+def _usage_error(message):
+    """One ``error:`` line; returns the exit status of a bad invocation."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _stream_into(path, reducers):
     """Stream a JSONL trace into ``observe``-style reducers.
 
-    Returns the event count, or ``None`` after a one-line error — the
-    streaming twin of :func:`_load_trace` for megasweep-scale traces
-    (nothing is held beyond the current line).
+    Returns the event count, or ``None`` after a one-line error (nothing
+    is held beyond the current line unless a reducer keeps it).
     """
     count = 0
     try:
@@ -91,21 +85,36 @@ def _stream_into(path, reducers):
     return count
 
 
+def _run_scenario(scenario_id, seed):
+    """Run a registered scenario under a :class:`TraceRecorder`.
+
+    Returns ``(sim, recorder)`` once the scenario hook returns, or
+    ``None`` after a one-line error for an unknown id.
+    """
+    from repro.experiments.registry import get_scenario
+    from repro.sim.core import Simulator
+
+    try:
+        scenario = get_scenario(scenario_id)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None
+    recorder = TraceRecorder()
+    sim = Simulator(seed=seed, recorder=recorder)
+    scenario(sim)
+    return sim, recorder
+
+
 def summarize(path, top=None):
+    if top is not None and top < 0:
+        return _usage_error(f"--top must be >= 0, got {top}")
     breakdown = LatencyBreakdown()
     counts = {}
 
     def count_topics(ev):
         counts[ev.topic] = counts.get(ev.topic, 0) + 1
 
-    def fold_spans(ev):
-        from repro.obs.events import SPAN_OP, SPAN_REQUEST
-        if ev.topic == SPAN_REQUEST:
-            breakdown.add("request", ev.fields["total"], ev.fields["stages"])
-        elif ev.topic == SPAN_OP:
-            breakdown.add("op", ev.fields["total"], ev.fields["stages"])
-
-    total = _stream_into(path, (count_topics, fold_spans))
+    total = _stream_into(path, (count_topics, breakdown.observe))
     if total is None:
         return 1
     print(breakdown.render())
@@ -122,18 +131,20 @@ def summarize(path, top=None):
 
 
 def accuracy(scenario_id="fig3-accuracy", seed=7, snapshot=None,
-             interval_us=100_000.0, horizon_us=10_000_000.0, trace=None):
-    """Run a scenario under a metered recorder; grade its predictions.
+             interval_us=100_000.0, trace=None):
+    """Run a scenario under a recorder; grade its predictions and fold
+    its metrics after the run.
 
     With ``trace`` set, grade an exported JSONL trace instead — streamed
     through :func:`iter_jsonl`, so megasweep-scale exports never need a
     full in-memory load.
     """
-    from repro.experiments.registry import get_scenario
     from repro.obs.accuracy import AccuracyJoiner
-    from repro.obs.registry import MeteredRecorder, MetricsRegistry
-    from repro.sim.core import Simulator
+    from repro.obs.registry import MetricsRegistry
 
+    if not interval_us > 0:
+        return _usage_error(
+            f"--interval-us must be positive, got {interval_us:g}")
     if trace is not None:
         joiner = AccuracyJoiner()
         if _stream_into(trace, (joiner.observe,)) is None:
@@ -143,18 +154,13 @@ def accuracy(scenario_id="fig3-accuracy", seed=7, snapshot=None,
         print()
         print(joiner.render())
         return 0
-    try:
-        scenario = get_scenario(scenario_id)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    run = _run_scenario(scenario_id, seed)
+    if run is None:
         return 2
-    registry = MetricsRegistry(sample_interval_us=interval_us)
-    recorder = MeteredRecorder(registry)
-    sim = Simulator(seed=seed, recorder=recorder)
-    # Grid ticks past the scenario's own run limit never execute.
-    registry.arm(sim, horizon_us)
-    scenario(sim)
+    sim, recorder = run
     joiner = AccuracyJoiner.from_events(recorder.events)
+    registry = MetricsRegistry(sample_interval_us=interval_us).consume(
+        recorder.events, until_us=sim.now)
     print(f"prediction accuracy: scenario={scenario_id} seed={seed}")
     print()
     print(joiner.render())
@@ -186,20 +192,17 @@ def tails(trace=None, scenario_id=None, seed=7, threshold_us=None,
     from repro.obs.forensics import TailForensics, diff_reports
 
     if (trace is None) == (scenario_id is None):
-        print("error: give exactly one of TRACE or --scenario",
-              file=sys.stderr)
-        return 2
+        return _usage_error("give exactly one of TRACE or --scenario")
+    if pct is not None and not 0 <= pct <= 100:
+        return _usage_error(
+            f"--percentile must be within [0, 100], got {pct:g}")
+    if top < 0:
+        return _usage_error(f"--top must be >= 0, got {top}")
     if scenario_id is not None:
-        from repro.experiments.registry import get_scenario
-        from repro.sim.core import Simulator
-        try:
-            scenario = get_scenario(scenario_id)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
+        run = _run_scenario(scenario_id, seed)
+        if run is None:
             return 2
-        recorder = TraceRecorder()
-        sim = Simulator(seed=seed, recorder=recorder)
-        scenario(sim)
+        _, recorder = run
         forensics = TailForensics.from_events(recorder.events)
         label = f"scenario={scenario_id} seed={seed}"
     else:
@@ -249,11 +252,9 @@ def diff(path_a, path_b, canonical=False):
     """Diff two JSONL traces; exit 0 only when they agree."""
     from repro.obs.diff import diff_traces
 
-    events_a = _load_trace(path_a)
-    if events_a is None:
-        return 1
-    events_b = _load_trace(path_b)
-    if events_b is None:
+    events_a, events_b = [], []
+    if _stream_into(path_a, (events_a.append,)) is None or \
+            _stream_into(path_b, (events_b.append,)) is None:
         return 1
     report = diff_traces(events_a, events_b, label_a=path_a, label_b=path_b,
                          canonical=canonical)

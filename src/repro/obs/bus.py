@@ -21,6 +21,7 @@ byte-identical traces — ``python -m repro.analysis check`` is the gate.
 import gzip
 import hashlib
 import json
+from collections import Counter
 
 from repro.obs.events import TraceEvent, _plain
 
@@ -46,6 +47,59 @@ def canonical_line(event, volatile=VOLATILE_FIELDS):
     fields = {k: v for k, v in event.fields.items() if k not in volatile}
     return event.topic + "|" + json.dumps(
         fields, sort_keys=True, separators=(",", ":"), default=_plain)
+
+
+def canonical_timeline(records):
+    """Group ``(time, line)`` records into a canonical timeline:
+    ``((time, tuple(sorted(lines))), ...)`` in time order.
+
+    The kernel goldens and ``python -m repro.obs diff`` pass each bus
+    event's :func:`canonical_line`; ``python -m repro.analysis check``
+    adds the executed callbacks.  Sorting within a group makes a reorder
+    of same-timestamp records compare equal.
+    """
+    groups = {}
+    for time, line in records:
+        groups.setdefault(time, []).append(line)
+    return tuple((time, tuple(sorted(groups[time])))
+                 for time in sorted(groups))
+
+
+def timeline_digest(timeline):
+    """Hash of a :func:`canonical_timeline` (the goldens' canonical
+    digest and ``analysis check``'s tie-order digest)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for time, lines in timeline:
+        digest.update(f"t={time!r}\n".encode())
+        for line in lines:
+            digest.update(line.encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def first_group_mismatch(timeline_a, timeline_b):
+    """(time, only_in_a, only_in_b) of the first divergent timestamp group
+    between two canonical timelines, or ``None`` when they are identical."""
+    for (time_a, lines_a), (time_b, lines_b) in zip(timeline_a, timeline_b):
+        if time_a != time_b:
+            earlier_is_a = time_a < time_b
+            return (min(time_a, time_b),
+                    lines_a if earlier_is_a else (),
+                    () if earlier_is_a else lines_b)
+        if lines_a != lines_b:
+            only_a = Counter(lines_a) - Counter(lines_b)
+            only_b = Counter(lines_b) - Counter(lines_a)
+            return (time_a, tuple(sorted(only_a.elements())),
+                    tuple(sorted(only_b.elements())))
+    if len(timeline_a) != len(timeline_b):
+        longer = timeline_a if len(timeline_a) > len(timeline_b) \
+            else timeline_b
+        time, lines = longer[min(len(timeline_a), len(timeline_b))]
+        if longer is timeline_a:
+            return time, lines, ()
+        return time, (), lines
+    return None
+
 
 # -- session defaults (what `--trace` / `--paranoid` install) ----------------
 # Host-session configuration, not simulated state: the harness installs
@@ -107,18 +161,17 @@ class NullRecorder:
 class TraceRecorder:
     """Accumulates typed events, their canonical JSONL, and a trace hash.
 
-    ``keep_events`` can be disabled for very long runs where only the
-    digest (determinism checking) matters.  ``validate=True`` is the
-    paranoid debug mode: every recorded event is checked against its
-    topic's declared schema (:mod:`repro.obs.schema`) and the first
-    mismatch raises :class:`~repro.obs.schema.SchemaViolation` — the
-    dynamic twin of the static event-flow lint pass (DET011-DET013).
+    ``validate=True`` is the paranoid debug mode: every recorded event is
+    checked against its topic's declared schema (:mod:`repro.obs.schema`)
+    and the first mismatch raises
+    :class:`~repro.obs.schema.SchemaViolation` — the dynamic twin of the
+    static event-flow lint pass (DET011-DET013).
     """
 
     active = True
 
-    def __init__(self, keep_events=True, validate=False):
-        self.events = [] if keep_events else None
+    def __init__(self, validate=False):
+        self.events = []
         self.count = 0
         self.validate = validate
         self._hash = hashlib.blake2b(digest_size=16)
@@ -131,54 +184,20 @@ class TraceRecorder:
         self.count += 1
         self._hash.update(event.to_json().encode())
         self._hash.update(b"\n")
-        if self.events is not None:
-            self.events.append(event)
+        self.events.append(event)
 
     def trace_digest(self):
         """Hash of every recorded event so far (sim-clock only, so two
         same-seed runs must agree)."""
         return self._hash.hexdigest()
 
-    def canonical_digest(self, volatile=VOLATILE_FIELDS):
-        """Tie-insensitive digest: events grouped by timestamp, sorted
-        within each group, volatile identity counters dropped.
-
-        Two same-seed runs that differ *only* in how same-timestamp ties
-        were broken produce the same canonical digest; a mismatch means
-        the tie-break changed observable behaviour (a tie-order race —
-        see ``python -m repro.analysis check``).
-        """
-        if self.events is None:
-            raise RuntimeError("recorder was built with keep_events=False")
-        digest = hashlib.blake2b(digest_size=16)
-        group, group_time = [], None
-        for ev in self.events + [None]:
-            # Exact float equality is the grouping criterion by
-            # construction: ties share the heap's timestamp bit-for-bit.
-            if ev is not None and \
-                    (group_time is None
-                     or ev.time == group_time):  # repro: allow[DET004]
-                group.append(canonical_line(ev, volatile))
-                group_time = ev.time
-                continue
-            if group:
-                digest.update(f"t={group_time!r}\n".encode())
-                for line in sorted(group):
-                    digest.update(line.encode())
-                    digest.update(b"\n")
-            if ev is not None:
-                group, group_time = [canonical_line(ev, volatile)], ev.time
-        return digest.hexdigest()
-
     # -- consumption ------------------------------------------------------
     def by_topic(self, topic):
-        if self.events is None:
-            raise RuntimeError("recorder was built with keep_events=False")
         return [ev for ev in self.events if ev.topic == topic]
 
     def topic_counts(self):
         counts = {}
-        for ev in self.events or ():
+        for ev in self.events:
             counts[ev.topic] = counts.get(ev.topic, 0) + 1
         return counts
 
@@ -190,8 +209,6 @@ class TraceRecorder:
         transparently.  The archive embeds no wall-clock (``mtime=0``),
         so two same-seed exports stay byte-identical.
         """
-        if self.events is None:
-            raise RuntimeError("recorder was built with keep_events=False")
         with open_trace(path, "w") as fh:
             for ev in self.events:
                 fh.write(ev.to_json())

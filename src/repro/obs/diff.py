@@ -1,13 +1,13 @@
 """Trace diff: where did two runs of the same scenario first disagree?
 
-ROADMAP open item 3.  Given two JSONL trace exports of the same
-(seed, workload) — e.g. a FIFO-tie-break baseline and a perturbed-salt
-run, or traces from two code revisions — :func:`diff_traces` reports
+Given two JSONL trace exports of the same (seed, workload) — e.g. a
+FIFO-tie-break baseline and a perturbed-salt run, or traces from two code
+revisions — :func:`diff_traces` reports
 
 * the **first divergent timestamp group**: events are grouped by sim
-  timestamp and sorted within each group (the same canonical-timeline
-  machinery the tie-order race detector uses —
-  :func:`repro.analysis.check.group_events`), so a pure within-tick
+  timestamp and sorted within each group (the canonical timeline the
+  kernel goldens and the tie-order race detector compare —
+  :func:`repro.obs.bus.canonical_timeline`), so a pure within-tick
   reordering compares equal while the earliest moved / appeared /
   vanished event is pinpointed, and
 * **per-topic count deltas**: which event classes grew or shrank overall
@@ -25,13 +25,15 @@ Two comparison modes, selecting which fields are volatile:
   behavioural difference.
 
 CLI: ``python -m repro.obs diff a.jsonl b.jsonl [--canonical]`` — exits
-0 when no divergence is found, 1 when the traces differ (and 2 on
-unreadable input, like every other trace-consuming subcommand).
+0 when no divergence is found and 1 when the traces differ or either
+cannot be read (after a one-line ``error:`` message).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.obs.bus import VOLATILE_FIELDS
+from repro.obs.bus import (VOLATILE_FIELDS, canonical_line,
+                           canonical_timeline, first_group_mismatch)
 
 #: How many of each side's differing records to print per group.
 MAX_SHOWN = 6
@@ -87,30 +89,19 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-def _topic_counts(events):
-    counts = {}
-    for event in events:
-        counts[event.topic] = counts.get(event.topic, 0) + 1
-    return counts
-
-
 def diff_traces(events_a, events_b, label_a="a", label_b="b",
                 canonical=False):
     """Compare two bus event streams; returns a :class:`TraceDiff`."""
-    # Imported here, not at module top: check pulls in repro.sim, which
-    # itself imports this package (obs) for the bus — a top-level import
-    # would close that cycle during package init.
-    from repro.analysis.check import first_group_mismatch, group_events
-
     volatile = VOLATILE_FIELDS if canonical else frozenset()
-    groups_a = group_events(events_a, volatile)
-    groups_b = group_events(events_b, volatile)
-    counts_a = _topic_counts(events_a)
-    counts_b = _topic_counts(events_b)
-    deltas = tuple(
-        (topic, counts_a.get(topic, 0), counts_b.get(topic, 0))
-        for topic in sorted(counts_a.keys() | counts_b.keys())
-        if counts_a.get(topic, 0) != counts_b.get(topic, 0))
+    groups_a, groups_b = (
+        canonical_timeline((ev.time, canonical_line(ev, volatile))
+                           for ev in events)
+        for events in (events_a, events_b))
+    counts_a = Counter(event.topic for event in events_a)
+    counts_b = Counter(event.topic for event in events_b)
+    deltas = tuple((topic, counts_a[topic], counts_b[topic])
+                   for topic in sorted(counts_a.keys() | counts_b.keys())
+                   if counts_a[topic] != counts_b[topic])
     return TraceDiff(
         label_a=label_a, label_b=label_b,
         events_a=len(events_a), events_b=len(events_b),

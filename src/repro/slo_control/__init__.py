@@ -1,4 +1,4 @@
-"""Adaptive SLO control plane (ROADMAP: "new strategy family").
+"""Adaptive SLO control plane.
 
 A deterministic sim-time feedback loop over the MittOS deadline:
 

@@ -27,10 +27,9 @@ that keeps such a controller from flapping or overriding an operator:
   yields to the KillSwitch.
 
 Determinism: the controller is driven purely by sim-time — observation
-windows are a fixed grid pre-scheduled via ``sim.schedule_at`` (the same
-pattern as ``MetricsRegistry.arm``), every statistic derives from
-deterministic per-op observations fed by the client strategy, and no RNG
-stream is ever touched.  Same (seed, workload) ⇒ byte-identical
+windows are a fixed grid pre-scheduled via ``sim.schedule_at``, every
+statistic derives from deterministic per-op observations fed by the
+client strategy, and no RNG stream is ever touched.  Same (seed, workload) ⇒ byte-identical
 ``slo.*`` trace events.
 """
 

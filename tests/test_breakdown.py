@@ -105,6 +105,20 @@ def test_obs_summarize_top_bounds_topic_table(tmp_path, capsys):
     assert "  span.request" not in out  # the other is cut from the table
 
 
+def test_obs_summarize_rejects_negative_top(tmp_path, capsys):
+    from repro.obs.__main__ import main
+    rec = TraceRecorder()
+    sim = Simulator(seed=3, recorder=rec)
+    sim.bus.record(IO_SUBMIT, {"req": 0})
+    path = tmp_path / "t.jsonl"
+    rec.write_jsonl(path)
+
+    assert main(["summarize", str(path), "--top", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --top must be >= 0, got -1\n"
+
+
 def test_obs_summarize_missing_file_friendly_error(tmp_path, capsys):
     from repro.obs.__main__ import main
     assert main(["summarize", str(tmp_path / "absent.jsonl")]) == 1

@@ -32,7 +32,8 @@ from repro._units import MS, SEC
 from repro.experiments.common import (apply_ec2_noise, build_disk_cluster,
                                       make_strategy, run_clients)
 from repro.experiments.registry import SCENARIOS, get_scenario
-from repro.obs.bus import TraceRecorder
+from repro.obs.bus import (TraceRecorder, canonical_line, canonical_timeline,
+                           timeline_digest)
 from repro.sim import ShuffledTies, Simulator
 from repro.workloads import Ec2NoiseModel
 
@@ -72,7 +73,8 @@ def _capture(scenario_id, seed, salt):
     sim.run()
     return {
         "bus_digest": recorder.trace_digest(),
-        "canonical_digest": recorder.canonical_digest(),
+        "canonical_digest": timeline_digest(canonical_timeline(
+            (event.time, canonical_line(event)) for event in recorder.events)),
         "rng_draws": sim.rng_draws(),
     }
 
@@ -104,13 +106,15 @@ def test_kernel_matches_prerefactor_golden(goldens, scenario_id, seed, salt):
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_untraced_run_behaves_like_traced(scenario_id):
     """The NullRecorder fast paths (e.g. ``network.send`` returning a
-    bare latency) must not change what an un-traced run computes."""
+    bare latency) must not change what an un-traced run computes, and
+    recording must not add kernel work: both runs execute as many heap
+    events."""
     ends = []
-    for recorder in (None, TraceRecorder(keep_events=False)):
+    for recorder in (None, TraceRecorder()):
         sim = Simulator(seed=7, paranoid=True, recorder=recorder)
         get_scenario(scenario_id)(sim)
         sim.run()
-        ends.append((sim.now, sim.rng_draws()))
+        ends.append((sim.now, sim.rng_draws(), sim.sanitizer.events))
     assert ends[0] == ends[1]
 
 

@@ -1,5 +1,7 @@
 """Tests of the prediction-accuracy observatory (obs/accuracy)."""
 
+import pytest
+
 from repro.obs.accuracy import (CELLS, FALSE_ACCEPT, FALSE_REJECT,
                                 TRUE_ACCEPT, TRUE_REJECT, AccuracyJoiner)
 from repro.obs.events import (IO_CANCEL, IO_COMPLETE, LATE_REJECT, VERDICT,
@@ -249,3 +251,13 @@ def test_accuracy_cli_unknown_scenario(capsys):
     from repro.obs.__main__ import main
     assert main(["accuracy", "--scenario", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", ["0", "-5", "nan"])
+def test_accuracy_cli_rejects_non_positive_interval(capsys, interval):
+    from repro.obs.__main__ import main
+    assert main(["accuracy", "--interval-us", interval]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: --interval-us must be positive, got {float(interval):g}\n"

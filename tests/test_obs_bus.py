@@ -39,19 +39,6 @@ def test_trace_digest_tracks_content():
     assert rec_a.trace_digest() != rec_b.trace_digest()
 
 
-def test_keep_events_false_keeps_only_the_digest():
-    rec = TraceRecorder(keep_events=False)
-    sim = Simulator(seed=1, recorder=rec)
-    sim.bus.record(IO_SUBMIT, {"req": 1})
-    assert rec.count == 1
-    assert rec.events is None
-    assert rec.trace_digest()
-    with pytest.raises(RuntimeError):
-        rec.by_topic(IO_SUBMIT)
-    with pytest.raises(RuntimeError):
-        rec.write_jsonl("/dev/null")
-
-
 def test_jsonl_round_trip(tmp_path):
     rec = TraceRecorder()
     sim = Simulator(seed=1, recorder=rec)

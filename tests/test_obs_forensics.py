@@ -403,6 +403,22 @@ def test_tails_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", [["--percentile", "150"],
+                                    ["--percentile", "-1"],
+                                    ["--top", "-1"]],
+                         ids=["percentile-150", "percentile-neg", "top-neg"])
+def test_tails_cli_rejects_out_of_range_options(tmp_path, capsys,
+                                                loss_events, option):
+    from repro.obs.__main__ import main
+    path = tmp_path / "loss.jsonl"
+    _export(loss_events, path)
+    assert main(["tails", str(path)] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option[0]} must be")
+    assert captured.err.count("\n") == 1
+
+
 def test_experiments_tails_flag(capsys):
     from repro.experiments.__main__ import main
     assert main(["writes", "--seed", "3", "--tails"]) == 0

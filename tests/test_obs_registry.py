@@ -6,8 +6,7 @@ from repro.obs.events import (CACHE_HIT, IO_CANCEL, IO_COMPLETE,
                               IO_SERVICE_START, IO_SUBMIT, OS_EBUSY,
                               VERDICT, TraceEvent)
 from repro.obs.registry import (DEFAULT_LATENCY_BUCKETS_US, Histogram,
-                                MeteredRecorder, MetricsRegistry)
-from repro.sim import Simulator
+                                MetricsRegistry)
 
 
 def ev(t, topic, **fields):
@@ -95,43 +94,22 @@ def test_to_json_is_byte_stable_across_identical_folds():
     assert '"counters"' in a
 
 
-def test_metered_recorder_matches_posthoc_consume():
-    """Live folding through MeteredRecorder must equal a post-hoc fold of
-    the same recorded events."""
-    live = MetricsRegistry()
-    recorder = MeteredRecorder(live)
-    sim = Simulator(seed=3, recorder=recorder)
-    sim.schedule(1.0, lambda: sim.bus.record(IO_SUBMIT,
-                                             {"req": 1, "dev": "n0"}))
-    sim.schedule(2.0, lambda: sim.bus.record(IO_COMPLETE,
-                                             {"req": 1, "device": "n0",
-                                              "latency": 1.0}))
-    sim.run()
-    posthoc = MetricsRegistry().consume(recorder.events)
-    assert live.to_json() == posthoc.to_json()
-
-
 # -- time-series sampling -----------------------------------------------------
-def test_arm_requires_interval():
-    with pytest.raises(ValueError):
-        MetricsRegistry().arm(Simulator(seed=1), 1000.0)
+@pytest.mark.parametrize("interval", [0.0, -100.0, float("nan")])
+def test_sample_interval_must_be_positive(interval):
+    with pytest.raises(ValueError, match="sample_interval_us"):
+        MetricsRegistry(sample_interval_us=interval)
 
 
-def test_armed_sampling_records_util_and_qdepth_series():
-    reg = MetricsRegistry(sample_interval_us=100.0)
-    recorder = MeteredRecorder(reg)
-    sim = Simulator(seed=3, recorder=recorder)
-    assert reg.arm(sim, horizon_us=300.0) == 3
+def test_trailing_grid_points_are_sampled_up_to_the_run_end():
+    """``until_us`` samples the grid points between the last event and
+    the end of the run."""
     # One IO busy from t=10 to t=60: 50% utilization of the first tick.
-    sim.schedule(10.0, lambda: sim.bus.record(IO_SUBMIT,
-                                              {"req": 1, "dev": "n0"}))
-    sim.schedule(10.0, lambda: sim.bus.record(IO_SERVICE_START,
-                                              {"req": 1, "device": "n0"}))
-    sim.schedule(60.0, lambda: sim.bus.record(IO_COMPLETE,
-                                              {"req": 1, "device": "n0",
-                                               "latency": 50.0}))
-    sim.run()
-    series = reg.snapshot()["series"]
+    events = io_lifecycle(10.0, req=1, service_at=10.0, done_at=60.0)
+    reg = MetricsRegistry(sample_interval_us=100.0)
+    assert reg.consume(events).snapshot()["series"] == {}
+    reg = MetricsRegistry(sample_interval_us=100.0)
+    series = reg.consume(events, until_us=300.0).snapshot()["series"]
     assert series["util.n0"]["interval_us"] == 100.0
     assert series["util.n0"]["samples"] == [[100.0, 0.5], [200.0, 0.0],
                                             [300.0, 0.0]]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.bus import TraceRecorder, tracing
 from repro.obs.events import ALL_TOPICS, IO_COMPLETE, TraceEvent, VERDICT
-from repro.obs.registry import MeteredRecorder, MetricsRegistry
 from repro.obs.schema import (SCHEMAS, SchemaViolation, declared_keys,
                               validate_fields)
 
@@ -101,13 +100,6 @@ def test_default_recorder_does_not_validate():
     recorder = TraceRecorder()
     recorder.record(TraceEvent(1.0, "no.such.topic", {"x": 1}))
     assert recorder.count == 1
-
-
-def test_metered_recorder_passes_validate_through():
-    metered = MeteredRecorder(MetricsRegistry(), validate=True)
-    with pytest.raises(SchemaViolation):
-        metered.record(TraceEvent(1.0, IO_COMPLETE,
-                                  _complete_fields(latency="slow")))
 
 
 def test_validation_does_not_change_the_trace_digest():

@@ -235,7 +235,7 @@ def test_traced_runs_are_deterministic():
     from repro.experiments.faultsweep import race_scenario
 
     def run():
-        rec = TraceRecorder(keep_events=False)
+        rec = TraceRecorder()
         sim = Simulator(seed=7, paranoid=True, recorder=rec)
         race_scenario(sim)
         return rec.trace_digest(), sim.trace_hash(), rec.count
@@ -259,7 +259,7 @@ def test_tracing_does_not_change_simulation_outcomes():
                 [n.os.ebusy_returned for n in env.nodes],
                 [n.os.scheduler.submitted for n in env.nodes])
 
-    assert run(None) == run(TraceRecorder(keep_events=False))
+    assert run(None) == run(TraceRecorder())
 
 
 # -- counters against the trace ---------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 from repro._units import MS, SEC
-from repro.cluster.strategies.base import OpContext
+from repro.cluster.strategies.base import (BACKOFF_BASE_US, BACKOFF_CAP_US,
+                                         OpContext)
 from repro.errors import EIO
 from repro.experiments.common import build_disk_cluster, make_strategy
 from repro.faults import FaultPlane, FaultSpec, MessageLoss
@@ -104,7 +105,6 @@ def test_backoff_respects_base_doubling_and_cap():
     env = build_disk_cluster(sim, 3)
     strategy = make_strategy("mittos", env.cluster, deadline_us=20 * MS)
     for round_no in range(10):
-        base = min(strategy.backoff_base_us * (2 ** round_no),
-                   strategy.backoff_cap_us)
+        base = min(BACKOFF_BASE_US * (2 ** round_no), BACKOFF_CAP_US)
         delay = strategy._backoff_us(round_no)
         assert base / 2 <= delay < base  # equal jitter: floored, bounded

@@ -197,7 +197,7 @@ class _ScriptedNode:
         self.up = True
         self.epoch = 0
 
-    def get(self, key, deadline=None):
+    def get(self, key, deadline=None, priority=None):
         if deadline is None:
             self.final_gets += 1
             return self.sim.timeout(200.0, ("data", self.node_id))
