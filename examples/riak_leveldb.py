@@ -35,12 +35,13 @@ def main():
 
     def riak_get(key):
         """Riak-style coordinator: EBUSY from LevelDB -> next replica."""
+        net = cluster.network
         replicas = cluster.replicas_for(key)
         for i, node in enumerate(replicas):
             last = i == len(replicas) - 1
-            yield cluster.network.hop()
-            result = yield node.get(key, None if last else deadline)
-            yield cluster.network.hop()
+            yield net.send(net.CLIENT, node.node_id)
+            result = yield from node.get(key, None if last else deadline)
+            yield net.send(node.node_id, net.CLIENT)
             if not is_ebusy(result):
                 return result
             stats["failover"] += 1

@@ -101,14 +101,15 @@ def mittos_get_with_guard(sim, cluster, data, session, key, deadline_us,
     Returns a process event whose value is the version read.
     """
     def run():
+        net = cluster.network
         replicas = cluster.replicas_for(key)
         targets = (guard.filter_failover_targets(key, replicas)
                    if guard is not None else replicas)
         for i, node in enumerate(targets):
             last = i == len(targets) - 1
-            yield cluster.network.hop()
-            result = yield node.get(key, None if last else deadline_us)
-            yield cluster.network.hop()
+            yield net.send(net.CLIENT, node.node_id)
+            result = yield from node.get(key, None if last else deadline_us)
+            yield net.send(node.node_id, net.CLIENT)
             if not is_ebusy(result):
                 version = data.version(node, key)
                 session.observe(key, version)

@@ -41,10 +41,6 @@ class Network:
             latency += self._rng.uniform(0, self.tail_extra_us)
         return latency
 
-    def hop(self):
-        """An event completing after one network hop (always delivers)."""
-        return self.sim.timeout(self.hop_latency())
-
     def send(self, src, dst):
         """One directed message from ``src`` to ``dst`` as a *waitable* —
         an :class:`~repro.sim.events.Event`, or a plain hop-delay number
@@ -53,8 +49,7 @@ class Network:
         Delivers after one hop, unless the fault plane decides the message
         is lost (loss rate or partition) — then the returned event never
         fires and only the sender's own timeout can save it, exactly like
-        a dropped datagram.  Fault-free this is byte-identical to
-        :meth:`hop`.
+        a dropped datagram.
 
         The delivered fast path returns the bare latency so the yielding
         process takes the kernel's fused timeout path (no timer Event per

@@ -5,6 +5,11 @@ by hardware threads — the effect behind §7.5's hedge-induced CPU contention)
 and the exceptionless retry path (§5: C++ exception handling adds 200 µs;
 the paper built a direct retry path instead, which is what EBUSY results
 model here — no exception cost).
+
+Handlers are generators, not processes: ``get`` and ``put`` return a
+generator that the caller's process drives with ``yield from``, and the
+handler drives the engine the same way, so a sequential read runs
+client → node → engine → OS in the one process of its client op.
 """
 
 from repro.errors import EIO, is_ebusy
@@ -36,7 +41,6 @@ class StorageNode:
         self.cpu_slow_factor = 1.0
         #: Installed by ``FaultPlane.arm``; None = no latent read errors.
         self.fault_plane = None
-        self._tied_listener_installed = False
 
     # -- crash-stop faults (FaultPlane) -----------------------------------
     def crash(self):
@@ -66,81 +70,36 @@ class StorageNode:
                                "epoch": self.epoch})
 
     def get(self, key, deadline=None, io_observer=None, priority=None):
-        """Server-side get as a process event: value is EBUSY or a record.
+        """Server-side get as a generator: returns EBUSY, EIO or a record.
 
+        The caller drives it with ``yield from`` inside its own process;
+        wrap it in ``sim.process`` to wait on it as an event.
+        ``io_observer(req)`` sees each block request the read creates
+        (tied copies track and revoke their IOs through it).
         ``priority`` — if given — is the CFQ priority the read's IOs carry
         (the SLO-control work tier; admission guards shed high tiers
         first).  None keeps the engine default.
         """
-        return self.sim.process(
-            self._handle_get(key, deadline, io_observer, priority))
-
-    def get_cancellable(self, key, deadline=None):
-        """(event, cancel_fn, began_event) for tied requests (§7.8.2).
-
-        ``began_event`` fires when this get's IO begins execution (is
-        dispatched into the device); ``cancel_fn()`` revokes the IO while it
-        is still queued.  The paper could not build this on Linux because
-        the device queue is invisible to the OS; the simulator can, so tied
-        requests serve as an upper-bound comparator.
-        """
-        began = self.sim.event()
-        state = {"reqs": [], "cancelled": False}
-
-        def io_observer(req):
-            state["reqs"].append(req)
-            if state["cancelled"] and req.dispatch_time is None:
-                self.os.scheduler.cancel(req)
-                return
-            req.tag["tied_began"] = began
-            # Begin-execution signal: fires at dispatch via the scheduler.
-
-        self._install_tied_listener()
-
-        def cancel():
-            state["cancelled"] = True
-            for req in state["reqs"]:
-                if req.dispatch_time is None and not req.cancelled:
-                    self.os.scheduler.cancel(req)
-
-        ev = self.sim.process(self._handle_get(key, deadline, io_observer))
-        # A cache hit / memtable hit never dispatches an IO; treat the
-        # reply itself as begin-execution then.
-        ev.add_callback(lambda _: began.try_succeed(self.node_id))
-        return ev, cancel, began
-
-    def _install_tied_listener(self):
-        """One shared dispatch listener fires every tied begin signal."""
-        if self._tied_listener_installed:
-            return
-        self._tied_listener_installed = True
-
-        def on_dispatch(req):
-            ev = req.tag.get("tied_began")
-            if ev is not None:
-                ev.try_succeed(self.node_id)
-
-        self.os.scheduler.add_dispatch_listener(on_dispatch)
+        # A plain function, not a generator function: the repo benchmark
+        # counts node gets as calls to it, and a profiler counts every
+        # resume of a generator function as one more call.
+        return self._handle_get(key, deadline, io_observer, priority)
 
     def put(self, key):
-        """Server-side put (buffered write path, §7.8.6)."""
-        return self.sim.process(self._handle_put(key))
-
-    def _handle_put(self, key):
+        """Server-side put as a generator (buffered write path, §7.8.6)."""
         self.handled += 1
         yield self.handler_cpu_us * self.cpu_slow_factor
-        result = yield self.sim.process(self.engine.put(key))
+        result = yield from self.engine.put(key)
         return result
 
-    def _handle_get(self, key, deadline, io_observer=None, priority=None):
+    def _handle_get(self, key, deadline, io_observer, priority):
         self.handled += 1
         if self.cpu is not None:
             yield self.cpu.acquire()
         yield self.handler_cpu_us * self.cpu_slow_factor
         try:
-            result = yield self.sim.process(
-                self.engine.get(key, deadline, io_observer=io_observer,
-                                priority=priority))
+            result = yield from self.engine.get(
+                key, deadline, io_observer=io_observer, priority=priority)
         finally:
             if self.cpu is not None:
                 self.cpu.release()

@@ -33,8 +33,7 @@ class OpContext:
 
     One instance per ``get()`` — strategies are shared across concurrent
     client processes, so per-operation state must travel with the
-    operation, never live on ``self`` (the same race class as the old
-    ``last_rejected_wait`` wait hint).
+    operation, never live on ``self``.
     """
 
     __slots__ = ("start", "budget_us", "rpc_timeout_us", "max_attempts",
@@ -98,6 +97,13 @@ class Strategy:
     (a record, ``EIO`` when every choice failed, or — never for well-formed
     strategies — ``EBUSY``).  Subclasses implement
     ``_run(key, replicas, ctx)``.
+
+    That process is the op's only one on a sequential path: an attempt
+    that waits on no timer runs inline in it (``yield from``), down
+    through the node and the engine.  An attempt gets a process of its
+    own only when the op must wait on it as an event: when it races a
+    timer (:meth:`_race`) or runs beside another copy (hedged, clone,
+    tied).
     """
 
     name = "strategy"
@@ -192,17 +198,23 @@ class Strategy:
         return base / 2 + self._backoff_rng.random() * (base / 2)
 
     # -- helpers ---------------------------------------------------------
-    def _attempt(self, node, key, deadline=None, ctx=None):
-        """One request/response round-trip to a node, as a process event.
+    def _attempt(self, node, key, deadline=None, ctx=None, tie=None):
+        """:meth:`_attempt_gen` as a process event, for attempts the op
+        races against a timer or runs beside another copy."""
+        return self.sim.process(
+            self._attempt_gen(node, key, deadline, ctx, tie))
+
+    def _attempt_gen(self, node, key, deadline, ctx=None, tie=None):
+        """One request/response round-trip to a node (a generator).
 
         Pass ``ctx`` from *sequential* call sites only: the attempt then
         charges its network/server intervals to the op's span set.
         Parallel fan-outs (hedged, clone, tied) must omit it — their
         concurrent waiting is charged as ``parallel-wait`` by the caller.
+        ``tie`` is a tied copy (``TiedStrategy``): it observes the read's
+        IOs, and the copy begins execution at the server's answer at the
+        latest.
         """
-        return self.sim.process(self._attempt_gen(node, key, deadline, ctx))
-
-    def _attempt_gen(self, node, key, deadline, ctx=None):
         net = self.network
         track = ctx is not None and ctx.spans is not None
         # The first attempt's hops are the op's base network cost; every
@@ -217,7 +229,11 @@ class Strategy:
             # timeout can end this attempt.
             yield self.sim.event()
         epoch = node.epoch
-        result = yield node.get(key, deadline, priority=self.tier_priority)
+        result = yield from node.get(
+            key, deadline, io_observer=None if tie is None else tie.observe,
+            priority=self.tier_priority)
+        if tie is not None:
+            tie.began.try_succeed()
         if track:
             ctx.charge(STAGE_SERVER, self.sim.now)
         if not node.up or node.epoch != epoch:
@@ -248,8 +264,8 @@ class Strategy:
         ``finished`` is False when the RPC timed out (or the budget was
         already gone).  ``cap_us`` tightens the bound further (e.g. a
         deadline-derived cap) but only when the context is bounded at all.
-        With no context bounds this is a plain attempt — byte-identical to
-        the fail-free path.
+        With no context bounds this is a plain attempt run inline — the
+        fail-free path, which needs no process of its own.
         """
         limit = ctx.attempt_limit_us(self.sim.now)
         if limit is not None and cap_us is not None:
@@ -257,12 +273,12 @@ class Strategy:
         if limit is not None and limit <= 0:
             return False, None
         ctx.attempts += 1
-        attempt = self._attempt(node, key, deadline, ctx=ctx)
         if limit is None:
-            value = yield attempt
+            value = yield from self._attempt_gen(node, key, deadline, ctx)
             self._note_result(node, value)
             return True, value
-        finished, value = yield from self._race(attempt, limit)
+        finished, value = yield from self._race(
+            self._attempt(node, key, deadline, ctx), limit)
         if finished:
             self._note_result(node, value)
             return True, value
@@ -282,8 +298,8 @@ class Strategy:
         """
         if ctx.rpc_timeout_us is None:
             ctx.attempts += 1
-            result = yield self._attempt(candidates[0], key, deadline,
-                                         ctx=ctx)
+            result = yield from self._attempt_gen(candidates[0], key,
+                                                  deadline, ctx)
             self._note_result(candidates[0], result)
             return result
         round_no = 0

@@ -112,8 +112,7 @@ class MittosStrategy(Strategy):
         """Predicted wait carried on a rich EBUSY (richer-response, §8.1).
 
         Per-request by construction: the hint rides the response itself,
-        so concurrent gets can never read each other's value (the old
-        ``predictor.last_rejected_wait`` was shared and racy).
+        so concurrent gets can never read each other's value.
         """
         wait = getattr(result, "predicted_wait", None)
         return wait if wait is not None else float("inf")

@@ -18,6 +18,45 @@ from repro.cluster.strategies.base import Strategy
 from repro.errors import EIO
 
 
+def _began_on_dispatch(req):
+    """Scheduler dispatch listener: a tied copy's IO begins execution."""
+    began = req.tag.get("tied_began")
+    if began is not None:
+        began.try_succeed()
+
+
+class TiedCopy:
+    """One copy's server-side handle: its IOs, its revocation, and the
+    ``began`` event that fires when it begins execution — at its first
+    IO's dispatch, or at the server's answer when no IO dispatches (a
+    cache or memtable hit)."""
+
+    __slots__ = ("began", "scheduler", "reqs", "cancelled")
+
+    def __init__(self, sim, node):
+        self.began = sim.event()
+        self.scheduler = node.os.scheduler
+        self.reqs = []
+        self.cancelled = False
+
+    def observe(self, req):
+        """The read's ``io_observer``: track (or refuse) each new IO."""
+        if self.cancelled:
+            # The cancel reached the server before this IO existed: the
+            # OS never submits it and answers EBUSY.
+            req.cancelled = True
+            return
+        self.reqs.append(req)
+        req.tag["tied_began"] = self.began
+
+    def cancel(self):
+        """Revoke this copy's IOs that are still queued (EBUSY replies)."""
+        self.cancelled = True
+        for req in self.reqs:
+            if req.dispatch_time is None and not req.cancelled:
+                self.scheduler.cancel(req)
+
+
 class TiedStrategy(Strategy):
     """Delayed clone + cancel-on-begin-execution."""
 
@@ -28,12 +67,15 @@ class TiedStrategy(Strategy):
         self.tie_delay_us = tie_delay_us
         self._rng = cluster.sim.rng("strategy/tied")
         self.cancellations = 0
+        for node in cluster.nodes:
+            node.os.scheduler.add_dispatch_listener(_began_on_dispatch)
 
     def _run(self, key, replicas, ctx):
         node_a = replicas[0]
         node_b = self._rng.choice(replicas[1:])
 
-        ev_a, cancel_a, began_a = self._tied_get(node_a, key)
+        tie_a = TiedCopy(self.sim, node_a)
+        ev_a = self._attempt(node_a, key, tie=tie_a)
         finished, value = yield from self._race(ev_a, self.tie_delay_us)
         if finished:
             self._note_result(node_a, value)
@@ -42,9 +84,10 @@ class TiedStrategy(Strategy):
             self.eio_failovers += 1
 
         self.duplicates += 1
-        ev_b, cancel_b, began_b = self._tied_get(node_b, key)
+        tie_b = TiedCopy(self.sim, node_b)
+        ev_b = self._attempt(node_b, key, tie=tie_b)
         # Whichever copy begins execution first cancels its counterpart.
-        began = self.sim.any_of([began_a, began_b])
+        began = self.sim.any_of([tie_a.began, tie_b.began])
         limit = ctx.attempt_limit_us(self.sim.now)
         if limit is None:
             idx, _ = yield began
@@ -54,51 +97,18 @@ class TiedStrategy(Strategy):
             began_finished, raced = yield from self._race(began, limit)
             if not began_finished:
                 # Both copies lost / both servers dark: revoke and give up.
-                cancel_a()
-                cancel_b()
+                tie_a.cancel()
+                tie_b.cancel()
                 self._note_timeout(node_a)
                 self._note_timeout(node_b)
                 return EIO
             idx, _ = raced
         self.cancellations += 1
-        if idx == 0:
-            cancel_b()
-        else:
-            cancel_a()
+        (tie_b if idx == 0 else tie_a).cancel()
 
         # Take the first non-cancelled reply (a cancelled copy reports
         # EBUSY through the normal completion path); bounded by the op
         # context so a lost reply cannot hang the client.
         result = yield from self._first_good([ev_a, ev_b], ctx,
                                              nodes=[node_a, node_b])
-        return result
-
-    def _tied_get(self, node, key):
-        """Network-aware tied get: (reply event, cancel fn, began event)."""
-        began = self.sim.event()
-        state = {"server_cancel": None, "cancelled": False}
-
-        def cancel():
-            state["cancelled"] = True
-            if state["server_cancel"] is not None:
-                state["server_cancel"]()
-
-        ev = self.sim.process(self._tied_get_gen(node, key, began, state))
-        return ev, cancel, began
-
-    def _tied_get_gen(self, node, key, began, state):
-        net = self.network
-        yield net.send(net.CLIENT, node.node_id)
-        if not node.up:
-            yield self.sim.event()  # request swallowed by a dead server
-        server_ev, server_cancel, server_began = node.get_cancellable(key)
-        state["server_cancel"] = server_cancel
-        server_began.add_callback(lambda e: began.try_succeed(e._value))
-        if state["cancelled"]:
-            server_cancel()  # the cancel raced ahead of the request
-        epoch = node.epoch
-        result = yield server_ev
-        if not node.up or node.epoch != epoch:
-            yield self.sim.event()  # reply lost in the crash
-        yield net.send(node.node_id, net.CLIENT)
         return result

@@ -117,14 +117,11 @@ class LsmEngine:
 
     # -- reads ------------------------------------------------------------
     def get(self, key, deadline=None, io_observer=None, priority=None):
-        """Generator: yields EBUSY (propagated) or GetRecord or None.
+        """Generator: returns EBUSY (propagated), a GetRecord or None.
 
         ``priority`` overrides the read's CFQ priority (SLO-control work
         tier); None keeps the OS default of 4.
         """
-        return self._get(key, deadline, io_observer, priority)
-
-    def _get(self, key, deadline, io_observer, priority=None):
         self.gets += 1
         start = self.sim.now
         if key in self._memtable:

@@ -47,14 +47,13 @@ class MMapEngine:
         self.ebusy = 0
 
     def get(self, key, deadline=None, io_observer=None, priority=None):
-        """Generator (run as a process): yields EBUSY or GetRecord.
+        """Generator: returns EBUSY or a GetRecord.
 
-        ``priority`` overrides the read's CFQ priority (SLO-control work
-        tier); None keeps the OS default of 4.
+        The node drives it with ``yield from``; run it on its own with
+        ``sim.process(engine.get(key))``.  ``priority`` overrides the
+        read's CFQ priority (SLO-control work tier); None keeps the OS
+        default of 4.
         """
-        return self._get(key, deadline, io_observer, priority)
-
-    def _get(self, key, deadline, io_observer, priority=None):
         self.gets += 1
         start = self.os.sim.now
         offset, size = self.keyspace.locate(key)

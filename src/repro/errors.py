@@ -36,8 +36,7 @@ class EBusy:
     Semantically identical to the ``EBUSY`` sentinel (falsy, means "rejected,
     fail over now"), but carries the predicted wait of the rejecting node on
     the response itself.  Each rejection mints a fresh instance, so the hint
-    is per-request — concurrent requests can no longer overwrite each
-    other's wait (the race a shared ``predictor.last_rejected_wait`` had).
+    is per-request: concurrent requests cannot overwrite each other's wait.
 
     Call sites must use :func:`is_ebusy`, which accepts both the plain
     sentinel and rich instances.

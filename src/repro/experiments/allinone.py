@@ -119,9 +119,9 @@ def _run_user(sim, replicas, network, region, deadline, mitt, n_ops,
             for i, replica in enumerate(replicas):
                 last = i == len(replicas) - 1
                 dl = deadline if (mitt and not last) else None
-                yield network.hop()
+                yield network.send(network.CLIENT, replica.index)
                 result = yield replica.get(region, key, dl)
-                yield network.hop()
+                yield network.send(replica.index, network.CLIENT)
                 if not is_ebusy(result):
                     break
             recorder.add(sim.now - start)

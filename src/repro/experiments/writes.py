@@ -37,9 +37,10 @@ def _write_loop(sim, env, dist, recorder, n_ops):
         replicas = env.cluster.replicas_for(key)
         start = sim.now
         # Primary-ack write (replication drains in the background).
-        yield network.hop()
-        yield replicas[0].put(key)
-        yield network.hop()
+        primary = replicas[0]
+        yield network.send(network.CLIENT, primary.node_id)
+        yield from primary.put(key)
+        yield network.send(primary.node_id, network.CLIENT)
         recorder.add(sim.now - start)
         yield 5 * MS
 

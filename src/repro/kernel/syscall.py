@@ -101,6 +101,19 @@ class OS:
             bus.record(OS_EBUSY, {"probe": probe,
                                   "predicted_wait": predicted_wait})
 
+    def _fast_reject(self, ev, outcome, file_id, pid, predicted_wait=None):
+        """Answer read event ``ev`` with EBUSY after the syscall's
+        ``ebusy_us``, without queueing any IO; returns ``ev``."""
+        self._note_ebusy(False, predicted_wait)
+        ebusy_us = self.params.ebusy_us
+        bus = self.bus
+        if bus.recorder.active:
+            ev.add_callback(lambda _ev: bus.record(SPAN_REQUEST, {
+                "outcome": outcome, "file": file_id, "pid": pid,
+                "total": ebusy_us, "stages": ebusy_spans(ebusy_us)}))
+        self.sim.schedule(ebusy_us, ev.try_succeed, EBusy(predicted_wait))
+        return ev
+
     # -- reads -----------------------------------------------------------
     def read(self, file_id, offset, size, pid=0, ioclass=IoClass.BE,
              priority=4, deadline=None, io_observer=None):
@@ -109,6 +122,8 @@ class OS:
         ``io_observer(req)`` — if given — receives the underlying
         :class:`BlockRequest` when one is created (cache misses), letting
         callers track begin-execution or revoke queued IOs (tied requests).
+        A request the observer marks ``cancelled`` is never submitted: the
+        read answers a fast EBUSY instead.
         """
         ev = self.sim.event()
         self.reads += 1
@@ -124,14 +139,7 @@ class OS:
                 and not self.admission.admit(pid, ioclass, priority)):
             # Backpressure shed: the same cheap fast-reject as a predicted
             # deadline violation, issued before any cache or IO work.
-            self._note_ebusy(False)
-            if recording:
-                ebusy_us = self.params.ebusy_us
-                ev.add_callback(lambda _ev: bus.record(SPAN_REQUEST, {
-                    "outcome": "shed", "file": file_id, "pid": pid,
-                    "total": ebusy_us, "stages": ebusy_spans(ebusy_us)}))
-            self.sim.schedule(self.params.ebusy_us, ev.try_succeed, EBusy())
-            return ev
+            return self._fast_reject(ev, "shed", file_id, pid)
 
         if self.cache is not None and self.cache.touch(file_id, offset, size):
             latency = self._memory_read_time(offset, size)
@@ -152,21 +160,19 @@ class OS:
         req.tag["file_id"] = file_id
         if io_observer is not None:
             io_observer(req)
+            if req.cancelled:
+                # Revoked before it was queued (a tied copy whose twin
+                # began first): never submitted.
+                return self._fast_reject(ev, "revoked", file_id, pid)
 
         if deadline is not None and self.predictor is not None:
             verdict = self.predictor.admit(req, deadline)
             if not verdict.accept:
-                self._note_ebusy(False, verdict.predicted_wait)
+                self._fast_reject(ev, "ebusy", file_id, pid,
+                                  verdict.predicted_wait)
                 if self.cache is not None:
                     # Fairness caveat (§4.4): keep populating the cache.
                     self.cache.note_ebusy_swapin(file_id, offset, size)
-                if recording:
-                    ebusy_us = self.params.ebusy_us
-                    ev.add_callback(lambda _ev: bus.record(SPAN_REQUEST, {
-                        "outcome": "ebusy", "file": file_id, "pid": pid,
-                        "total": ebusy_us, "stages": ebusy_spans(ebusy_us)}))
-                self.sim.schedule(self.params.ebusy_us, ev.try_succeed,
-                                  EBusy(verdict.predicted_wait))
                 return ev
 
         def on_complete(done_req):

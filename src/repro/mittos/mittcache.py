@@ -52,7 +52,7 @@ class MittCache(Predictor):
         if self.fault_injector is not None:
             accept = self.fault_injector.apply(accept)
         self._emit_verdict(req, accept, probe_only, deadline, wait, service)
-        self._note(accept, wait)
+        self._note(accept)
         return Verdict(accept, wait, service)
 
     def _estimate(self, req):

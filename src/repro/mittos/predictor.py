@@ -66,9 +66,6 @@ class Predictor:
         self.fault_injector = fault_injector
         self.admitted = 0
         self.rejected = 0
-        #: Predicted wait of the most recent rejection — the "richer
-        #: response" extension (§8.1) piggybacks this on EBUSY.
-        self.last_rejected_wait = None
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, os):
@@ -109,7 +106,7 @@ class Predictor:
                 self._on_admit(req)
             return Verdict(True, wait, service)
 
-        self._note(accept, wait)
+        self._note(accept)
         if accept and not probe_only:
             self._on_admit(req)
         return Verdict(accept, wait, service)
@@ -146,12 +143,11 @@ class Predictor:
                                    else float(service)),
                 **self.verdict_labels()))
 
-    def _note(self, accept, wait=None):
+    def _note(self, accept):
         if accept:
             self.admitted += 1
         else:
             self.rejected += 1
-            self.last_rejected_wait = wait
 
     # -- subclass hooks ------------------------------------------------------
     def _estimate(self, req):

@@ -18,7 +18,7 @@ import random
 
 from repro.errors import ProcessCrashed, SchedulingInPastError, SimulationError
 from repro.obs.bus import TraceBus, default_paranoid
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event
 from repro.sim.process import Process
 from repro.sim.sanitizer import CountingRandom, ReplaySanitizer
 
@@ -168,14 +168,15 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay, value=None):
-        """An event that succeeds after ``delay`` microseconds.
+        """A plain :class:`Event` that succeeds with ``value`` after
+        ``delay`` microseconds.
 
-        The returned event knows its own timer handle, so detaching the
-        last waiter (``Process.interrupt``) cancels the heap entry
-        instead of leaving a dead timer to fire into the void.
+        Processes rarely need one: yielding the bare number takes the
+        fused timer path.  Use it where an event is needed, e.g. as a
+        child of :meth:`all_of` or :meth:`any_of`.
         """
-        ev = Timeout(self)
-        ev._handle = self.schedule(delay, ev._fire, value)
+        ev = Event(self)
+        self.schedule(delay, ev.succeed, value)
         return ev
 
     def process(self, generator):

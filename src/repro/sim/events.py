@@ -98,27 +98,6 @@ class Event:
             fn(self)
 
 
-class Timeout(Event):
-    """A timer event that knows its own scheduled :class:`Handle`.
-
-    Produced by ``Simulator.timeout``.  Carrying the handle lets the
-    last waiter's detach (``Process.interrupt``) cancel the heap entry
-    instead of leaking a live timer that fires into the void — and lets
-    the fired path drop the handle reference so no cycle outlives the
-    timer.
-    """
-
-    __slots__ = ("_handle",)
-
-    def __init__(self, sim):
-        super().__init__(sim)
-        self._handle = None
-
-    def _fire(self, value=None):
-        self._handle = None
-        self.try_succeed(value)
-
-
 class Race(Event):
     """Fused ``any_of([event, sim.timeout(...)])``: one event, one timer.
 

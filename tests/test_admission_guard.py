@@ -72,8 +72,8 @@ def test_shed_read_returns_ebusy_on_the_os_path(sim):
     guard = AdmissionGuard(sim, node.node_id).attach(node.os)
     assert node.os.admission is guard
     guard.set_level(2)  # sheds tiers >= 7
-    shed_ev = node.get(3, deadline=20 * MS, priority=7)
-    kept_ev = node.get(4, deadline=20 * MS, priority=4)
+    shed_ev = sim.process(node.get(3, deadline=20 * MS, priority=7))
+    kept_ev = sim.process(node.get(4, deadline=20 * MS, priority=4))
     sim.run()
     assert is_ebusy(shed_ev.value)
     assert not is_ebusy(kept_ev.value)

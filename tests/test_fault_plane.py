@@ -170,11 +170,11 @@ def test_latent_read_error_surfaces_as_eio(sim):
     spec = FaultSpec(read_errors=(ReadErrors(rate=1.0, node=0),))
     FaultPlane(sim, spec).arm(env.cluster)
     node = env.nodes[0]
-    ev = node.get(1)
+    ev = sim.process(node.get(1))
     sim.run_until(ev, limit=1 * SEC)
     assert ev.value is EIO
     assert node.read_errors == 1
-    other = env.nodes[1].get(1)  # the rule is scoped to node 0
+    other = sim.process(env.nodes[1].get(1))  # the rule is scoped to node 0
     sim.run_until(other, limit=1 * SEC)
     assert other.value is not EIO
 

@@ -71,7 +71,7 @@ def test_admit_rejects_busy(sim):
     verdict = predictor.admit(req, deadline=10 * MS)
     assert not verdict.accept
     assert predictor.rejected == 1
-    assert predictor.last_rejected_wait == verdict.predicted_wait
+    assert verdict.predicted_wait > 0  # the wait hint EBUSY carries
 
 
 def test_rejection_test_includes_hop_allowance(sim):

@@ -13,10 +13,14 @@ def test_hop_latency_around_mean(sim):
 
 def test_hop_event_advances_clock(sim):
     net = Network(sim, hop_us=300.0, jitter_us=0.0)
-    ev = net.hop()
+
+    def message():
+        yield net.send(net.CLIENT, 0)
+        return sim.now
+
+    proc = sim.process(message())
     sim.run()
-    assert ev.triggered
-    assert sim.now == 300.0
+    assert proc.value == 300.0
 
 
 def test_heavy_tail_component(sim):

@@ -1,6 +1,5 @@
 """Tests of generator processes."""
 
-from repro.sim.process import Interrupt
 from tests.conftest import run_process
 
 
@@ -67,66 +66,6 @@ def test_exception_propagates_to_waiter(sim):
     assert run_process(sim, parent()) == "handled"
 
 
-def test_interrupt_raises_inside_process(sim):
-    def gen():
-        try:
-            yield 1000
-        except Interrupt as intr:
-            return f"stopped:{intr.cause}"
-
-    proc = sim.process(gen())
-    sim.schedule(10, proc.interrupt, "deadline")
-    done_at = []
-    proc.add_callback(lambda e: done_at.append(sim.now))
-    sim.run()
-    assert proc.value == "stopped:deadline"
-    assert done_at == [10]  # the abandoned timer is cancelled, not leaked
-
-
-def test_interrupt_after_completion_is_noop(sim):
-    def gen():
-        yield 1
-        return "done"
-
-    proc = sim.process(gen())
-    sim.run()
-    proc.interrupt("late")
-    sim.run()
-    assert proc.value == "done"
-
-
-def test_uncaught_interrupt_fails_process(sim):
-    def gen():
-        yield 1000
-
-    proc = sim.process(gen())
-    proc.add_callback(lambda e: None)
-    sim.schedule(1, proc.interrupt)
-    sim.run()
-    assert not proc.ok
-    assert isinstance(proc.exception, Interrupt)
-
-
-def test_stale_event_after_interrupt_does_not_resume(sim):
-    ticks = []
-
-    def gen():
-        try:
-            yield sim.timeout(50)
-            ticks.append("timer fired into process")
-        except Interrupt:
-            yield 100  # keep living past the original timer
-            ticks.append("post-interrupt sleep done")
-        return "ok"
-
-    proc = sim.process(gen())
-    sim.schedule(10, proc.interrupt)
-    sim.run()
-    assert proc.value == "ok"
-    assert ticks == ["post-interrupt sleep done"]
-    assert sim.now == 110
-
-
 def test_process_first_step_is_deferred(sim):
     """The creator can attach callbacks before any process code runs."""
     order = []
@@ -141,61 +80,3 @@ def test_process_first_step_is_deferred(sim):
     proc.add_callback(lambda e: order.append("done"))
     sim.run()
     assert order == ["creator", "body", "done"]
-
-
-def test_interrupt_cancels_fused_timer_handle(sim):
-    """Regression: interrupting a plain-delay sleep must not leak the
-    scheduled timer.  The leak let the abandoned handle fire at the
-    original deadline — a spurious kernel event, and sim.now dragged
-    forward to a time nobody was waiting for."""
-    def gen():
-        try:
-            yield 1000
-        except Interrupt:
-            return "stopped"
-
-    proc = sim.process(gen())
-    sim.schedule(10, proc.interrupt)
-    sim.run()
-    assert proc.value == "stopped"
-    # A drained heap holds no live entry, and the clock never advanced
-    # to the dead timer's deadline.
-    assert sim.now == 10
-    assert all(entry[3].cancelled for entry in sim._heap)
-
-
-def test_interrupt_cancels_timeout_event_handle(sim):
-    """Same leak through the evented path: detaching the last waiter
-    from a Timeout cancels its heap entry too."""
-    def gen():
-        try:
-            yield sim.timeout(1000)
-        except Interrupt:
-            return "stopped"
-
-    proc = sim.process(gen())
-    sim.schedule(10, proc.interrupt)
-    sim.run()
-    assert proc.value == "stopped"
-    assert sim.now == 10
-    assert all(entry[3].cancelled for entry in sim._heap)
-
-
-def test_shared_timeout_survives_one_waiters_interrupt(sim):
-    """The detach-cancel is last-waiter-only: a timeout someone else
-    still waits on keeps its timer."""
-    fired = []
-    ev = sim.timeout(50)
-    ev.add_callback(lambda e: fired.append(sim.now))
-
-    def gen():
-        try:
-            yield ev
-        except Interrupt:
-            return "stopped"
-
-    proc = sim.process(gen())
-    sim.schedule(10, proc.interrupt)
-    sim.run()
-    assert proc.value == "stopped"
-    assert fired == [50]

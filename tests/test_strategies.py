@@ -6,7 +6,8 @@ from repro._units import MS, SEC
 from repro.cluster import Cluster, Network
 from repro.cluster.strategies import STRATEGIES, MittosStrategy
 from repro.errors import EIO, EBusy, is_ebusy
-from repro.experiments.common import build_disk_cluster, make_strategy
+from repro.experiments.common import (build_disk_cluster, make_strategy,
+                                      run_clients, run_ec2_disk_line)
 
 
 def _noisy_primary(env, key):
@@ -124,6 +125,34 @@ def test_tied_cancels_loser(sim):
     assert strategy.duplicates == 1
 
 
+def test_tied_cancelled_copies_are_never_served():
+    """Every cancelled copy answers EBUSY (§7.8.2): its queued IO is
+    revoked or, when the cancel reaches its server before the IO exists,
+    the IO is never submitted."""
+    _, strategy, env = run_ec2_disk_line(
+        "tied", seed=7, n_nodes=9, n_clients=6, n_ops=120,
+        horizon_us=20 * SEC)
+    assert strategy.cancellations == 720
+    assert sum(node.os.ebusy_returned for node in env.nodes) == 720
+    revoked = sum(node.os.scheduler.cancelled for node in env.nodes)
+    assert 0 < revoked < 720  # both paths occur
+
+
+@pytest.mark.parametrize("name, per_get", [("mittos", 1), ("base", 2)])
+def test_processes_per_get_on_a_fault_free_line(sim, name, per_get):
+    """A sequential read runs in its op's one process, down through node,
+    engine and OS; Base races its attempt against the coarse timeout,
+    which needs an event and so a second process.  Plus one per client."""
+    env = build_disk_cluster(sim, 6)
+    strategy = make_strategy(name, env.cluster, deadline_us=10 * MS)
+    built = []
+    spawn = sim.process
+    sim.process = lambda gen: built.append(gen) or spawn(gen)
+    recorder = run_clients(env, strategy, n_clients=3, n_ops=40)
+    assert len(recorder) == 120
+    assert len(built) == 3 + 120 * per_get
+
+
 def test_snitch_learns_to_avoid_stable_noise(sim):
     env = build_disk_cluster(sim, 3)
     env.injectors[0].busy_window(30 * SEC, concurrency=5)
@@ -177,7 +206,7 @@ def test_ebusy_response_carries_predicted_wait(sim):
     """Satellite of §8.1: the wait hint rides the EBUSY response itself."""
     env = build_disk_cluster(sim, 3)
     primary = _noisy_primary(env, 1)
-    ev = primary.get(1, deadline=5 * MS)
+    ev = sim.process(primary.get(1, deadline=5 * MS))
     sim.run_until(ev, limit=1 * SEC)
     assert is_ebusy(ev.value)
     assert ev.value.predicted_wait is not None
@@ -197,12 +226,14 @@ class _ScriptedNode:
         self.up = True
         self.epoch = 0
 
-    def get(self, key, deadline=None, priority=None):
+    def get(self, key, deadline=None, io_observer=None, priority=None):
         if deadline is None:
             self.final_gets += 1
-            return self.sim.timeout(200.0, ("data", self.node_id))
+            yield 200.0
+            return ("data", self.node_id)
         delay, result = self.script.pop(0)
-        return self.sim.timeout(delay, result)
+        yield delay
+        return result
 
 
 class _ScriptedCluster:
@@ -223,9 +254,9 @@ class _ScriptedCluster:
 
 def test_wait_hints_are_per_request_under_interleaving(sim):
     """Two clients interleave their EBUSY failover rounds; each must route
-    its last try by its *own* hints.  With the old shared
-    ``predictor.last_rejected_wait`` hint, client A read whatever value
-    client B's rejection stored last."""
+    its last try by its *own* hints.  A hint shared through the predictor
+    would let client A read whatever value client B's rejection stored
+    last."""
     busy = 100 * MS
     idle = 5 * MS
     # Arrival order per node is client A then client B (A starts first and

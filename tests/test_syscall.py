@@ -155,6 +155,25 @@ def test_io_observer_sees_block_request(sim):
     assert seen[0].offset == 10 * GB
 
 
+def test_request_cancelled_by_its_observer_is_never_submitted(sim):
+    """An observer that cancels the request it is shown (a tied copy
+    whose twin already began) keeps the IO out of the scheduler, and the
+    read answers EBUSY."""
+    os_ = _os(sim)
+
+    def cancel(req):
+        req.cancelled = True
+
+    def gen():
+        result = yield os_.read(0, 10 * GB, 4 * KB, io_observer=cancel)
+        return result
+
+    assert is_ebusy(run_process(sim, gen()))
+    assert os_.scheduler.submitted == 0
+    assert os_.device.completed == 0
+    assert os_.ebusy_returned == 1
+
+
 def test_memory_read_time_charges_actual_pages_touched(sim):
     """Regression: ``_memory_read_time`` ignored the read's offset, so an
     unaligned read spanning two pages was billed like an aligned one."""
