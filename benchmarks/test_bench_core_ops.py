@@ -26,7 +26,9 @@ def _loaded_disk_stack():
     os_ = OS(sim, disk, sched, predictor=predictor)
     rng = sim.rng("load")
     for i in range(32):
-        os_.read(0, rng.randrange(0, 900 * GB), 256 * KB, pid=i % 8)
+        sim.process(os_.read(0, rng.randrange(0, 900 * GB), 256 * KB,
+                             pid=i % 8))
+    sim.run(until=sim.now)
     return predictor
 
 
@@ -49,7 +51,8 @@ def test_mittssd_admit_under_load(benchmark):
     os_ = OS(sim, ssd, sched, predictor=predictor)
     rng = sim.rng("load")
     for _ in range(64):
-        os_.read(0, rng.randrange(0, 4096) * 16 * KB, 16 * KB)
+        sim.process(os_.read(0, rng.randrange(0, 4096) * 16 * KB, 16 * KB))
+    sim.run(until=sim.now)
 
     def admit():
         req = BlockRequest(IoOp.READ, 100 * 16 * KB, 16 * KB)

@@ -6,7 +6,7 @@ deadlines, and the staleness-guarded failover.
 """
 
 from repro._units import GB, KB, MB, MS, SEC
-from repro.errors import EBUSY
+from repro.errors import EBUSY, is_ebusy
 from repro.sim import Simulator
 
 
@@ -103,10 +103,10 @@ def test_smr_extension(benchmark):
                         rng.randrange(0, 900 * GB) // 4096 * 4096,
                         256 * KB))
                 start = sim.now
-                result = yield os_.read(
+                result = yield from os_.read(
                     0, rng.randrange(0, 900 * GB) // 4096 * 4096, 4 * KB,
                     deadline=25 * MS)
-                if result is EBUSY:
+                if is_ebusy(result):
                     rejected[0] += 1
                 else:
                     accepted.append(sim.now - start)

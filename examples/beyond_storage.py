@@ -111,9 +111,9 @@ def smr_demo():
                 os_.submit_raw(req)
             # ...while latency-sensitive reads carry a 25 ms deadline.
             start = sim.now
-            result = yield os_.read(0, rng.randrange(0, 900 * GB)
-                                    // 4096 * 4096, 4 * KB,
-                                    deadline=25 * MS)
+            result = yield from os_.read(0, rng.randrange(0, 900 * GB)
+                                         // 4096 * 4096, 4 * KB,
+                                         deadline=25 * MS)
             if is_ebusy(result):
                 ebusy[0] += 1
                 yield 300.0  # replica failover

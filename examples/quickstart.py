@@ -39,8 +39,8 @@ def main():
         for i in range(40):
             offset = rng.randrange(0, 900 * GB) // 4096 * 4096
             start = sim.now
-            result = yield os_.read(0, offset, 4 * KB, pid=1,
-                                    deadline=20 * MS)
+            result = yield from os_.read(0, offset, 4 * KB, pid=1,
+                                         deadline=20 * MS)
             elapsed = sim.now - start
             stamp = f"t={to_ms(sim.now):8.1f}ms"
             if is_ebusy(result):

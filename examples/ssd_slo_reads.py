@@ -54,11 +54,11 @@ def main():
         for _ in range(2000):
             offset = rng.randrange(0, 2 << 30) // (16 * KB) * (16 * KB)
             start = sim.now
-            result = yield primary.read(0, offset, 16 * KB,
-                                        deadline=deadline)
+            result = yield from primary.read(0, offset, 16 * KB,
+                                             deadline=deadline)
             if is_ebusy(result):
                 failovers += 1
-                yield replica.read(0, offset, 16 * KB)
+                yield from replica.read(0, offset, 16 * KB)
             latencies.add(sim.now - start)
             yield 2 * MS
         print(f"reads: {len(latencies)}, EBUSY failovers: {failovers}")

@@ -4,14 +4,17 @@ Each request is cloned to a second replica after a small delay; both copies
 carry the identity of the other, and when one *begins execution* the other
 is cancelled.  On Linux the paper found this impossible for block IO: the
 device absorbs requests immediately, the begin-execution moment is
-invisible, and there is no revocation path.  Our simulator can see device
-dispatch, so this implementation is an **upper bound** on what tied
-requests could achieve with perfect OS support (noted in EXPERIMENTS.md).
+invisible, and there is no revocation path.  Our simulator can see the
+scheduler's dispatch, so it models begin-execution there: at dispatch into
+the disk's device queue (``DiskParams.queue_depth`` deep), not at service
+start.  A copy that begins first may still wait behind queued device work
+while its twin is revoked, so this comparator is not an upper bound on
+what tied requests could achieve with perfect OS support (EXPERIMENTS.md
+§7.8.2 gives the measured wait).
 
 Requests and replies traverse the cluster network (and can be lost or
 partitioned by the fault plane); the begin-execution signal is modelled as
-a reliable side channel once the request has reached its server — another
-upper-bound idealisation.
+a reliable side channel once the request has reached its server.
 """
 
 from repro.cluster.strategies.base import Strategy

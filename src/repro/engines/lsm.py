@@ -84,7 +84,7 @@ class LsmEngine:
     # -- writes -----------------------------------------------------------
     def put(self, key):
         """Generator: insert a key (value bytes are implicit)."""
-        yield self.os.write(self.file_id, 0, 1 * KB, pid=self.pid)
+        yield from self.os.write(self.file_id, 0, 1 * KB, pid=self.pid)
         self._memtable.add(key)
         if len(self._memtable) >= self.memtable_limit:
             self._flush_memtable()
@@ -132,7 +132,7 @@ class LsmEngine:
                 continue
             if not table.may_contain(key, self._rng, self.bloom_fp_rate):
                 continue
-            result = yield self.os.read(
+            result = yield from self.os.read(
                 self.file_id, table.block_offset(key), table.block_size,
                 pid=self.pid, priority=4 if priority is None else priority,
                 deadline=deadline, io_observer=io_observer)
@@ -157,9 +157,10 @@ class LsmEngine:
         remaining = read_bytes
         while remaining > 0:
             size = min(chunk, remaining)
-            yield self.os.read(self.file_id, offset, size, pid=self.pid,
-                               ioclass=IoClass.IDLE, priority=7)
-            yield self.os.write(self.file_id, offset, size, pid=self.pid)
+            yield from self.os.read(self.file_id, offset, size,
+                                    pid=self.pid, ioclass=IoClass.IDLE,
+                                    priority=7)
+            yield from self.os.write(self.file_id, offset, size, pid=self.pid)
             offset += size
             remaining -= size
         merged = sorted(set().union(*(t.keys for t in inputs)))

@@ -67,11 +67,10 @@ class MMapEngine:
             # Admitted: dereference/read without re-checking the deadline.
             deadline = None
 
-        result = yield self.os.read(self.file_id, offset, size, pid=self.pid,
-                                    priority=4 if priority is None
-                                    else priority,
-                                    deadline=deadline,
-                                    io_observer=io_observer)
+        result = yield from self.os.read(
+            self.file_id, offset, size, pid=self.pid,
+            priority=4 if priority is None else priority,
+            deadline=deadline, io_observer=io_observer)
         if is_ebusy(result):
             self.ebusy += 1
             return result
@@ -80,7 +79,7 @@ class MMapEngine:
     def put(self, key, io_observer=None):
         """Generator: buffered write of one record (§7.8.6 semantics)."""
         offset, size = self.keyspace.locate(key)
-        yield self.os.write(self.file_id, offset, size, pid=self.pid)
+        yield from self.os.write(self.file_id, offset, size, pid=self.pid)
         if self.os.cache is not None:
             self.os.cache.insert(self.file_id, offset, size)
         return True

@@ -120,7 +120,7 @@ def _run_user(sim, replicas, network, region, deadline, mitt, n_ops,
                 last = i == len(replicas) - 1
                 dl = deadline if (mitt and not last) else None
                 yield network.send(network.CLIENT, replica.index)
-                result = yield replica.get(region, key, dl)
+                result = yield from replica.get(region, key, dl)
                 yield network.send(replica.index, network.CLIENT)
                 if not is_ebusy(result):
                     break

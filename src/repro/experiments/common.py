@@ -204,7 +204,7 @@ def run_clients(env, strategy, n_clients, n_ops, scale_factor=1,
                  for i in range(n_clients)]
     else:
         raise ValueError(f"unknown key distribution: {key_dist}")
-    recorder, procs = run_ycsb(sim, lambda i: strategy, dists, n_clients,
+    recorder, procs = run_ycsb(sim, strategy, dists, n_clients,
                                n_ops, scale_factor, think_time_us,
                                name=name, stagger_us=stagger_us)
     sim.run_until(sim.all_of(procs), limit=limit_us)

@@ -63,7 +63,7 @@ def _run_line(name, deadline_us, params, seed, sample_node=0):
     strategy = make_strategy(name, env.cluster, deadline_us=deadline_us)
     dists = [UniformKeys(params["n_keys"], sim.rng(f"keys/{i}"))
              for i in range(params["n_clients"])]
-    recorder, procs = run_ycsb(sim, lambda i: strategy, dists,
+    recorder, procs = run_ycsb(sim, strategy, dists,
                                params["n_clients"], params["n_ops"],
                                think_time_us=6 * MS, name=name)
     sim.run_until(sim.all_of(procs), limit=params["horizon_us"])

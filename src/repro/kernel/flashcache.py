@@ -11,6 +11,9 @@ for SLO admission:
 * miss -> the disk predictor (MittCFQ/MittNoop) decides for the disk read,
   and the promotion write to flash happens in the background (never on the
   foreground path, like bcache's writearound mode).
+
+``FlashCache.read`` is a sub-generator over the chosen tier's ``OS.read``,
+driven with ``yield from`` like the OS read itself.
 """
 
 from repro._units import KB
@@ -63,21 +66,22 @@ class FlashCache:
 
     # -- the read path ---------------------------------------------------
     def read(self, file_id, offset, size, pid=0, deadline=None):
-        """SLO-aware tiered read; event yields ReadResult or EBUSY."""
+        """SLO-aware tiered read as a generator: returns ReadResult or
+        EBUSY.  A successful disk read may queue a background promotion."""
         if self.cached(offset, size):
             self.hits += 1
             self._touch(self._extent_of(offset))
-            return self.ssd_os.read(file_id, self._ssd_offset(offset),
-                                    size, pid=pid, deadline=deadline)
+            return (yield from self.ssd_os.read(
+                file_id, self._ssd_offset(offset), size, pid=pid,
+                deadline=deadline))
         self.misses += 1
-        ev = self.disk_os.read(file_id, offset, size, pid=pid,
-                               deadline=deadline)
-        ev.add_callback(lambda e: self._maybe_promote(e, offset, size))
-        return ev
+        result = yield from self.disk_os.read(file_id, offset, size, pid=pid,
+                                              deadline=deadline)
+        if not is_ebusy(result):
+            self._maybe_promote(offset, size)
+        return result
 
-    def _maybe_promote(self, event, offset, size):
-        if not event.ok or is_ebusy(event._value):
-            return
+    def _maybe_promote(self, offset, size):
         extent = self._extent_of(offset)
         count = self._access_counts.get(extent, 0) + 1
         self._access_counts[extent] = count

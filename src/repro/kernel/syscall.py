@@ -14,6 +14,11 @@ pages are missing.
 Writes are buffered (memtable/NVRAM absorb) and flushed in the background at
 Idle priority — the reason user-facing write latency is flat (§7.8.6).
 
+``read`` and ``write`` are sub-generators that the caller's process drives
+with ``yield from``: a page-cache hit, a fast EBUSY or a buffered write
+waits out its delay, and the only event on the read path is a device IO's
+completion, the one :meth:`OS.submit_raw` returns.
+
 Observability: the counters ``reads``, ``writes``, ``ebusy_returned`` and
 ``addrcheck_ebusy`` are plain attributes, bumped where the matching
 ``os.read`` / ``os.write`` / ``os.ebusy`` event is recorded (EBUSY events
@@ -101,23 +106,27 @@ class OS:
             bus.record(OS_EBUSY, {"probe": probe,
                                   "predicted_wait": predicted_wait})
 
-    def _fast_reject(self, ev, outcome, file_id, pid, predicted_wait=None):
-        """Answer read event ``ev`` with EBUSY after the syscall's
-        ``ebusy_us``, without queueing any IO; returns ``ev``."""
-        self._note_ebusy(False, predicted_wait)
+    def _fast_reject(self, outcome, file_id, pid, predicted_wait=None):
+        """Sub-generator: EBUSY after the syscall's ``ebusy_us``, without
+        queueing any IO.  The caller has already noted the EBUSY."""
         ebusy_us = self.params.ebusy_us
+        yield ebusy_us
         bus = self.bus
         if bus.recorder.active:
-            ev.add_callback(lambda _ev: bus.record(SPAN_REQUEST, {
+            bus.record(SPAN_REQUEST, {
                 "outcome": outcome, "file": file_id, "pid": pid,
-                "total": ebusy_us, "stages": ebusy_spans(ebusy_us)}))
-        self.sim.schedule(ebusy_us, ev.try_succeed, EBusy(predicted_wait))
-        return ev
+                "total": ebusy_us, "stages": ebusy_spans(ebusy_us)})
+        return EBusy(predicted_wait)
 
     # -- reads -----------------------------------------------------------
     def read(self, file_id, offset, size, pid=0, ioclass=IoClass.BE,
              priority=4, deadline=None, io_observer=None):
-        """SLO-aware read; the returned event yields ReadResult or EBUSY.
+        """SLO-aware read as a generator: returns ReadResult or EBUSY.
+
+        The caller drives it with ``yield from`` inside its own process
+        (or wraps it in ``sim.process`` for background IO).  Only a
+        device read waits on an event, the one :meth:`submit_raw`
+        returns; a cache hit or a fast EBUSY just waits out its delay.
 
         ``io_observer(req)`` — if given — receives the underlying
         :class:`BlockRequest` when one is created (cache misses), letting
@@ -125,7 +134,14 @@ class OS:
         A request the observer marks ``cancelled`` is never submitted: the
         read answers a fast EBUSY instead.
         """
-        ev = self.sim.event()
+        # A plain function, not a generator function: the repo benchmark
+        # counts reads as calls to it, and a profiler counts every resume
+        # of a generator function as one more call.
+        return self._read(file_id, offset, size, pid, ioclass, priority,
+                          deadline, io_observer)
+
+    def _read(self, file_id, offset, size, pid, ioclass, priority,
+              deadline, io_observer):
         self.reads += 1
         bus = self.bus
         recording = bus.recorder.active
@@ -139,18 +155,19 @@ class OS:
                 and not self.admission.admit(pid, ioclass, priority)):
             # Backpressure shed: the same cheap fast-reject as a predicted
             # deadline violation, issued before any cache or IO work.
-            return self._fast_reject(ev, "shed", file_id, pid)
+            self._note_ebusy(False)
+            return (yield from self._fast_reject("shed", file_id, pid))
 
         if self.cache is not None and self.cache.touch(file_id, offset, size):
             latency = self._memory_read_time(offset, size)
+            yield latency
             if recording:
-                stages = cache_hit_spans(self.params.syscall_us, latency)
-                ev.add_callback(lambda _ev: bus.record(SPAN_REQUEST, {
+                bus.record(SPAN_REQUEST, {
                     "outcome": "cache-hit", "file": file_id, "pid": pid,
-                    "total": latency, "stages": stages}))
-            self.sim.schedule(latency, ev.try_succeed,
-                              ReadResult(True, latency))
-            return ev
+                    "total": latency,
+                    "stages": cache_hit_spans(self.params.syscall_us,
+                                              latency)})
+            return ReadResult(True, latency)
 
         # Cache miss (or no cache): the IO layer serves it.
         req = BlockRequest(IoOp.READ, offset, size, pid=pid, ioclass=ioclass,
@@ -163,43 +180,38 @@ class OS:
             if req.cancelled:
                 # Revoked before it was queued (a tied copy whose twin
                 # began first): never submitted.
-                return self._fast_reject(ev, "revoked", file_id, pid)
+                self._note_ebusy(False)
+                return (yield from self._fast_reject("revoked", file_id,
+                                                     pid))
 
         if deadline is not None and self.predictor is not None:
             verdict = self.predictor.admit(req, deadline)
             if not verdict.accept:
-                self._fast_reject(ev, "ebusy", file_id, pid,
-                                  verdict.predicted_wait)
+                wait = verdict.predicted_wait
+                self._note_ebusy(False, wait)
                 if self.cache is not None:
                     # Fairness caveat (§4.4): keep populating the cache.
                     self.cache.note_ebusy_swapin(file_id, offset, size)
-                return ev
+                return (yield from self._fast_reject("ebusy", file_id, pid,
+                                                     wait))
 
-        def on_complete(done_req):
-            if done_req.cancelled:
-                # Late rejection (MittCFQ bump-back): EBUSY after the fact.
-                self._note_ebusy(False, done_req.predicted_wait)
-                if bus.recorder.active:
-                    now = self.sim.now
-                    bus.record(SPAN_REQUEST, dict(
-                        request_fields(done_req), outcome="late-cancel",
-                        total=now - start,
-                        stages=request_spans(done_req, now)))
-                ev.try_succeed(EBusy(done_req.predicted_wait))
-                return
-            if self.cache is not None:
-                self.cache.insert(file_id, offset, size)
+        yield self.submit_raw(req)
+        now = self.sim.now
+        if req.cancelled:
+            # Late rejection (MittCFQ bump-back): EBUSY after the fact.
+            self._note_ebusy(False, req.predicted_wait)
             if bus.recorder.active:
-                now = self.sim.now
                 bus.record(SPAN_REQUEST, dict(
-                    request_fields(done_req), outcome="complete",
-                    total=now - start, stages=request_spans(done_req, now)))
-            ev.try_succeed(ReadResult(False, self.sim.now - start,
-                                      done_req.predicted_wait))
-
-        req.add_callback(on_complete)
-        self.scheduler.submit(req)
-        return ev
+                    request_fields(req), outcome="late-cancel",
+                    total=now - start, stages=request_spans(req, now)))
+            return EBusy(req.predicted_wait)
+        if self.cache is not None:
+            self.cache.insert(file_id, offset, size)
+        if bus.recorder.active:
+            bus.record(SPAN_REQUEST, dict(
+                request_fields(req), outcome="complete",
+                total=now - start, stages=request_spans(req, now)))
+        return ReadResult(False, now - start, req.predicted_wait)
 
     def _memory_read_time(self, offset, size):
         # Walk the pages of the *actual* byte range: an unaligned read that
@@ -244,20 +256,20 @@ class OS:
 
     # -- writes (buffered, §7.8.6) -----------------------------------------
     def write(self, file_id, offset, size, pid=0):
-        """Buffered write: absorbed by memory/NVRAM, flushed in background."""
-        ev = self.sim.event()
+        """Buffered write as a generator: absorbed by memory/NVRAM after
+        ``nvram_write_us`` (returns True), flushed in the background."""
         self.writes += 1
         bus = self.bus
         if bus.recorder.active:
             bus.record(OS_WRITE, {"file": file_id, "offset": offset,
                                   "size": size, "pid": pid})
         self._dirty_bytes += size
-        self.sim.schedule(self.params.nvram_write_us, ev.try_succeed, True)
         if (self._dirty_bytes >= self.params.flush_threshold_bytes
                 and not self._flusher_running):
             self._flusher_running = True
             self.sim.schedule(0.0, self._flush_some)
-        return ev
+        yield self.params.nvram_write_us
+        return True
 
     def _flush_some(self):
         if self._dirty_bytes <= 0:
@@ -271,10 +283,15 @@ class OS:
         req.add_callback(lambda _: self._flush_some())
         self.scheduler.submit(req)
 
-    # -- direct submission (noise injector, trace replay) ------------------
-    def submit_raw(self, req, on_complete=None):
-        """Bypass cache/SLO: used by competing-tenant noise workloads."""
-        if on_complete is not None:
-            req.add_callback(on_complete)
+    # -- direct submission (noise, workloads, device reads) ---------------
+    def submit_raw(self, req):
+        """Queue ``req`` below the cache and SLO checks; returns an event
+        that succeeds with ``req`` once it completes or is cancelled.
+
+        The one way to wait on a block IO: ``read`` yields it for a device
+        read, and competing-tenant workloads yield it between their IOs.
+        """
+        done = self.sim.event()
+        req.add_callback(done.succeed)
         self.scheduler.submit(req)
-        return req
+        return done

@@ -8,7 +8,8 @@ Three users with different working sets and deadlines share one stack:
 
 and a single ``read(..., deadline)`` call is admitted by whichever tier
 will actually serve it — the composition the paper demonstrates by running
-all three microbenchmark noises at once.
+all three microbenchmark noises at once.  The read is a sub-generator that
+drives ``FlashCache.read`` (and through it ``OS.read``) with ``yield from``.
 """
 
 from repro.errors import EBUSY, is_ebusy
@@ -27,35 +28,20 @@ class TieredStack:
         self.ebusy_returned = 0
 
     def read(self, file_id, offset, size, pid=0, deadline=None):
-        """Tiered SLO-aware read; event yields ReadResult or EBUSY."""
+        """Tiered SLO-aware read as a generator: returns ReadResult or
+        EBUSY."""
         self.reads += 1
-        ev = self.sim.event()
         start = self.sim.now
-
-        if (self.page_cache is not None
-                and self.page_cache.touch(file_id, offset, size)):
-            self.sim.schedule(self.memory_read_us, ev.try_succeed,
-                              ReadResult(True, self.memory_read_us))
-            return ev
-
-        lower = self.flash_cache.read(file_id, offset, size, pid=pid,
-                                      deadline=deadline)
-
-        def on_lower(done):
-            if not done.ok:
-                ev.fail(done.exception)
-                return
-            result = done._value
-            if is_ebusy(result):
-                self.ebusy_returned += 1
-                ev.try_succeed(result)
-                return
-            if self.page_cache is not None:
-                self.page_cache.insert(file_id, offset, size)
-            ev.try_succeed(ReadResult(False, self.sim.now - start))
-
-        lower.add_callback(on_lower)
-        return ev
+        if self.page_cache.touch(file_id, offset, size):
+            yield self.memory_read_us
+            return ReadResult(True, self.memory_read_us)
+        result = yield from self.flash_cache.read(file_id, offset, size,
+                                                  pid=pid, deadline=deadline)
+        if is_ebusy(result):
+            self.ebusy_returned += 1
+            return result
+        self.page_cache.insert(file_id, offset, size)
+        return ReadResult(False, self.sim.now - start)
 
     def addrcheck(self, file_id, offset, size, deadline):
         """Residency check against the page cache (mmap path, §4.4).

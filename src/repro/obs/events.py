@@ -50,13 +50,12 @@ import json
 
 # -- topics (declared in repro.obs.schema; re-exported here) -----------------
 from repro.obs.schema import (CACHE_HIT, CACHE_MISS, CACHE_SWAPIN, DECISION,
-                              DEVICE_CLEAN, FAULT, FORENSICS_BLAME,
-                              IO_CANCEL, IO_COMPLETE, IO_DISPATCH,
-                              IO_SERVICE_START, IO_SUBMIT, LATE_REJECT,
-                              OS_EBUSY, OS_READ, OS_WRITE, RPC_DROP,
-                              RPC_RECV, RPC_SEND, SCHEMAS, SLO_KILLSWITCH,
-                              SLO_SHED, SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
-                              SPAN_REQUEST, VERDICT)
+                              DEVICE_CLEAN, FAULT, IO_CANCEL, IO_COMPLETE,
+                              IO_DISPATCH, IO_SERVICE_START, IO_SUBMIT,
+                              LATE_REJECT, OS_EBUSY, OS_READ, OS_WRITE,
+                              RPC_DROP, RPC_RECV, RPC_SEND, SCHEMAS,
+                              SLO_KILLSWITCH, SLO_SHED, SLO_TRANSITION,
+                              SLO_WINDOW, SPAN_OP, SPAN_REQUEST, VERDICT)
 
 #: Every declared topic, in the schema registry's canonical order.
 ALL_TOPICS = tuple(SCHEMAS)

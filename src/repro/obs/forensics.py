@@ -57,13 +57,13 @@ from repro.metrics.blame import (BLAME_CLIENT_OTHER, BLAME_DEVICE_QUEUEING,
                                  BlameShare, blame_key)
 from repro.metrics.latency import percentile
 from repro.obs.accuracy import FALSE_ACCEPT, AccuracyJoiner
-from repro.obs.events import (DECISION, FAULT, FORENSICS_BLAME, IO_CANCEL,
-                              IO_COMPLETE, LATE_REJECT, RPC_DROP, SLO_SHED,
-                              SPAN_OP, SPAN_REQUEST, STAGE_BACKOFF,
+from repro.obs.events import (DECISION, FAULT, IO_CANCEL, IO_COMPLETE,
+                              LATE_REJECT, RPC_DROP, SLO_SHED, SPAN_OP,
+                              SPAN_REQUEST, STAGE_BACKOFF,
                               STAGE_DEVICE_QUEUE, STAGE_DEVICE_SERVICE,
                               STAGE_FAILOVER_HOP, STAGE_PARALLEL_WAIT,
                               STAGE_SCHED_QUEUE, STAGE_SERVER,
-                              STAGE_TIMEOUT_WAIT, VERDICT, TraceEvent)
+                              STAGE_TIMEOUT_WAIT, VERDICT)
 
 #: Event references kept per (request, blame class) — enough to point a
 #: human at the causal events without ballooning the JSON report.
@@ -121,27 +121,6 @@ def _refs_between(times, start, end, topic, note):
     if j - i > MAX_EVIDENCE:
         refs[-1] += f" (+{j - i - MAX_EVIDENCE} more)"
     return tuple(refs)
-
-
-class _DerivedTrace:
-    """Sink for derived (post-hoc) events.
-
-    Forensics verdicts are computed off a finished trace, never emitted
-    on a live bus — but they are still typed trace events.  This sink
-    mirrors the TraceBus's ``record(topic, fields)`` shape so the static
-    event-flow pass (DET011/DET012, DETW01) covers the derived
-    ``forensics.blame`` topic exactly like the live ones, and dynamic
-    validation (``validate_event``) applies unchanged.
-    """
-
-    __slots__ = ("now", "events")
-
-    def __init__(self):
-        self.now = 0.0
-        self.events = []
-
-    def record(self, topic, fields):
-        self.events.append(TraceEvent(self.now, topic, fields))
 
 
 class RequestBlame:
@@ -466,22 +445,6 @@ class BlameReport:
     def to_json(self):
         """Canonical JSON (byte-identical across same-seed runs)."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def to_events(self):
-        """The flagged requests as derived ``forensics.blame`` events."""
-        sink = _DerivedTrace()
-        for blamed in self.flagged:
-            sink.now = blamed.time
-            fields = {"kind": blamed.kind, "blame": blamed.blame,
-                      "outcome": blamed.outcome,
-                      "total": blamed.total,
-                      "charged": {b: round(us, 3)
-                                  for b, us in blamed.charged.items()},
-                      "evidence": {b: list(refs)
-                                   for b, refs in blamed.evidence.items()}}
-            fields.update(blamed.ident)
-            sink.record(FORENSICS_BLAME, fields)
-        return sink.events
 
     def render(self, top=3):
         lines = [f"tail forensics ({self.kind} spans"

@@ -75,8 +75,6 @@ SLO_KILLSWITCH = "slo.killswitch"
 SPAN_REQUEST = "span.request"
 SPAN_OP = "span.op"
 
-FORENSICS_BLAME = "forensics.blame"
-
 
 @dataclass(frozen=True)
 class TopicSchema:
@@ -215,14 +213,6 @@ SCHEMAS = {s.topic: s for s in (
             {"strategy": "str", "key": "any", "outcome": "str",
              "attempts": "int", "timeouts": "int", "total": "number",
              "stages": "mapping"}),
-    _schema(FORENSICS_BLAME,
-            "derived (post-hoc) tail-forensics verdict: one flagged tail "
-            "request with its per-blame-class charged µs and dominant blame",
-            {"kind": "str", "blame": "str", "outcome": "str",
-             "total": "number", "charged": "mapping"},
-            optional={"strategy": "str", "key": "any", "attempts": "int",
-                      "timeouts": "int", "req": "int", "pid": "int",
-                      "evidence": "mapping"}),
 )}
 
 

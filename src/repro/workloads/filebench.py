@@ -41,12 +41,8 @@ def run_filebench(sim, os, personality, span_bytes, until_us, pid_base=7000):
             size = rng.choice(spec["sizes"])
             offset = rng.randrange(0, max(1, span_bytes - size))
             offset -= offset % (4 * KB)
-            req = BlockRequest(op, offset, size, pid=pid,
-                               ioclass=IoClass.BE, priority=5)
-            done = sim.event()
-            req.add_callback(lambda _: done.try_succeed())
-            os.submit_raw(req)
-            yield done
+            yield os.submit_raw(BlockRequest(
+                op, offset, size, pid=pid, ioclass=IoClass.BE, priority=5))
             yield rng.expovariate(1.0 / spec["gap_us"])
 
     return [sim.process(worker(pid_base + t))

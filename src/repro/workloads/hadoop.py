@@ -45,24 +45,18 @@ def run_jobs(sim, os, jobs, span_bytes, chunk=1 * MB, pid_base=8000):
         remaining = job.input_bytes
         while remaining > 0:
             size = min(chunk, remaining)
-            done = sim.event()
-            req = BlockRequest(IoOp.READ, offset, size, pid=pid,
-                               ioclass=IoClass.BE, priority=6)
-            req.add_callback(lambda _: done.try_succeed())
-            os.submit_raw(req)
-            yield done
+            yield os.submit_raw(BlockRequest(
+                IoOp.READ, offset, size, pid=pid, ioclass=IoClass.BE,
+                priority=6))
             offset += size
             remaining -= size
         # Shuffle/output: writes.
         remaining = job.output_bytes
         while remaining > 0:
             size = min(chunk, remaining)
-            done = sim.event()
-            req = BlockRequest(IoOp.WRITE, offset, size, pid=pid,
-                               ioclass=IoClass.BE, priority=6)
-            req.add_callback(lambda _: done.try_succeed())
-            os.submit_raw(req)
-            yield done
+            yield os.submit_raw(BlockRequest(
+                IoOp.WRITE, offset, size, pid=pid, ioclass=IoClass.BE,
+                priority=6))
             remaining -= size
 
     def driver():

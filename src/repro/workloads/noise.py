@@ -2,7 +2,8 @@
 
 The paper runs a multi-threaded noise injector on replica nodes "whose job
 is to emulate busy neighbors at the right timing".  Ours is a set of tenant
-processes submitting competing IO straight into a node's OS:
+processes submitting competing IO straight into a node's OS with
+``OS.submit_raw``, each yielding the event it returns until its IO is done:
 
 * disk noise — concurrent random reads at a configurable ionice class
   (Figure 4a/4b use lower/higher priority than the store's IOs), or timed
@@ -38,11 +39,8 @@ class NoiseInjector:
         offset -= offset % (4 * KB)
         req = BlockRequest(op, offset, size, pid=pid, ioclass=ioclass,
                            priority=priority)
-        done = self.sim.event()
-        req.add_callback(lambda _: done.try_succeed())
-        self.os.submit_raw(req)
         self.injected_ios += 1
-        return done
+        return self.os.submit_raw(req)
 
     # -- continuous noise threads ------------------------------------------------
     def disk_read_threads(self, n_threads=4, size=4 * KB,

@@ -68,22 +68,21 @@ class YcsbClient:
         return len(recorder)
 
 
-def run_ycsb(sim, make_strategy, keydists, n_clients, n_ops, scale_factor=1,
+def run_ycsb(sim, strategy, keydists, n_clients, n_ops, scale_factor=1,
              think_time_us=1000.0, name="", stagger_us=0.0):
     """Launch ``n_clients`` clients; returns (recorder, [client processes]).
 
-    ``make_strategy(client_index)`` builds the per-client strategy (clients
-    may share one strategy instance — they are processes, not threads).
-    ``keydists`` is one key picker per client.  ``stagger_us`` delays
-    client ``i``'s first op by ``i * stagger_us``: real clients never start
-    in lockstep, and synchronized starts make the first round of shared
-    RNG-stream draws (network hop latencies) tie-order-assigned — see
-    ``python -m repro.analysis check``.
+    Every client drives the one ``strategy`` (clients share it — they are
+    processes, not threads).  ``keydists`` is one key picker per client.
+    ``stagger_us`` delays client ``i``'s first op by ``i * stagger_us``:
+    real clients never start in lockstep, and synchronized starts make the
+    first round of shared RNG-stream draws (network hop latencies)
+    tie-order-assigned — see ``python -m repro.analysis check``.
     """
     recorder = LatencyRecorder(name)
     processes = []
     for i in range(n_clients):
-        client = YcsbClient(sim, make_strategy(i), keydists[i], recorder,
+        client = YcsbClient(sim, strategy, keydists[i], recorder,
                             n_ops, scale_factor, think_time_us,
                             start_delay_us=i * stagger_us)
         processes.append(client.run())

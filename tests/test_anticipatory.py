@@ -98,13 +98,14 @@ def test_mitt_rejects_during_anticipation_with_tight_deadline(sim):
     os_, sched, disk = _stack(sim, mitt=True, anticipation_us=20 * MS)
 
     def gen():
-        ev = os_.read(0, 10 * GB, 4 * KB, pid=1)
+        ev = sim.process(os_.read(0, 10 * GB, 4 * KB, pid=1))
+        yield 0  # the read reaches the scheduler first
         sched.submit(_read(700 * GB, pid=3))  # worth anticipating over
         yield ev
         assert sched.anticipating
         # A stranger with a deadline shorter than the hold window:
-        result = yield os_.read(0, 10 * GB + 8 * KB, 4 * KB, pid=2,
-                                deadline=5 * MS)
+        result = yield from os_.read(0, 10 * GB + 8 * KB, 4 * KB, pid=2,
+                                     deadline=5 * MS)
         return result
 
     proc = sim.process(gen())

@@ -20,7 +20,7 @@ def test_flusher_wraps_offset_without_error(sim):
     os_._flush_offset = (1 << 38) - 512 * KB  # near the wrap point
 
     def gen():
-        yield os_.write(0, 0, 2 * MB)
+        yield from os_.write(0, 0, 2 * MB)
 
     proc = sim.process(gen())
     sim.run()
@@ -34,7 +34,7 @@ def test_flusher_drains_all_dirty_bytes(sim):
 
     def gen():
         for _ in range(4):
-            yield os_.write(0, 0, 1 * MB)
+            yield from os_.write(0, 0, 1 * MB)
 
     sim.process(gen())
     sim.run()
@@ -110,12 +110,12 @@ def test_ebusy_is_fast_even_under_extreme_queueing(sim):
     os_ = OS(sim, disk, CfqScheduler(sim, disk),
              predictor=MittCfq(model))
     for i in range(100):
-        os_.read(0, i * GB, 1024 * KB, pid=i % 10)
+        sim.process(os_.read(0, i * GB, 1024 * KB, pid=i % 10))
 
     def gen():
         start = sim.now
-        result = yield os_.read(0, 500 * GB, 4 * KB, pid=1,
-                                deadline=10 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+                                     deadline=10 * MS)
         return result, sim.now - start
 
     proc = sim.process(gen())
@@ -160,8 +160,8 @@ def test_idle_class_request_eventually_served_alone(sim):
     os_ = _os(sim)
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB,
-                                ioclass=IoClass.IDLE, priority=7)
+        result = yield from os_.read(0, 10 * GB, 4 * KB,
+                                     ioclass=IoClass.IDLE, priority=7)
         return result
 
     proc = sim.process(gen())

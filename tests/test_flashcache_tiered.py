@@ -32,7 +32,7 @@ def _tiers(sim, capacity_mb=4):
 
 def _read(sim, flash, offset, deadline=None):
     def gen():
-        result = yield flash.read(0, offset, 4 * KB, deadline=deadline)
+        result = yield from flash.read(0, offset, 4 * KB, deadline=deadline)
         return result
 
     return run_process(sim, gen())
@@ -101,7 +101,7 @@ def test_ssd_deadline_guards_flash_hits(sim):
 def test_disk_deadline_guards_misses(sim):
     flash, disk_os, _ = _tiers(sim)
     for i in range(6):
-        disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9)
+        sim.process(disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9))
     result = _read(sim, flash, 77 * GB, deadline=5 * MS)
     assert is_ebusy(result)
 
@@ -120,7 +120,7 @@ def test_page_cache_tier_hits_in_memory(sim):
     stack.page_cache.insert(0, 0, 4 * KB)
 
     def gen():
-        result = yield stack.read(0, 0, 4 * KB, deadline=0.5 * MS)
+        result = yield from stack.read(0, 0, 4 * KB, deadline=0.5 * MS)
         return result
 
     result = run_process(sim, gen())
@@ -132,8 +132,8 @@ def test_miss_fills_page_cache_through_tiers(sim):
     stack, flash, _, _ = _stack(sim)
 
     def gen():
-        first = yield stack.read(0, 10 * GB, 4 * KB)
-        second = yield stack.read(0, 10 * GB, 4 * KB)
+        first = yield from stack.read(0, 10 * GB, 4 * KB)
+        second = yield from stack.read(0, 10 * GB, 4 * KB)
         return first, second
 
     first, second = run_process(sim, gen())
@@ -144,10 +144,10 @@ def test_miss_fills_page_cache_through_tiers(sim):
 def test_tiered_ebusy_propagates(sim):
     stack, flash, disk_os, _ = _stack(sim)
     for i in range(6):
-        disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9)
+        sim.process(disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9))
 
     def gen():
-        result = yield stack.read(0, 77 * GB, 4 * KB, deadline=5 * MS)
+        result = yield from stack.read(0, 77 * GB, 4 * KB, deadline=5 * MS)
         return result
 
     assert is_ebusy(run_process(sim, gen()))
@@ -161,7 +161,7 @@ def test_tiered_addrcheck_uses_the_right_floor(sim):
     # repeat reads before they could train the promotion counter.)
     def warm():
         for _ in range(flash.promote_threshold):
-            result = yield flash.read(0, 10 * GB, 4 * KB)
+            result = yield from flash.read(0, 10 * GB, 4 * KB)
             assert not is_ebusy(result)
 
     run_process(sim, warm())

@@ -80,7 +80,7 @@ def test_ebusy_propagates_out_of_engine(sim):
     engine, os_ = _engine(sim)
     engine.load_bulk(range(100))
     for i in range(6):
-        os_.read(9, i * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(9, i * GB, 2048 * KB, pid=9))
     result = run_process(sim, engine.get(50, deadline=5 * MS))
     assert is_ebusy(result)
     assert engine.ebusy == 1

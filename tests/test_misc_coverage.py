@@ -88,10 +88,10 @@ def test_tiered_stack_counts_reads_and_ebusy(sim):
     flash, disk_os, _ = _tiers(sim)
     stack = TieredStack(sim, PageCache(sim, 16), flash)
     for i in range(6):
-        disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9)
+        sim.process(disk_os.read(0, i * 100 * GB, 2048 * KB, pid=9))
 
     def gen():
-        yield stack.read(0, 77 * GB, 4 * KB, deadline=5 * MS)
+        yield from stack.read(0, 77 * GB, 4 * KB, deadline=5 * MS)
 
     proc = sim.process(gen())
     sim.run()

@@ -58,7 +58,8 @@ def test_miss_propagates_to_io_predictor(sim):
     assert os_.addrcheck(0, 0, 4 * KB, deadline=50 * MS) is True
     # Busy disk: propagated deadline rejected.
     for i in range(6):
-        os_.read(0, (10 + i * 100) * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(0, (10 + i * 100) * GB, 2048 * KB, pid=9))
+    sim.run(until=sim.now)
     assert is_ebusy(os_.addrcheck(0, 4 * GB, 4 * KB, deadline=10 * MS))
 
 
@@ -74,7 +75,7 @@ def test_read_path_hit_bypasses_predictor(sim):
     os_.cache.insert(0, 0, 4 * KB)
 
     def gen():
-        result = yield os_.read(0, 0, 4 * KB, deadline=50.0)
+        result = yield from os_.read(0, 0, 4 * KB, deadline=50.0)
         return result
 
     proc = sim.process(gen())
@@ -86,10 +87,10 @@ def test_read_path_hit_bypasses_predictor(sim):
 def test_read_path_miss_consults_stacked_predictor(sim):
     os_, predictor = _stack(sim)
     for i in range(6):
-        os_.read(0, (10 + i * 100) * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(0, (10 + i * 100) * GB, 2048 * KB, pid=9))
 
     def gen():
-        result = yield os_.read(0, 4 * GB, 4 * KB, deadline=5 * MS)
+        result = yield from os_.read(0, 4 * GB, 4 * KB, deadline=5 * MS)
         return result
 
     proc = sim.process(gen())

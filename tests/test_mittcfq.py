@@ -57,10 +57,11 @@ def test_bump_back_cancellation(sim):
     os_, predictor, sched = _stack(sim)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)
-        ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS)
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))
+        ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1,
+                                  deadline=20 * MS))
         for i in range(15):
-            os_.read(0, i * GB, 1024 * KB, pid=1)
+            sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
         result = yield ev
         return result
 
@@ -74,10 +75,11 @@ def test_no_cancellation_when_disabled(sim):
     os_, predictor, sched = _stack(sim, cancel_bumped=False)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)
-        ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS)
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))
+        ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1,
+                                  deadline=20 * MS))
         for i in range(15):
-            os_.read(0, i * GB, 1024 * KB, pid=1)
+            sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
         result = yield ev
         return result
 
@@ -91,14 +93,14 @@ def test_rt_arrivals_debit_lower_classes(sim):
     os_, predictor, sched = _stack(sim)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))
         # Admitted with a modest margin; offset 0 keeps same-pid IOs from
         # cutting in line — only the RT flood can bump it.
-        ev = os_.read(0, 0, 4 * KB, pid=1, deadline=15 * MS,
-                      ioclass=IoClass.BE)
+        ev = sim.process(os_.read(0, 0, 4 * KB, pid=1, deadline=15 * MS,
+                                  ioclass=IoClass.BE))
         for i in range(15):
-            os_.read(0, (i + 1) * 30 * GB, 1024 * KB, pid=8,
-                     ioclass=IoClass.RT)
+            sim.process(os_.read(0, (i + 1) * 30 * GB, 1024 * KB, pid=8,
+                                 ioclass=IoClass.RT))
         result = yield ev
         return result
 
@@ -109,11 +111,11 @@ def test_rt_arrivals_debit_lower_classes(sim):
 
 def test_dispatched_requests_are_not_cancelled(sim):
     os_, predictor, sched = _stack(sim, depth=4)
-    ev = os_.read(0, 10 * GB, 4 * KB, pid=1, deadline=50 * MS)
+    ev = sim.process(os_.read(0, 10 * GB, 4 * KB, pid=1, deadline=50 * MS))
     # The request dispatched immediately (device had room): the ledger
     # must leave it alone no matter what arrives now.
     for i in range(10):
-        os_.read(0, i * GB, 1024 * KB, pid=1, ioclass=IoClass.RT)
+        sim.process(os_.read(0, i * GB, 1024 * KB, pid=1, ioclass=IoClass.RT))
     sim.run()
     assert not is_ebusy(ev.value)
 
@@ -130,11 +132,11 @@ def test_shadow_mode_flips_accuracy_decision():
     os_ = OS(sim, disk, sched, predictor=predictor)
 
     bumped = []
-    os_.read(0, 0, 4 * KB, pid=9)
-    ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS,
-                  io_observer=bumped.append)
+    sim.process(os_.read(0, 0, 4 * KB, pid=9))
+    ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS,
+                              io_observer=bumped.append))
     for i in range(15):
-        os_.read(0, i * GB, 1024 * KB, pid=1)
+        sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
     sim.run()
     assert not is_ebusy(ev.value)  # shadow: the IO still ran
     assert predictor.late_cancellations == 1

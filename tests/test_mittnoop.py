@@ -50,7 +50,8 @@ def test_estimate_grows_with_queue(sim):
         probe = _read(500 * GB)
         wait, _ = predictor._estimate(probe)
         waits.append(wait)
-        os_.read(0, i * 50 * GB, 1024 * KB, pid=9)
+        sim.process(os_.read(0, i * 50 * GB, 1024 * KB, pid=9))
+        sim.run(until=sim.now)
     assert waits == sorted(waits)
     assert waits[-1] > 10 * MS
 
@@ -66,7 +67,8 @@ def test_admit_accepts_idle(sim):
 def test_admit_rejects_busy(sim):
     os_, predictor = _stack(sim)
     for i in range(5):
-        os_.read(0, i * 100 * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(0, i * 100 * GB, 2048 * KB, pid=9))
+    sim.run(until=sim.now)
     req = _read(10 * GB)
     verdict = predictor.admit(req, deadline=10 * MS)
     assert not verdict.accept
@@ -142,7 +144,8 @@ def test_min_io_latency_from_model(sim):
 def test_mirror_tracks_device_population(sim):
     os_, predictor = _stack(sim, depth=2)
     for i in range(2):
-        os_.read(0, i * GB, 4 * KB, pid=9)
+        sim.process(os_.read(0, i * GB, 4 * KB, pid=9))
+    sim.run(until=sim.now)
     assert len(predictor._in_device) == 2
     sim.run()
     assert len(predictor._in_device) == 0

@@ -74,7 +74,7 @@ def test_chip_mirror_resyncs_after_drain(sim):
     os_, predictor, ssd = _stack(sim)
 
     def gen():
-        yield os_.read(0, 0, 16 * KB)
+        yield from os_.read(0, 0, 16 * KB)
         yield 1 * MS
 
     proc = sim.process(gen())
@@ -87,7 +87,8 @@ def test_channel_contention_predicted(sim):
     os_, predictor, ssd = _stack(sim)
     # Load chips 1-7 (same channel as chip 0) with reads.
     for chip in range(1, 8):
-        os_.read(0, chip * 16 * KB, 16 * KB)
+        sim.process(os_.read(0, chip * 16 * KB, 16 * KB))
+    sim.run(until=sim.now)
     wait, _ = predictor._estimate(_read(0))
     assert wait > 0.0  # channel serialization visible
 
@@ -97,7 +98,7 @@ def test_end_to_end_ebusy_failover_path(sim):
     ssd.erase_block(0)
 
     def gen():
-        result = yield os_.read(0, 0, 16 * KB, deadline=1 * MS)
+        result = yield from os_.read(0, 0, 16 * KB, deadline=1 * MS)
         return result
 
     proc = sim.process(gen())
@@ -120,7 +121,8 @@ def test_prediction_tracks_actual_latency(sim):
             req.add_callback(lambda r: done.try_succeed())
             os_.scheduler.submit(req)
             if rng.random() < 0.4:
-                os_.write(0, rng.randrange(0, 4096) * 16 * KB, 64 * KB)
+                sim.process(os_.write(0, rng.randrange(0, 4096) * 16 * KB,
+                                      64 * KB))
             yield done
             errors.append(abs(req.latency - verdict.predicted_total))
 

@@ -60,7 +60,7 @@ def test_addrcheck_path_returns_ebusy_on_miss(sim):
 def test_read_path_ebusy_when_disk_busy(sim):
     engine, os_ = _engine(sim, use_addrcheck=False)
     for i in range(6):
-        os_.read(0, i * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(0, i * GB, 2048 * KB, pid=9))
     result = run_process(sim, engine.get(7, deadline=5 * MS))
     assert is_ebusy(result)
 
@@ -68,7 +68,7 @@ def test_read_path_ebusy_when_disk_busy(sim):
 def test_no_deadline_never_ebusy(sim):
     engine, os_ = _engine(sim)
     for i in range(6):
-        os_.read(0, i * GB, 2048 * KB, pid=9)
+        sim.process(os_.read(0, i * GB, 2048 * KB, pid=9))
     record = run_process(sim, engine.get(7))
     assert not is_ebusy(record)
 

@@ -20,7 +20,7 @@ def test_get_with_deadline_can_return_ebusy(sim):
     env = build_disk_cluster(sim, 3)
     node = env.nodes[0]
     for i in range(6):
-        node.os.read(0, i * GB, 2048 * KB, pid=9)
+        sim.process(node.os.read(0, i * GB, 2048 * KB, pid=9))
     ev = sim.process(node.get(5, deadline=5 * MS))
     sim.run()
     assert is_ebusy(ev.value)
@@ -74,7 +74,7 @@ def test_get_cancellable_cancel_before_dispatch(sim):
     node = env.nodes[0]
     # Fill device + scheduler so the engine IO queues.
     for i in range(8):
-        node.os.read(0, i * GB, 2048 * KB, pid=9)
+        sim.process(node.os.read(0, i * GB, 2048 * KB, pid=9))
     ev, copy = _tied_copy(sim, env, node, 5)
 
     def canceller():

@@ -12,7 +12,7 @@ def _probe_latency(sim, node, offset=500 * GB):
 
     def gen():
         start = sim.now
-        yield node.os.read(0, offset, 4 * KB, pid=1)
+        yield from node.os.read(0, offset, 4 * KB, pid=1)
         done["latency"] = sim.now - start
 
     proc = sim.process(gen())

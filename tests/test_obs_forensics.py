@@ -13,11 +13,10 @@ from repro.metrics.blame import (BLAME_CLIENT_OTHER, BLAME_DEVICE_QUEUEING,
                                  BLAME_ORDER, BLAME_PREDICTOR_MISS,
                                  BlameShare, blame_key)
 from repro.obs.bus import TraceRecorder
-from repro.obs.events import (FAULT, FORENSICS_BLAME, IO_COMPLETE, RPC_DROP,
-                              SPAN_OP, SPAN_REQUEST, VERDICT, TraceEvent)
+from repro.obs.events import (FAULT, IO_COMPLETE, RPC_DROP, SPAN_OP,
+                              SPAN_REQUEST, VERDICT, TraceEvent)
 from repro.obs.forensics import (BlameDiff, RequestBlame, TailForensics,
                                  diff_reports)
-from repro.obs.schema import validate_event
 from repro.obs.spans import SPAN_SUM_TOLERANCE_US
 from repro.sim import Simulator
 
@@ -278,17 +277,6 @@ def test_evidence_refs_are_capped():
     refs = blamed.evidence[BLAME_NETWORK_LOSS]
     assert len(refs) == 3
     assert refs[-1].endswith("(+7 more)")
-
-
-# -- derived events ----------------------------------------------------------
-def test_to_events_validate_against_schema(tails_events):
-    report = TailForensics.from_events(tails_events).report()
-    derived = report.to_events()
-    assert len(derived) == len(report.flagged)
-    for ev, blamed in zip(derived, report.flagged):
-        assert ev.topic == FORENSICS_BLAME
-        assert ev.time == blamed.time
-        validate_event(ev)  # raises SchemaViolation on drift
 
 
 # -- BlameShare reducer -------------------------------------------------------

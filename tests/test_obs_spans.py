@@ -109,7 +109,7 @@ def test_disk_read_span_partitions_observed_latency():
     sim, os_, rec = _traced_os()
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB)
+        result = yield from os_.read(0, 10 * GB, 4 * KB)
         return result
 
     result = run_process(sim, gen())
@@ -127,7 +127,7 @@ def test_ssd_read_span_has_zero_device_queue():
     sim, os_, rec = _traced_os(device="ssd")
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB)
+        result = yield from os_.read(0, 10 * GB, 4 * KB)
         return result
 
     run_process(sim, gen())
@@ -141,7 +141,7 @@ def test_cache_hit_span():
     os_.cache.insert(0, 0, 4 * KB)
 
     def gen():
-        result = yield os_.read(0, 0, 4 * KB)
+        result = yield from os_.read(0, 0, 4 * KB)
         return result
 
     result = run_process(sim, gen())
@@ -154,12 +154,12 @@ def test_cache_hit_span():
 
 def test_fast_ebusy_span_is_syscall_only():
     sim, os_, rec = _traced_os(mitt=True)
+    for i in range(6):
+        sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        for i in range(6):
-            os_.read(0, i * 10 * GB, 4096 * KB, pid=9)
-        result = yield os_.read(0, 500 * GB, 4 * KB, pid=1,
-                                deadline=5 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+                                     deadline=5 * MS)
         return result
 
     result = run_process(sim, gen())
@@ -178,10 +178,11 @@ def test_late_cancel_span_is_all_scheduler_queue():
     sim, os_, rec = _traced_os(mitt=True, depth=1)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)
-        ev = os_.read(0, 700 * GB, 4 * KB, pid=1, deadline=25 * MS)
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))
+        ev = sim.process(os_.read(0, 700 * GB, 4 * KB, pid=1,
+                                  deadline=25 * MS))
         for i in range(20):
-            os_.read(0, i * GB, 1024 * KB, pid=1)
+            sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
         result = yield ev
         return result
 
@@ -316,11 +317,12 @@ def _bump_back_stack():
     sim, os_, rec = _traced_os(mitt=True, depth=1)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)
-        ev = os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS)
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))
+        ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1,
+                                  deadline=20 * MS))
         for i in range(15):
-            os_.read(0, i * GB, 1024 * KB, pid=1)
-        os_.write(0, 0, 4 * KB)
+            sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
+        sim.process(os_.write(0, 0, 4 * KB))
         result = yield ev
         return result
 

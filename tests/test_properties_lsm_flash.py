@@ -64,7 +64,7 @@ def test_flash_cache_lru_and_capacity_invariants(extents,
 
     def driver():
         for extent in extents:
-            yield flash.read(0, extent * 64 * KB, 4 * KB)
+            yield from flash.read(0, extent * 64 * KB, 4 * KB)
             assert flash.cached_extents <= flash.capacity_extents
             assert len(flash._lru) == flash.cached_extents
             assert set(flash._lru) == set(flash._extents)

@@ -79,7 +79,7 @@ def test_mittsmr_rejects_reads_during_cleaning(sim):
     assert smr.cleaning
 
     def gen():
-        result = yield os_.read(0, 500 * GB, 4 * KB, deadline=20 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, deadline=20 * MS)
         return result
 
     proc = sim.process(gen())
@@ -93,7 +93,7 @@ def test_cleaning_blind_predictor_misses_the_tail(sim):
     assert smr.cleaning
 
     def gen():
-        result = yield os_.read(0, 500 * GB, 4 * KB, deadline=20 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, deadline=20 * MS)
         return result
 
     proc = sim.process(gen())
@@ -107,7 +107,7 @@ def test_mittsmr_accepts_when_idle(sim):
     os_, predictor, smr = _stack(sim)
 
     def gen():
-        result = yield os_.read(0, 500 * GB, 4 * KB, deadline=30 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, deadline=30 * MS)
         return result
 
     proc = sim.process(gen())

@@ -5,6 +5,7 @@ import pytest
 from repro._units import GB, KB, MS
 from repro.devices import Disk, DiskParams
 from repro.devices.disk_profile import profile_disk
+from repro.devices.request import BlockRequest, IoOp
 from repro.errors import is_ebusy
 from repro.kernel import CfqScheduler, OS, PageCache
 from repro.mittos import MittCfq
@@ -28,7 +29,7 @@ def test_plain_read_returns_result(sim):
     os_ = _os(sim)
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB)
+        result = yield from os_.read(0, 10 * GB, 4 * KB)
         return result
 
     result = run_process(sim, gen())
@@ -41,7 +42,7 @@ def test_cache_hit_is_fast(sim):
     os_.cache.insert(0, 0, 4 * KB)
 
     def gen():
-        result = yield os_.read(0, 0, 4 * KB)
+        result = yield from os_.read(0, 0, 4 * KB)
         return result
 
     result = run_process(sim, gen())
@@ -53,8 +54,8 @@ def test_cache_miss_populates_cache(sim):
     os_ = _os(sim, cache_pages=100)
 
     def gen():
-        first = yield os_.read(0, 0, 4 * KB)
-        second = yield os_.read(0, 0, 4 * KB)
+        first = yield from os_.read(0, 0, 4 * KB)
+        second = yield from os_.read(0, 0, 4 * KB)
         return first, second
 
     first, second = run_process(sim, gen())
@@ -64,13 +65,13 @@ def test_cache_miss_populates_cache(sim):
 
 def test_deadline_read_gets_ebusy_when_busy(sim):
     os_ = _os(sim, mitt=True)
+    # Saturate the disk: several large reads.
+    for i in range(6):
+        sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        # Saturate the disk: several large reads.
-        for i in range(6):
-            os_.read(0, i * 10 * GB, 4096 * KB, pid=9)
-        result = yield os_.read(0, 500 * GB, 4 * KB, pid=1,
-                                deadline=5 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+                                     deadline=5 * MS)
         return result, sim.now
 
     result, at = run_process(sim, gen())
@@ -83,8 +84,8 @@ def test_deadline_read_accepted_when_idle(sim):
     os_ = _os(sim, mitt=True)
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB, pid=1,
-                                deadline=50 * MS)
+        result = yield from os_.read(0, 10 * GB, 4 * KB, pid=1,
+                                     deadline=50 * MS)
         return result
 
     result = run_process(sim, gen())
@@ -122,7 +123,7 @@ def test_write_is_buffered_and_fast(sim):
 
     def gen():
         start = sim.now
-        yield os_.write(0, 0, 1 * KB)
+        yield from os_.write(0, 0, 1 * KB)
         return sim.now - start
 
     latency = run_process(sim, gen())
@@ -134,7 +135,7 @@ def test_writes_flush_in_background(sim):
 
     def gen():
         for i in range(10):
-            yield os_.write(0, i * KB, 1024 * KB)
+            yield from os_.write(0, i * KB, 1024 * KB)
         return None
 
     run_process(sim, gen())
@@ -147,7 +148,7 @@ def test_io_observer_sees_block_request(sim):
     seen = []
 
     def gen():
-        yield os_.read(0, 10 * GB, 4 * KB, io_observer=seen.append)
+        yield from os_.read(0, 10 * GB, 4 * KB, io_observer=seen.append)
         return None
 
     run_process(sim, gen())
@@ -165,13 +166,71 @@ def test_request_cancelled_by_its_observer_is_never_submitted(sim):
         req.cancelled = True
 
     def gen():
-        result = yield os_.read(0, 10 * GB, 4 * KB, io_observer=cancel)
+        result = yield from os_.read(0, 10 * GB, 4 * KB, io_observer=cancel)
         return result
 
     assert is_ebusy(run_process(sim, gen()))
     assert os_.scheduler.submitted == 0
     assert os_.device.completed == 0
     assert os_.ebusy_returned == 1
+
+
+def test_a_read_allocates_an_event_only_for_device_io(sim, monkeypatch):
+    """A cache hit and a fast EBUSY (revoked or predicted) wait out their
+    delay; only a device read waits on an event, the one ``submit_raw``
+    returns."""
+    os_ = _os(sim, cache_pages=100, mitt=True)
+    os_.cache.insert(0, 0, 4 * KB)
+    allocations = []
+    make_event = sim.event
+
+    def counting_event():
+        allocations.append(sim.now)
+        return make_event()
+
+    monkeypatch.setattr(sim, "event", counting_event)
+
+    def read(offset, deadline=None, io_observer=None):
+        """(result, events allocated, start time) of one driven read."""
+        before, start = len(allocations), sim.now
+
+        def gen():
+            return (yield from os_.read(0, offset, 4 * KB, deadline=deadline,
+                                        io_observer=io_observer))
+
+        result = run_process(sim, gen())
+        return result, len(allocations) - before, start
+
+    hit, events, _ = read(0)
+    assert events == 0
+    assert hit.cache_hit and hit.predicted_wait is None
+    assert hit.latency == os_._memory_read_time(0, 4 * KB)
+
+    def revoke(req):
+        req.cancelled = True
+
+    revoked, events, _ = read(10 * GB, io_observer=revoke)
+    assert events == 0
+    assert is_ebusy(revoked) and revoked.predicted_wait is None
+
+    reqs = []
+    done, events, start = read(10 * GB, deadline=50 * MS,
+                               io_observer=reqs.append)
+    assert events == 1
+    assert not done.cache_hit
+    assert done.latency == reqs[0].complete_time - start
+    assert done.predicted_wait == reqs[0].predicted_wait
+
+    for i in range(4):
+        os_.scheduler.submit(BlockRequest(IoOp.READ, i * 100 * GB,
+                                          2048 * KB, pid=9))
+    reqs = []
+    rejected, events, _ = read(500 * GB, deadline=5 * MS,
+                               io_observer=reqs.append)
+    assert events == 0
+    assert is_ebusy(rejected)
+    assert rejected.predicted_wait == reqs[0].predicted_wait > 0
+    assert os_.ebusy_returned == 2
 
 
 def test_memory_read_time_charges_actual_pages_touched(sim):
@@ -182,8 +241,8 @@ def test_memory_read_time_charges_actual_pages_touched(sim):
     p = os_.params
 
     def gen():
-        aligned = yield os_.read(0, 0, 4 * KB)
-        unaligned = yield os_.read(0, 2 * KB, 4 * KB)  # straddles 0|1
+        aligned = yield from os_.read(0, 0, 4 * KB)
+        unaligned = yield from os_.read(0, 2 * KB, 4 * KB)  # straddles 0|1
         return aligned, unaligned
 
     aligned, unaligned = run_process(sim, gen())
@@ -201,12 +260,12 @@ def test_addrcheck_ebusy_counted_separately(sim):
     assert os_.addrcheck_ebusy == 1
     # Legacy compat: ebusy_returned still includes probe rejections.
     assert os_.ebusy_returned == 1
+    for i in range(6):
+        sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        for i in range(6):
-            os_.read(0, i * 10 * GB, 4096 * KB, pid=9)
-        result = yield os_.read(0, 500 * GB, 4 * KB, pid=1,
-                                deadline=5 * MS)
+        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+                                     deadline=5 * MS)
         return result
 
     result = run_process(sim, gen())
@@ -237,12 +296,13 @@ def test_late_cancellation_returns_ebusy(sim):
     os_ = _os(sim, mitt=True, depth=1)
 
     def gen():
-        os_.read(0, 0, 4 * KB, pid=9)  # briefly occupy the device
+        sim.process(os_.read(0, 0, 4 * KB, pid=9))  # briefly occupy the device
         # Admitted comfortably: predicted ~ one small read ahead.
-        ev = os_.read(0, 700 * GB, 4 * KB, pid=1, deadline=25 * MS)
+        ev = sim.process(os_.read(0, 700 * GB, 4 * KB, pid=1,
+                                  deadline=25 * MS))
         # A flood of closer, earlier-offset IOs bumps the deadline IO back.
         for i in range(20):
-            os_.read(0, i * GB, 1024 * KB, pid=1)
+            sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
         result = yield ev
         return result
 

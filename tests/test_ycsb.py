@@ -38,7 +38,7 @@ def test_run_ycsb_merges_recorders(sim):
     env = build_disk_cluster(sim, 3)
     strategy = make_strategy("base", env.cluster)
     dists = [UniformKeys(100, sim.rng(f"k{i}")) for i in range(4)]
-    rec, procs = run_ycsb(sim, lambda i: strategy, dists, 4, 5,
+    rec, procs = run_ycsb(sim, strategy, dists, 4, 5,
                           name="test")
     sim.run_until(sim.all_of(procs), limit=60 * SEC)
     assert len(rec) == 20
