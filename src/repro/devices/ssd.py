@@ -15,14 +15,21 @@ are chopped into page sub-IOs striped across chips.  Because chips serve
 FIFO, every command's finish time is plain arithmetic on its chip's and
 channel's next-free horizons at issue — the same arithmetic MittSSD
 predicts from — so a request schedules one completion event, at its
-slowest page, and per-command completions are settled lazily (see
-:meth:`Ssd.settle`).  The host-side FTL lives here too (page-level
-mapping, round-robin allocation, greedy GC) because on OpenChannel
-devices the host owns the FTL.
+slowest page.  No event marks a command's own finish: each chip keeps the
+ascending finish times of its commands, and a count is the finishes still
+ahead of now.  Op observers get per-command completions from a
+finish-ordered heap, settled lazily (see :meth:`Ssd.settle`), that is
+filled only while an observer is attached.  A page's jitter is
+``random.gauss`` inlined into the page loop, drawing the same values from
+the same stream.  The host-side FTL lives here too (page-level mapping,
+round-robin allocation, greedy GC) because on OpenChannel devices the host
+owns the FTL.
 """
 
 import heapq
 import itertools
+from bisect import bisect_right
+from math import cos, log, sin, sqrt, tau
 
 from repro._units import FLASH_PAGE_SIZE, MS
 from repro.devices.request import IoOp
@@ -82,16 +89,23 @@ class SsdGeometry:
 
 
 class _Chip:
-    """One NAND chip: FIFO op queue plus block allocation state."""
+    """One NAND chip: FIFO op queue plus block allocation state.
 
-    __slots__ = ("index", "channel", "next_free", "active_block",
-                 "next_page", "free_blocks", "valid_count", "erased",
-                 "erase_counts")
+    The queue is ``finishes``, the finish times of the commands issued to
+    the chip and not yet dropped as finished.  The chip serves FIFO, so
+    ``next_free`` never decreases and the list is ascending, its last
+    entry being ``next_free``.
+    """
+
+    __slots__ = ("index", "channel", "next_free", "finishes",
+                 "active_block", "next_page", "free_blocks", "valid_count",
+                 "erased", "erase_counts")
 
     def __init__(self, index, channel, geometry):
         self.index = index
         self.channel = channel
         self.next_free = 0.0
+        self.finishes = []
         self.free_blocks = list(range(geometry.blocks_per_chip))
         self.active_block = self.free_blocks.pop(0)
         self.next_page = 0
@@ -103,6 +117,13 @@ class _Chip:
 
     def wear_spread(self):
         return max(self.erase_counts) - min(self.erase_counts)
+
+    def running(self, now):
+        """Commands still running at ``now`` (a command finishing at
+        ``now`` is done); drops the finished ones."""
+        fin = self.finishes
+        del fin[:bisect_right(fin, now)]
+        return len(fin)
 
 
 class Ssd:
@@ -117,13 +138,11 @@ class Ssd:
         geo = self.geometry
         self._chips = [_Chip(i, geo.chip_channel(i), geo)
                        for i in range(geo.n_chips)]
-        #: Outstanding chip commands per channel (ground truth for the
-        #: 60 µs delay), net of the settled ones.
-        self._channel_outstanding = [0] * geo.n_channels
         #: Channel transfer timelines (transfers serialize per channel).
         self._channel_next_free = [0.0] * geo.n_channels
-        #: Issued, not yet settled chip commands: ``(finish, seq, chip)``
-        #: heap, ``seq`` being the issue order.
+        #: The op observers' completion feed: ``(finish, seq, chip_index)``
+        #: heap of the chip commands issued while an observer is attached
+        #: and not yet settled, ``seq`` being the issue order.
         self._pending = []
         self._issue_seq = itertools.count()
         #: Page-level FTL map: logical page number -> (chip, block, page).
@@ -151,40 +170,48 @@ class Ssd:
 
     @property
     def in_device(self):
-        """Outstanding chip commands — page sub-IOs plus erase/GC busy
-        periods — not requests, which is what ``Disk.in_device`` counts."""
+        """Chip commands still running — page sub-IOs plus erase/GC busy
+        periods — not requests, which is what ``Disk.in_device`` counts.
+        Each chip's count is its finishes after now."""
         self.settle()
-        return sum(self._channel_outstanding)
+        now = self.sim.now
+        return sum(chip.running(now) for chip in self._chips)
 
     def chip_next_free(self, chip_index):
         """Chip busy horizon — what MittSSD tracks (§4.3)."""
         return self._chips[chip_index].next_free
 
     def channel_outstanding(self, channel):
+        """Chip commands still running on ``channel``'s chips (ground
+        truth for the 60 µs channel delay)."""
         self.settle()
-        return self._channel_outstanding[channel]
+        now = self.sim.now
+        cpc = self.geometry.chips_per_channel
+        return sum(chip.running(now)
+                   for chip in self._chips[channel * cpc:(channel + 1) * cpc])
 
     def settle(self):
-        """Retire every chip command that has finished by now.
+        """Hand op observers the ``"complete"`` of every chip command that
+        has finished by now.
 
         A command's finish time is known when it is issued, so no event
-        marks it; it stays pending until the first query at or after that
-        time — ``in_device``, ``channel_outstanding``, the next
-        ``submit``/``erase_block``, or MittSSD's estimate.  Settling drops
-        it from its channel's count and hands op observers its
+        marks it.  While an op observer is attached, each command issued
+        also goes on the completion heap and stays there until the first
+        query at or after its finish — ``in_device``,
+        ``channel_outstanding``, the next ``submit``/``erase_block``, or
+        MittSSD's estimate.  Settling pops it and hands observers its
         ``"complete"``, in (finish time, issue order).  A command that
-        finishes exactly at ``now`` counts as done.
+        finishes exactly at ``now`` counts as done.  The counts do not
+        depend on settling: they trim the chips' finish lists.
         """
         pending = self._pending
         now = self.sim.now
-        chan_out = self._channel_outstanding
         observers = self._op_observers
         while pending and pending[0][0] <= now:
-            # repro: allow[DET005] the device's pending-command queue
-            finish, _, chip = heapq.heappop(pending)
-            chan_out[chip.channel] -= 1
+            # repro: allow[DET005] the op observers' completion feed
+            finish, _, chip_index = heapq.heappop(pending)
             for fn in observers:
-                fn("complete", chip.index, finish, "done")
+                fn("complete", chip_index, finish, "done")
 
     # -- address mapping ------------------------------------------------------
     def pages_of(self, offset, size):
@@ -228,7 +255,11 @@ class Ssd:
 
         Each page draws its jitter and advances its chip and channel
         horizons in page order; a write's GC or wear-level move draws
-        before the program of the page that triggered it.  The chip
+        before the program of the page that triggered it.  The jitter is
+        ``self._rng.gauss(1.0, jitter_frac)`` inlined: the same
+        ``random()`` calls, the same values, and the spare normal kept in
+        a local and written back to ``gauss_next`` before GC (which draws
+        ``gauss`` on the same stream) and at the end.  The chip
         does the cell work and the data crosses the shared channel, where
         transfers serialize (60 µs each) — the queueing MittSSD's
         "#IO on same channel" term predicts.  The channel is held only for
@@ -247,17 +278,19 @@ class Ssd:
             self.bus.record(IO_SERVICE_START,
                             dict(request_fields(req), device=self.name))
         geo = self.geometry
-        gauss = self._rng.gauss
+        rng = self._rng
+        random = rng.random
+        spare = rng.gauss_next
         sigma = geo.jitter_frac
         scale = self.latency_scale
         extra = self.fault_latency_extra
         xfer = geo.channel_xfer_us
         ppb = geo.pages_per_block
+        page_size = geo.page_size
         chips = self._chips
         n_chips = len(chips)
         ftl_get = self._ftl.get
         chan_free = self._channel_next_free
-        chan_out = self._channel_outstanding
         pending = self._pending
         seq = self._issue_seq
         observers = self._op_observers
@@ -265,7 +298,8 @@ class Ssd:
         op_kind = "read" if is_read else "program"
         rr = self._write_chip_rr
         last = now
-        for lpn in self.pages_of(req.offset, req.size):
+        for lpn in range(req.offset // page_size,
+                         (req.offset + req.size - 1) // page_size + 1):
             if is_read:
                 mapped = ftl_get(lpn)
                 chip = chips[lpn % n_chips if mapped is None else mapped[0]]
@@ -275,9 +309,19 @@ class Ssd:
                 rr = (rr + 1) % n_chips
                 page = self._map_page(chip, lpn)
                 if chip.next_page >= ppb:
+                    rng.gauss_next = spare
                     self._advance_active_block(chip)  # may run GC
+                    spare = rng.gauss_next
                 duration = geo.program_us[page]
-            jitter = gauss(1.0, sigma)
+            # rng.gauss(1.0, sigma), inlined.
+            if spare is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                jitter = 1.0 + cos(x2pi) * g2rad * sigma
+                spare = sin(x2pi) * g2rad
+            else:
+                jitter = 1.0 + spare * sigma
+                spare = None
             if jitter < 0.5:
                 jitter = 0.5
             if scale != 1.0:
@@ -299,13 +343,18 @@ class Ssd:
                 finish = (chip_free if chip_free > xfer_end
                           else xfer_end) + cell_time
             chip.next_free = finish
-            chan_out[channel] += 1
-            for fn in observers:
-                fn("enqueue", chip.index, duration, op_kind)
-            # repro: allow[DET005] the device's pending-command queue
-            heapq.heappush(pending, (finish, next(seq), chip))
+            fin = chip.finishes
+            if fin and fin[0] <= now:
+                del fin[:bisect_right(fin, now)]
+            fin.append(finish)
+            if observers:
+                for fn in observers:
+                    fn("enqueue", chip.index, duration, op_kind)
+                # repro: allow[DET005] the op observers' completion feed
+                heapq.heappush(pending, (finish, next(seq), chip.index))
             if finish > last:
                 last = finish
+        rng.gauss_next = spare
         self._write_chip_rr = rr
         sim.schedule_at(last, self._finish_request, req)
 
@@ -407,7 +456,8 @@ class Ssd:
         read/program/erase/gc.  ``kind`` is "complete" when the command
         is settled (see :meth:`settle`): ``us`` is the simulated time the
         chip finished it, which may lie before the current time, and
-        ``op_kind`` is "done".
+        ``op_kind`` is "done".  Only commands issued after ``fn`` is
+        attached are reported.
         """
         self._op_observers.append(fn)
 
@@ -421,10 +471,15 @@ class Ssd:
             # Drawn for every chip command, as for a page, though a busy
             # period without a transfer does not add it.
             self.fault_latency_extra()
-        finish = max(chip.next_free, self.sim.now) + duration * jitter
+        now = self.sim.now
+        finish = max(chip.next_free, now) + duration * jitter
         chip.next_free = finish
-        self._channel_outstanding[chip.channel] += 1
-        for fn in self._op_observers:
-            fn("enqueue", chip.index, duration, op_kind)
-        # repro: allow[DET005] the device's pending-command queue
-        heapq.heappush(self._pending, (finish, next(self._issue_seq), chip))
+        chip.running(now)  # drop the finished commands before queueing
+        chip.finishes.append(finish)
+        observers = self._op_observers
+        if observers:
+            for fn in observers:
+                fn("enqueue", chip.index, duration, op_kind)
+            # repro: allow[DET005] the op observers' completion feed
+            heapq.heappush(self._pending,
+                           (finish, next(self._issue_seq), chip.index))

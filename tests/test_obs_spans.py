@@ -158,12 +158,13 @@ def test_fast_ebusy_span_is_syscall_only():
         sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+        result = yield from os_.read(0, 4 * GB, 4 * KB, pid=1,
                                      deadline=5 * MS)
         return result
 
     result = run_process(sim, gen())
     assert is_ebusy(result)
+    assert result.predicted_wait > 5 * MS
     ebusy = [ev for ev in _span_events(rec)
              if ev.fields["outcome"] == "ebusy"]
     assert len(ebusy) == 1

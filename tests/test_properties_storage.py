@@ -199,7 +199,9 @@ def test_ssd_lazy_completions_match_eager_reference(ops):
     schedules one event per command would.  At every sample the device's
     counts must equal the commands still running (finish > now), and
     the real mirror — settled by its own estimate — must equal the
-    reference, resync times included.
+    reference, resync times included.  A second, observer-free device on
+    its own same-seed simulator, fed the same ops at the same times, must
+    count the same and never fill the observers' completion heap.
     """
     from types import SimpleNamespace
 
@@ -208,6 +210,8 @@ def test_ssd_lazy_completions_match_eager_reference(ops):
     geo = SsdGeometry(n_channels=2, chips_per_channel=2, blocks_per_chip=8,
                       pages_per_block=16, jitter_frac=0.05)
     ssd, predictor = _mittssd_stack(sim, geo)
+    bare_sim = Simulator(seed=6)
+    bare = Ssd(bare_sim, geo)
     ref = MittSsd(SimpleNamespace(geometry=geo,
                                   add_op_observer=lambda fn: None),
                   predictor.model)
@@ -235,10 +239,17 @@ def test_ssd_lazy_completions_match_eager_reference(ops):
         for ch in range(geo.n_channels):
             assert ssd.channel_outstanding(ch) == sum(
                 1 for chip in running if geo.chip_channel(chip) == ch)
+        bare_sim.run(until=sim.now)
+        assert bare.in_device == ssd.in_device
+        for ch in range(geo.n_channels):
+            assert bare.channel_outstanding(ch) == ssd.channel_outstanding(ch)
+        assert bare._pending == []
 
     def driver():
         for kind, where, pages, gap in ops:
             _issue(ssd, kind, where, pages)
+            bare_sim.run(until=sim.now)
+            _issue(bare, kind, where, pages)
             yield gap
             sample()
 

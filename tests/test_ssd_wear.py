@@ -1,11 +1,15 @@
 """Tests of SSD wear bookkeeping and wear-leveling noise (§4.3)."""
 
+import pytest
+
 from repro.devices import BlockRequest, IoOp, Ssd, SsdGeometry
+from repro.sim import Simulator
+from repro.sim.sanitizer import CountingRandom
 
 
-def _tiny_geo(wear_threshold=3):
+def _tiny_geo(wear_threshold=3, jitter_frac=0.0):
     geo = SsdGeometry(n_channels=1, chips_per_channel=1, blocks_per_chip=6,
-                      pages_per_block=8, jitter_frac=0.0)
+                      pages_per_block=8, jitter_frac=jitter_frac)
     geo.wear_spread_threshold = wear_threshold
     return geo
 
@@ -58,3 +62,31 @@ def test_wear_leveling_is_visible_to_the_host(sim):
     times = [t for _, t in settled]
     assert times == sorted(times)
     assert times[-1] == ssd.chip_next_free(0)
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_inlined_jitter_draws_as_gauss_across_gc(paranoid):
+    """The page loop's inlined ``gauss`` leaves the device stream where
+    plain ``gauss`` calls would: one per page plus one per GC and
+    wear-level command, with the spare normal carried across requests and
+    handed to the GC a write triggers."""
+    sim = Simulator(seed=3, paranoid=paranoid)
+    ssd = Ssd(sim, _tiny_geo(wear_threshold=3, jitter_frac=0.05))
+    ref = CountingRandom(f"3/ssd/{ssd.name}")
+    page = ssd.geometry.page_size
+    spare_crossed = 0
+    for i in range(240):
+        pages = 1 + i % 3
+        op = IoOp.READ if i % 4 == 3 else IoOp.WRITE
+        chip_ops = ssd.gc_runs + ssd.wear_level_runs
+        ssd.submit(BlockRequest(op, (i % 5) * page, pages * page))
+        chip_ops = ssd.gc_runs + ssd.wear_level_runs - chip_ops
+        for _ in range(pages + chip_ops):
+            ref.gauss(1.0, 0.05)
+        assert ssd._rng.getstate() == ref.getstate()
+        if paranoid:
+            assert ssd._rng.draws == ref.draws
+        spare_crossed += ssd._rng.gauss_next is not None
+        sim.run()
+    assert ssd.gc_runs > 0 and ssd.wear_level_runs > 0
+    assert spare_crossed > 0

@@ -70,12 +70,14 @@ def test_deadline_read_gets_ebusy_when_busy(sim):
         sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+        result = yield from os_.read(0, 4 * GB, 4 * KB, pid=1,
                                      deadline=5 * MS)
         return result, sim.now
 
     result, at = run_process(sim, gen())
     assert is_ebusy(result)
+    # Rejected for the queue: the same read on an idle disk is accepted.
+    assert result.predicted_wait > 5 * MS
     assert at < 1 * MS  # rejection is instant (microseconds)
     assert os_.ebusy_returned == 1
 
@@ -264,12 +266,13 @@ def test_addrcheck_ebusy_counted_separately(sim):
         sim.process(os_.read(0, i * 10 * GB, 4096 * KB, pid=9))
 
     def gen():
-        result = yield from os_.read(0, 500 * GB, 4 * KB, pid=1,
+        result = yield from os_.read(0, 4 * GB, 4 * KB, pid=1,
                                      deadline=5 * MS)
         return result
 
     result = run_process(sim, gen())
     assert is_ebusy(result)
+    assert result.predicted_wait > 5 * MS
     assert os_.ebusy_returned == 2
     assert os_.addrcheck_ebusy == 1  # read-path EBUSY is not a probe
 
