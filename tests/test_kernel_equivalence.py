@@ -56,6 +56,10 @@ CELLS = [
     ("fig3-ssd", 7, None),
     ("fig8", 7, None),
     ("fig7", 7, None),
+    ("fig3-accuracy", 7, None),
+    ("fig10", 7, None),
+    ("table1", 7, None),
+    ("tails", 7, None),
 ]
 
 
