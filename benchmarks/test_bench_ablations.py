@@ -3,8 +3,11 @@
 * diff calibration (§4.1) on/off,
 * SSTF-order modelling vs naive FIFO horizon (§4.1/§A),
 * tolerable-time cancellation (§4.2) on/off,
-* chip-aware vs block-level SSD model (§4.3),
 * deadline sweep around p95 (§8.1's open problem).
+
+Precise vs naive MittSSD (§4.3) is not benched here: naive mode keeps the
+per-chip horizons, drops the channel term and assumes 1.5 ms for every
+program, and fig9's ``naive%`` column measures it.
 """
 
 from repro._units import MS, SEC

@@ -28,9 +28,8 @@ from repro.devices.disk_profile import profile_disk
 from repro.devices.ssd_profile import SsdLatencyModel
 from repro.engines import KeySpace, LsmEngine, MMapEngine
 from repro.kernel import CfqScheduler, NoopScheduler, OS, PageCache
-from repro.metrics import format_table
+from repro.metrics import format_table, latency_reduction
 from repro.mittos import MittCache, MittCfq, MittNoop, MittSsd
-from repro.sim import Simulator
 from repro.workloads import NoiseInjector, UniformKeys, ZipfianKeys
 from repro.workloads.ycsb import run_ycsb
 
@@ -220,17 +219,18 @@ def apply_ec2_noise(env, noise_model, horizon_us, rng_name="ec2"):
     return schedules
 
 
-def run_ec2_disk_line(strategy_name, deadline_us=None, seed=7, n_nodes=20,
+def run_ec2_disk_line(sim, strategy_name, deadline_us=None, n_nodes=20,
                       n_clients=30, n_ops=1200, think_time_us=6 * MS,
                       horizon_us=None, scale_factor=1, noise_model=None,
-                      node_kwargs=None, strategy_kwargs=None):
-    """One strategy line of the Figure 5/6 family on a fresh simulator.
+                      node_kwargs=None, strategy_kwargs=None,
+                      stagger_us=0.0):
+    """One strategy line of the Figure 5/6 family on ``sim``.
 
-    Returns (recorder, strategy, env).  The same seed gives every line the
-    identical EC2 noise replay.
+    Returns (recorder, strategy, env).  Figures pass a fresh
+    ``Simulator(seed=seed)`` per line, so every line sees the identical
+    EC2 noise replay; scenario hooks pass their caller's simulator.
     """
     from repro.workloads import Ec2NoiseModel
-    sim = Simulator(seed=seed)
     env = build_disk_cluster(sim, n_nodes, **(node_kwargs or {}))
     horizon = horizon_us or 120_000_000.0
     apply_ec2_noise(env, noise_model or Ec2NoiseModel("disk"), horizon)
@@ -240,8 +240,42 @@ def run_ec2_disk_line(strategy_name, deadline_us=None, seed=7, n_nodes=20,
     recorder = run_clients(env, strategy, n_clients, n_ops,
                            scale_factor=scale_factor,
                            think_time_us=think_time_us,
-                           name=strategy_name, limit_us=horizon)
+                           name=strategy_name, limit_us=horizon,
+                           stagger_us=stagger_us)
     return recorder, strategy, env
+
+
+def scale_factor_sweep(result, run_line, base, hedge_delay_us, deadline_us,
+                       scale_factors, percentiles, heading,
+                       reduction_heading):
+    """The Figure 6/7/8 loop: Base, Hedged and MittOS at each scale factor.
+
+    ``run_line(name, deadline_us, sf)`` runs one line and returns its
+    recorder; ``base`` is the SF=1 Base recorder the figure already ran
+    for its deadline.  Adds one percentile table per scale factor and the
+    reduction table of MittOS vs Hedged; leaves ``lines_sf{sf}`` and
+    ``reductions`` in ``result.data``.
+    """
+    reductions = {}
+    for sf in scale_factors:
+        lines = {"base": base if sf == 1 else run_line("base", None, sf)}
+        lines["hedged"] = run_line("hedged", hedge_delay_us, sf)
+        lines["mittos"] = run_line("mittos", deadline_us, sf)
+        for key, rec in lines.items():
+            rec.name = f"{key}/SF={sf}"
+        headers, rows = percentile_rows(list(lines.values()),
+                                        percentiles=percentiles)
+        result.add_table(f"{heading}: scale factor {sf} (ms)", headers, rows)
+        reductions[sf] = latency_reduction(lines["hedged"], lines["mittos"],
+                                           percentiles=(75, 90, 95, 99))
+        result.data[f"lines_sf{sf}"] = lines
+    red_rows = [[f"SF={sf}"] +
+                [round(reductions[sf][k], 1)
+                 for k in ("avg", "p75", "p90", "p95", "p99")]
+                for sf in scale_factors]
+    result.add_table(reduction_heading,
+                     ["scale", "avg", "p75", "p90", "p95", "p99"], red_rows)
+    result.data["reductions"] = reductions
 
 
 class ExperimentResult:

@@ -12,10 +12,10 @@ Every strategy line runs on a fresh simulator with the same seed, so each
 sees the identical fault schedule (same crash times, same lost-message
 draws) — the fault-plane analogue of replaying one EC2 timeslice.
 
-Two scaled-down slices are registered scenario hooks
-(``repro.experiments.registry.SCENARIOS``): :func:`race_scenario`
-(``faultsweep``, every fault at once) and :func:`tails_scenario`
-(``tails``, planted causes in disjoint windows).  The determinism gate
+Two slices of the sweep's line builder :func:`_run_line` are registered
+scenario hooks (``repro.experiments.registry.SCENARIOS``):
+:func:`race_scenario` (``faultsweep``, every fault at once) and
+:func:`tails_scenario` (``tails``, planted causes in disjoint windows).  The determinism gate
 ``python -m repro.analysis check`` runs both; the second also feeds
 ``python -m repro.obs tails --scenario tails``.
 """
@@ -55,18 +55,39 @@ def _spec(loss_rate, horizon_us):
     )
 
 
-def _run_line(name, loss_rate, deadline_us, params, seed):
-    """One (strategy, loss-rate) cell on a fresh simulator."""
-    sim = Simulator(seed=seed)
-    spec = _spec(loss_rate, params["horizon_us"])
+def _slice_spec(false_positive_rate):
+    """The 3 s race slices' failure plan: 10 % message loss, node 1
+    crash-stopped for 1 s, node 2 gray-failing and node 0 under a device
+    storm in overlapping windows, latent read errors on node 3, and
+    decision flips at ``false_positive_rate``."""
+    return FaultSpec(
+        message_loss=(MessageLoss(rate=0.1),),
+        crashes=(CrashWindow(node=1, start_us=0.5 * SEC,
+                             duration_us=1 * SEC),),
+        fail_slow=(FailSlow(node=2, start_us=1 * SEC, duration_us=1 * SEC,
+                            cpu_factor=4.0, device_factor=2.0),),
+        device_storms=(DeviceStorm(node=0, start_us=1.5 * SEC,
+                                   duration_us=1 * SEC, factor=2.0,
+                                   spike_prob=0.1),),
+        read_errors=(ReadErrors(rate=0.05, node=3),),
+        false_positive_rate=false_positive_rate,
+        rpc_timeout_us=60 * MS,
+        op_budget_us=1 * SEC,
+        max_attempts=6,
+    )
+
+
+def _run_line(sim, name, spec, deadline_us, params):
+    """One strategy line on ``sim`` under the failure plan ``spec``."""
     plane = FaultPlane(sim, spec)
     env = build_disk_cluster(sim, params["n_nodes"],
                              fault_injector=plane.decision_injector)
     plane.arm(env.cluster)
     strategy = make_strategy(name, env.cluster, deadline_us=deadline_us)
     rec = run_clients(env, strategy, params["n_clients"], params["n_ops"],
-                      think_time_us=4 * MS, name=name,
-                      limit_us=params["horizon_us"])
+                      think_time_us=params["think_time_us"], name=name,
+                      limit_us=params["horizon_us"],
+                      stagger_us=params.get("stagger_us", 0.0))
     return rec, strategy, plane
 
 
@@ -74,11 +95,17 @@ def run(quick=True, seed=7):
     params = dict(n_nodes=9,
                   n_clients=6 if quick else 16,
                   n_ops=60 if quick else 400,
+                  think_time_us=4 * MS,
                   horizon_us=(8 if quick else 40) * SEC)
+
+    def run_line(name, loss_rate, deadline_us):
+        return _run_line(Simulator(seed=seed), name,
+                         _spec(loss_rate, params["horizon_us"]),
+                         deadline_us, params)
 
     # Deadline from a clean Base run, like the figure experiments: p95 of
     # the fault-free baseline.
-    clean, _, _ = _run_line("base", 0.0, None, params, seed)
+    clean, _, _ = run_line("base", 0.0, None)
     deadline = clean.p(95) * MS
 
     result = ExperimentResult(
@@ -87,9 +114,8 @@ def run(quick=True, seed=7):
     final_recs = []
     for loss_rate in LOSS_RATES:
         for name in STRATEGIES:
-            rec, strategy, plane = _run_line(
-                name, loss_rate, None if name == "base" else deadline,
-                params, seed)
+            rec, strategy, plane = run_line(
+                name, loss_rate, None if name == "base" else deadline)
             avail = AvailabilityStats.from_recorder(rec)
             rows.append([
                 f"{loss_rate:.0%}", name, len(rec),
@@ -137,30 +163,10 @@ def race_scenario(sim):
     EBUSY failover, crash/restart, storms) must be insensitive to tie
     order, which the check asserts.
     """
-    horizon = 3 * SEC
-    spec = FaultSpec(
-        message_loss=(MessageLoss(rate=0.1),),
-        crashes=(CrashWindow(node=1, start_us=0.5 * SEC,
-                             duration_us=1 * SEC),),
-        fail_slow=(FailSlow(node=2, start_us=1 * SEC, duration_us=1 * SEC,
-                            cpu_factor=4.0, device_factor=2.0),),
-        device_storms=(DeviceStorm(node=0, start_us=1.5 * SEC,
-                                   duration_us=1 * SEC, factor=2.0,
-                                   spike_prob=0.1),),
-        read_errors=(ReadErrors(rate=0.05, node=3),),
-        false_positive_rate=0.05,
-        rpc_timeout_us=60 * MS,
-        op_budget_us=1 * SEC,
-        max_attempts=6,
-    )
-    plane = FaultPlane(sim, spec)
-    env = build_disk_cluster(sim, 6,
-                             fault_injector=plane.decision_injector)
-    plane.arm(env.cluster)
-    strategy = make_strategy("mittos", env.cluster, deadline_us=25 * MS)
-    run_clients(env, strategy, n_clients=4, n_ops=25,
-                think_time_us=2 * MS, name="mittos", limit_us=horizon,
-                stagger_us=17.0)
+    params = dict(n_nodes=6, n_clients=4, n_ops=25, think_time_us=2 * MS,
+                  horizon_us=3 * SEC, stagger_us=17.0)
+    _run_line(sim, "mittos", _slice_spec(false_positive_rate=0.05),
+              25 * MS, params)
 
 
 def tails_scenario(sim):
@@ -175,7 +181,6 @@ def tails_scenario(sim):
     crash window (failover chains).  Client starts are staggered like
     ``race_scenario`` so the slice is tie-order insensitive.
     """
-    horizon = 800 * MS
     spec = FaultSpec(
         message_loss=(MessageLoss(rate=1.0, start_us=60 * MS,
                                   duration_us=60 * MS),),
@@ -188,11 +193,6 @@ def tails_scenario(sim):
         op_budget_us=400 * MS,
         max_attempts=6,
     )
-    plane = FaultPlane(sim, spec)
-    env = build_disk_cluster(sim, 6,
-                             fault_injector=plane.decision_injector)
-    plane.arm(env.cluster)
-    strategy = make_strategy("mittos", env.cluster, deadline_us=25 * MS)
-    run_clients(env, strategy, n_clients=4, n_ops=45,
-                think_time_us=2 * MS, name="mittos", limit_us=horizon,
-                stagger_us=17.0)
+    params = dict(n_nodes=6, n_clients=4, n_ops=45, think_time_us=2 * MS,
+                  horizon_us=800 * MS, stagger_us=17.0)
+    _run_line(sim, "mittos", spec, 25 * MS, params)

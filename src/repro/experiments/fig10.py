@@ -13,36 +13,30 @@ setup runs with controlled decision errors injected into MittCFQ:
 """
 
 from repro._units import MS, SEC
-from repro.experiments.common import (ExperimentResult, apply_ec2_noise,
-                                      build_disk_cluster, make_strategy,
-                                      percentile_rows, run_clients)
+from repro.experiments.common import (ExperimentResult, percentile_rows,
+                                      run_ec2_disk_line)
 from repro.mittos.faults import FaultInjector
 from repro.sim import Simulator
 
 ERROR_RATES = (0.0, 0.2, 0.6, 1.0)
 
 
-def _run_line(kind, rate, deadline_us, params, seed):
-    """kind: None=Base, 'fn'/'fp' = MittCFQ with injected errors."""
-    sim = Simulator(seed=seed)
+def _run_line(sim, kind, rate, deadline_us, params):
+    """kind: None=Base, 'fn'/'fp' = MittCFQ with injected errors.
+
+    ``params`` are :func:`run_ec2_disk_line` keywords; returns the
+    recorder.
+    """
     fault = None
     if kind is not None and rate > 0:
         fault = FaultInjector(
             sim.rng("faults"),
             false_negative_rate=rate if kind == "fn" else 0.0,
             false_positive_rate=rate if kind == "fp" else 0.0)
-    env = build_disk_cluster(sim, params["n_nodes"],
-                             fault_injector=fault)
-    from repro.workloads import Ec2NoiseModel
-    apply_ec2_noise(env, Ec2NoiseModel("disk"), params["horizon_us"])
     name = "base" if kind is None else "mittos"
-    strategy = make_strategy(name, env.cluster,
-                             deadline_us=None if kind is None
-                             else deadline_us)
-    rec = run_clients(env, strategy, params["n_clients"], params["n_ops"],
-                      think_time_us=6 * MS, name=name,
-                      limit_us=params["horizon_us"])
-    return rec
+    return run_ec2_disk_line(sim, name, deadline_us=deadline_us,
+                             node_kwargs={"fault_injector": fault},
+                             **params)[0]
 
 
 def race_scenario(sim):
@@ -55,25 +49,17 @@ def race_scenario(sim):
     shared network draws out by heap order (see
     ``faultsweep.race_scenario``).
     """
-    from repro.workloads import Ec2NoiseModel
-
-    horizon = 2 * SEC
-    fault = FaultInjector(sim.rng("faults"), false_negative_rate=0.0,
-                          false_positive_rate=0.2)
-    env = build_disk_cluster(sim, 6, fault_injector=fault)
-    apply_ec2_noise(env, Ec2NoiseModel("disk"), horizon)
-    strategy = make_strategy("mittos", env.cluster, deadline_us=25 * MS)
-    run_clients(env, strategy, n_clients=4, n_ops=25,
-                think_time_us=2 * MS, name="mittos", limit_us=horizon,
-                stagger_us=17.0)
+    params = dict(n_nodes=6, n_clients=4, n_ops=25, think_time_us=2 * MS,
+                  horizon_us=2 * SEC, stagger_us=17.0)
+    _run_line(sim, "fp", 0.2, 25 * MS, params)
 
 
 def run(quick=True, seed=7):
     params = dict(n_nodes=20, n_clients=20 if quick else 30,
-                  n_ops=400 if quick else 1200,
+                  n_ops=400 if quick else 1200, think_time_us=6 * MS,
                   horizon_us=(60 if quick else 150) * SEC)
 
-    base = _run_line(None, 0.0, None, params, seed)
+    base = _run_line(Simulator(seed=seed), None, 0.0, None, params)
     deadline = base.p(95) * MS
     base.name = "Base"
 
@@ -83,7 +69,8 @@ def run(quick=True, seed=7):
                         ("fp", "Figure 10b: false-positive injection")):
         recs = []
         for rate in ERROR_RATES:
-            rec = _run_line(kind, rate, deadline, params, seed)
+            rec = _run_line(Simulator(seed=seed), kind, rate, deadline,
+                            params)
             rec.name = "NoError" if rate == 0 else f"{int(rate * 100)}%"
             recs.append(rec)
         recs.append(base)

@@ -13,10 +13,8 @@ driven by the synthetic EC2 noise model and verify the three observations:
 
 from repro._units import GB, KB, MS, SEC
 from repro.engines import KeySpace
-from repro.experiments.common import (ExperimentResult, apply_ec2_noise,
-                                      build_disk_cluster, build_disk_node,
-                                      build_ssd_node, make_strategy,
-                                      run_clients)
+from repro.experiments.common import (ExperimentResult, build_disk_node,
+                                      build_ssd_node, run_ec2_disk_line)
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.sim import Simulator
 from repro.workloads import Ec2NoiseModel, NoiseInjector
@@ -25,16 +23,9 @@ PROBE_GAPS = {"disk": 100 * MS, "ssd": 20 * MS, "cache": 20 * MS}
 BUSY_THRESHOLDS_MS = {"disk": 20.0, "ssd": 1.0, "cache": 0.05}
 
 
-def _probe_nodes(resource, n_nodes, horizon_us, seed, sim=None):
-    """Run the probe workload on n nodes; returns per-node recorders and
-    the noise schedules used.
-
-    ``sim`` lets a caller supply a pre-built simulator (e.g. a paranoid one
-    for replay verification); by default a fresh ``Simulator(seed=seed)``
-    is used, as in the paper runs.
-    """
-    if sim is None:
-        sim = Simulator(seed=seed)
+def _probe_nodes(sim, resource, n_nodes, horizon_us):
+    """Run the probe workload on n nodes of ``sim``; returns per-node
+    recorders and the noise schedules used."""
     model = Ec2NoiseModel(resource)
     keyspace = KeySpace(5_000, value_size=4 * KB,
                         span_bytes=(800 * GB if resource == "disk"
@@ -93,34 +84,31 @@ def replay_scenario(sim, resource="disk", n_nodes=3, horizon_us=2 * SEC):
     check`` proves the experiment replays bit-identically under
     ``paranoid=True``.
     """
-    _probe_nodes(resource, n_nodes, horizon_us, seed=sim.seed, sim=sim)
+    _probe_nodes(sim, resource, n_nodes, horizon_us)
 
 
 def ssd_scenario(sim):
     """The fig3 SSD probe under write/erase noise (3 nodes, 2 s) — the
     slice that pins the OpenChannel SSD model's timing."""
-    _probe_nodes("ssd", 3, 2 * SEC, seed=sim.seed, sim=sim)
+    _probe_nodes(sim, "ssd", 3, 2 * SEC)
 
 
-def accuracy_scenario(sim, n_nodes=5, horizon_us=2 * SEC):
+def accuracy_scenario(sim):
     """A shadow-mode MittOS slice for the prediction-accuracy observatory.
 
     :func:`replay_scenario` is golden-pinned and probes with ``mitt=False``
-    — it makes no admission decisions at all — so the accuracy CLI gets
-    its own hook: a small MittCFQ disk cluster in **shadow mode** (§7.6 —
-    verdicts recorded, never enforced, so every would-be-rejected IO
-    still runs and can be graded against its actual wait), EC2 disk
-    noise, and deadline-tagged YCSB clients.  Client starts are staggered
-    like the race scenarios so the slice stays free of t=0 tie races.
+    — it makes no admission decisions at all — so the accuracy CLI grades
+    a slice of the fig5 MittCFQ line instead: 5 disk nodes for 2 s in
+    **shadow mode** (§7.6 — verdicts recorded, never enforced, so every
+    would-be-rejected IO still runs and can be graded against its actual
+    wait), EC2 disk noise, and deadline-tagged YCSB clients.  Client
+    starts are staggered like the race scenarios so the slice stays free
+    of t=0 tie races.
     """
-    from repro.workloads import Ec2NoiseModel
-
-    env = build_disk_cluster(sim, n_nodes, shadow=True)
-    apply_ec2_noise(env, Ec2NoiseModel("disk"), horizon_us)
-    strategy = make_strategy("mittos", env.cluster, deadline_us=20 * MS)
-    run_clients(env, strategy, n_clients=4, n_ops=40,
-                think_time_us=2 * MS, name="mittos", limit_us=horizon_us,
-                stagger_us=17.0)
+    run_ec2_disk_line(sim, "mittos", deadline_us=20 * MS, n_nodes=5,
+                      n_clients=4, n_ops=40, think_time_us=2 * MS,
+                      horizon_us=2 * SEC, node_kwargs={"shadow": True},
+                      stagger_us=17.0)
 
 
 def run(quick=True, seed=7):
@@ -129,7 +117,8 @@ def run(quick=True, seed=7):
 
     result = ExperimentResult("fig3", "EC2 millisecond dynamism")
     for resource in ("disk", "ssd", "cache"):
-        recorders, schedules = _probe_nodes(resource, n_nodes, horizon, seed)
+        recorders, schedules = _probe_nodes(Simulator(seed=seed), resource,
+                                            n_nodes, horizon)
         merged = LatencyRecorder(resource)
         for rec in recorders:
             merged.extend(rec)

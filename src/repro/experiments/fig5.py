@@ -17,6 +17,7 @@ from repro._units import MS
 from repro.experiments.common import (ExperimentResult, percentile_rows,
                                       run_ec2_disk_line)
 from repro.metrics.reduction import latency_reduction
+from repro.sim import Simulator
 
 LINES = ("base", "appto", "clone", "hedged", "mittos")
 
@@ -29,14 +30,15 @@ def run(quick=True, seed=7):
         params = dict(n_nodes=20, n_clients=30, n_ops=1500,
                       think_time_us=6 * MS, horizon_us=150_000_000.0)
 
-    base_rec, _, _ = run_ec2_disk_line("base", seed=seed, **params)
+    base_rec, _, _ = run_ec2_disk_line(Simulator(seed=seed), "base",
+                                       **params)
     deadline = base_rec.p(95) * MS
 
     recorders = {"base": base_rec}
     strategies = {}
     for name in LINES[1:]:
-        rec, strat, _ = run_ec2_disk_line(name, deadline_us=deadline,
-                                          seed=seed, **params)
+        rec, strat, _ = run_ec2_disk_line(Simulator(seed=seed), name,
+                                          deadline_us=deadline, **params)
         recorders[name] = rec
         strategies[name] = strat
 

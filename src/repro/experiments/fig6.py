@@ -11,9 +11,9 @@ with SF (up to 35% at p95, 16-23% on average at SF=5-10).
 """
 
 from repro._units import MS
-from repro.experiments.common import (ExperimentResult, percentile_rows,
-                                      run_ec2_disk_line)
-from repro.metrics.reduction import latency_reduction
+from repro.experiments.common import (ExperimentResult, run_ec2_disk_line,
+                                      scale_factor_sweep)
+from repro.sim import Simulator
 
 SCALE_FACTORS = (1, 2, 5, 10)
 
@@ -26,38 +26,21 @@ def run(quick=True, seed=7):
         params = dict(n_nodes=20, n_clients=30, n_ops=1000,
                       think_time_us=6 * MS, horizon_us=180_000_000.0)
 
+    def run_line(name, deadline_us, sf):
+        return run_ec2_disk_line(Simulator(seed=seed), name,
+                                 deadline_us=deadline_us, scale_factor=sf,
+                                 **params)[0]
+
     # Deadline comes from per-IO behaviour (SF=1 Base), as in Figure 5.
-    base_rec, _, _ = run_ec2_disk_line("base", seed=seed, **params)
+    base_rec = run_line("base", None, 1)
     deadline = base_rec.p(95) * MS
 
     result = ExperimentResult("fig6", "Tail amplified by scale "
                                       "(MittCFQ vs Hedged)")
-    reductions = {}
-    for sf in SCALE_FACTORS:
-        lines = {"base": base_rec if sf == 1 else
-                 run_ec2_disk_line("base", seed=seed, scale_factor=sf,
-                                   **params)[0]}
-        for name in ("hedged", "mittos"):
-            lines[name] = run_ec2_disk_line(name, deadline_us=deadline,
-                                            seed=seed, scale_factor=sf,
-                                            **params)[0]
-        for name, rec in lines.items():
-            rec.name = f"{name}/SF={sf}"
-        headers, rows = percentile_rows(
-            [lines[n] for n in ("base", "hedged", "mittos")],
-            percentiles=(50, 75, 90, 95, 99))
-        result.add_table(f"Figure 6: scale factor {sf} (ms)", headers, rows)
-        reductions[sf] = latency_reduction(lines["hedged"], lines["mittos"],
-                                           percentiles=(75, 90, 95, 99))
-
-    red_rows = [[f"SF={sf}"] +
-                [round(reductions[sf][k], 1)
-                 for k in ("avg", "p75", "p90", "p95", "p99")]
-                for sf in SCALE_FACTORS]
-    result.add_table("Figure 6d: % latency reduction of MittCFQ vs Hedged",
-                     ["scale", "avg", "p75", "p90", "p95", "p99"], red_rows)
+    scale_factor_sweep(result, run_line, base_rec, deadline, deadline,
+                       SCALE_FACTORS, (50, 75, 90, 95, 99), "Figure 6",
+                       "Figure 6d: % latency reduction of MittCFQ vs Hedged")
     result.add_note(f"deadline = SF1 Base p95 = {deadline / MS:.1f} ms")
-    result.data["reductions"] = reductions
     return result
 
 

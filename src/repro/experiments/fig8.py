@@ -16,18 +16,14 @@ from repro._units import MS, SEC
 from repro.cluster import Network
 from repro.devices import SsdGeometry
 from repro.experiments.common import (ExperimentResult, build_ssd_cluster,
-                                      make_strategy, percentile_rows,
-                                      run_clients)
-from repro.metrics.reduction import latency_reduction
+                                      make_strategy, run_clients,
+                                      scale_factor_sweep)
 from repro.sim import Simulator
 from repro.workloads import Ec2NoiseModel
 
 
-def _run_line(name, deadline_us, sf, params, seed, sim=None,
-              stagger_us=0.0):
-    """One strategy line; ``sim`` lets a caller supply the simulator."""
-    if sim is None:
-        sim = Simulator(seed=seed)
+def _run_line(sim, name, deadline_us, sf, params):
+    """One strategy line on ``sim``: six SSD partitions on one machine."""
     geometry = SsdGeometry(n_channels=2, chips_per_channel=8,
                            blocks_per_chip=32)
     env = build_ssd_cluster(
@@ -44,7 +40,8 @@ def _run_line(name, deadline_us, sf, params, seed, sim=None,
     strategy = make_strategy(name, env.cluster, deadline_us=deadline_us)
     rec = run_clients(env, strategy, 6, params["n_ops"], scale_factor=sf,
                       think_time_us=0.2 * MS, name=name,
-                      limit_us=params["horizon_us"], stagger_us=stagger_us)
+                      limit_us=params["horizon_us"],
+                      stagger_us=params.get("stagger_us", 0.0))
     return rec
 
 
@@ -56,44 +53,30 @@ def race_scenario(sim):
     erases for 1 s, with staggered client starts (see
     ``faultsweep.race_scenario``).
     """
-    params = dict(n_keys=6_000, n_ops=500, horizon_us=1 * SEC)
-    _run_line("mittos", 0.3 * MS, 1, params, sim.seed, sim=sim,
-              stagger_us=17.0)
+    params = dict(n_keys=6_000, n_ops=500, horizon_us=1 * SEC,
+                  stagger_us=17.0)
+    _run_line(sim, "mittos", 0.3 * MS, 1, params)
 
 
 def run(quick=True, seed=7):
     params = dict(n_keys=6_000, n_ops=800 if quick else 3000,
                   horizon_us=(30 if quick else 120) * SEC)
 
-    base = _run_line("base", None, 1, params, seed)
+    def run_line(name, deadline_us, sf):
+        return _run_line(Simulator(seed=seed), name, deadline_us, sf, params)
+
+    base = run_line("base", None, 1)
     hedge_delay = base.p(95) * MS
     deadline = hedge_delay  # p95, as in §7.5 (~0.3 ms scale)
 
     result = ExperimentResult("fig8", "MittSSD vs Hedged, 6 partitions "
                                       "on one machine")
-    reductions = {}
-    for sf in (1, 2, 5):
-        lines = {"base": base if sf == 1 else
-                 _run_line("base", None, sf, params, seed)}
-        lines["hedged"] = _run_line("hedged", hedge_delay, sf, params, seed)
-        lines["mittos"] = _run_line("mittos", deadline, sf, params, seed)
-        for key, rec in lines.items():
-            rec.name = f"{key}/SF={sf}"
-        headers, rows = percentile_rows(
-            [lines[n] for n in ("base", "hedged", "mittos")],
-            percentiles=(50, 90, 95, 99))
-        result.add_table(f"Figure 8: scale factor {sf} (ms)", headers, rows)
-        reductions[sf] = latency_reduction(lines["hedged"], lines["mittos"],
-                                           percentiles=(75, 90, 95, 99))
-    red_rows = [[f"SF={sf}"] +
-                [round(reductions[sf][k], 1)
-                 for k in ("avg", "p75", "p90", "p95", "p99")]
-                for sf in (1, 2, 5)]
-    result.add_table("Figure 8b: % latency reduction of MittSSD vs Hedged",
-                     ["scale", "avg", "p75", "p90", "p95", "p99"], red_rows)
+    scale_factor_sweep(
+        result, run_line, base, hedge_delay, deadline, (1, 2, 5),
+        (50, 90, 95, 99), "Figure 8",
+        "Figure 8b: % latency reduction of MittSSD vs Hedged")
     result.add_note(f"deadline = hedge delay = Base p95 = "
                     f"{hedge_delay / MS:.2f} ms")
-    result.data["reductions"] = reductions
     return result
 
 

@@ -26,11 +26,12 @@ EXPERIMENTS = {
 
 
 #: scenario id -> (module, attribute, description) of a *scenario hook*: a
-#: callable taking one caller-supplied ``Simulator`` that schedules (and
-#: may run) a scaled-down, deterministic slice of the experiment.  The
-#: determinism gate ``python -m repro.analysis check`` runs every hook
-#: (replay, tracing neutrality, schema, tie order); the live reports
-#: ``python -m repro.obs accuracy`` and ``tails`` take one by id.
+#: callable taking one caller-supplied ``Simulator`` that runs its
+#: figure's own line builder at slice size on that simulator, so the
+#: hook checks the code the figure runs.  The determinism gate
+#: ``python -m repro.analysis check`` runs every hook (replay, tracing
+#: neutrality, schema, tie order); the live reports ``python -m
+#: repro.obs accuracy`` and ``tails`` take one by id.
 SCENARIOS = {
     "fig3": ("repro.experiments.fig3", "replay_scenario",
              "scaled-down fig3 disk probe (3 nodes, 2 s)"),

@@ -27,6 +27,7 @@ clock-driven and RNG-free.
 """
 
 from repro._units import MS, SEC
+from repro.experiments import faultsweep
 from repro.experiments.common import (ExperimentResult, build_disk_cluster,
                                       make_strategy)
 from repro.faults import (CrashWindow, DeviceStorm, FailSlow, FaultPlane,
@@ -35,7 +36,7 @@ from repro.metrics import AvailabilityStats
 from repro.metrics.latency import LatencyRecorder
 from repro.sim import Simulator
 from repro.workloads import UniformKeys
-from repro.workloads.ycsb import YcsbClient
+from repro.workloads.ycsb import YcsbClient, run_ycsb
 
 LINES = ("mittos", "tight", "adaptive")
 CELLS = ("loss5", "chaos")
@@ -53,19 +54,7 @@ def cell_spec(cell, horizon_us):
     """The failure plan of one grid cell (same shape as faultsweep)."""
     if cell == "loss5":
         # The faultsweep grid at 5% loss: crash + gray replica + storm.
-        return FaultSpec(
-            message_loss=(MessageLoss(rate=0.05),),
-            crashes=(CrashWindow(node=1, start_us=0.25 * horizon_us,
-                                 duration_us=0.25 * horizon_us),),
-            fail_slow=(FailSlow(node=2, start_us=0.5 * horizon_us,
-                                duration_us=0.25 * horizon_us,
-                                cpu_factor=4.0, device_factor=3.0),),
-            device_storms=(DeviceStorm(node=3, start_us=0.5 * horizon_us,
-                                       duration_us=0.25 * horizon_us,
-                                       factor=2.0, spike_prob=0.05),),
-            read_errors=(ReadErrors(rate=0.01, node=4),),
-            rpc_timeout_us=80 * MS, op_budget_us=2 * SEC, max_attempts=8,
-        )
+        return faultsweep._spec(0.05, horizon_us)
     if cell == "chaos":
         # The chaos grid: heavier loss, harsher gray failure, decision
         # flips — the regime where a static deadline floods or drowns.
@@ -89,14 +78,12 @@ def cell_spec(cell, horizon_us):
 def _launch_pools(sim, env, strategy, params, bg_strategy=None):
     """Foreground + background scavenger clients; returns the recorders
     and the foreground processes (the run gate)."""
-    fg_rec = LatencyRecorder(strategy.name)
-    fg_procs = []
-    for i in range(params["n_clients"]):
-        dist = UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
-        client = YcsbClient(sim, strategy, dist, fg_rec, params["n_ops"],
-                            think_time_us=4 * MS,
-                            start_delay_us=i * 17.0)
-        fg_procs.append(client.run())
+    dists = [UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
+             for i in range(params["n_clients"])]
+    fg_rec, fg_procs = run_ycsb(sim, strategy, dists, params["n_clients"],
+                                params["n_ops"],
+                                think_time_us=params["think_time_us"],
+                                name=strategy.name, stagger_us=17.0)
     bg_rec = LatencyRecorder("scavenger")
     if bg_strategy is not None:
         for i in range(params["n_bg_clients"]):
@@ -108,12 +95,11 @@ def _launch_pools(sim, env, strategy, params, bg_strategy=None):
     return fg_rec, bg_rec, fg_procs
 
 
-def _run_cell_line(line, cell, baseline_us, params, seed, faults=None):
-    """One (line, cell) run on a fresh simulator: identical fault schedule
-    and scavenger load across lines."""
-    sim = Simulator(seed=seed)
-    spec = faults if faults is not None \
-        else cell_spec(cell, params["horizon_us"])
+def _run_cell_line(sim, line, spec, baseline_us, params):
+    """One line on ``sim`` under the failure plan ``spec``: figures run
+    every line of a cell on a fresh same-seed simulator, so each sees the
+    identical fault schedule and scavenger load.  ``params["controller"]``
+    (optional) holds the adaptive line's controller knobs."""
     plane = FaultPlane(sim, spec)
     env = build_disk_cluster(sim, params["n_nodes"],
                              fault_injector=plane.decision_injector)
@@ -126,7 +112,8 @@ def _run_cell_line(line, cell, baseline_us, params, seed, faults=None):
                                  deadline_us=baseline_us / FLOOR_DIV)
     elif line == "adaptive":
         strategy = make_strategy("adaptive", env.cluster,
-                                 deadline_us=baseline_us)
+                                 deadline_us=baseline_us,
+                                 **params.get("controller", {}))
         strategy.guard_nodes(qdepth_limit=QDEPTH_LIMIT)
         strategy.arm(params["horizon_us"])
     else:
@@ -153,6 +140,7 @@ def run(quick=True, seed=7, faults=None):
                   n_ops=50 if quick else 300,
                   n_bg_clients=3 if quick else 8,
                   n_bg_ops=400 if quick else 2000,
+                  think_time_us=4 * MS,
                   horizon_us=(8 if quick else 40) * SEC)
 
     # Baseline deadline from a clean (fault-free, no scavengers) run:
@@ -171,11 +159,13 @@ def run(quick=True, seed=7, faults=None):
     result.data["baseline_us"] = baseline
     result.data["cells"] = {}
     for cell in cells:
+        spec = faults if faults is not None \
+            else cell_spec(cell, params["horizon_us"])
         cell_data = {"p95": {}, "rejected": {}}
         recs = []
         for line in LINES:
-            out = _run_cell_line(line, cell, baseline, params, seed,
-                                 faults=faults)
+            out = _run_cell_line(Simulator(seed=seed), line, spec,
+                                 baseline, params)
             rec = out["rec"]
             avail = AvailabilityStats.from_recorder(rec)
             controller = out["strategy"].controller \
@@ -221,45 +211,13 @@ def run(quick=True, seed=7, faults=None):
 
 def race_scenario(sim):
     """A small adaptive-control scenario: controller armed, guards on,
-    scavenger pool competing, chaos-style faults.  Foreground client
-    starts are staggered 17 µs apart (see ``faultsweep.race_scenario``
-    for why lockstep starts are excluded)."""
-    horizon = 3 * SEC
-    spec = FaultSpec(
-        message_loss=(MessageLoss(rate=0.1),),
-        crashes=(CrashWindow(node=1, start_us=0.5 * SEC,
-                             duration_us=1 * SEC),),
-        fail_slow=(FailSlow(node=2, start_us=1 * SEC, duration_us=1 * SEC,
-                            cpu_factor=4.0, device_factor=2.0),),
-        device_storms=(DeviceStorm(node=0, start_us=1.5 * SEC,
-                                   duration_us=1 * SEC, factor=2.0,
-                                   spike_prob=0.1),),
-        read_errors=(ReadErrors(rate=0.05, node=3),),
-        rpc_timeout_us=60 * MS, op_budget_us=1 * SEC, max_attempts=6,
-    )
-    plane = FaultPlane(sim, spec)
-    env = build_disk_cluster(sim, 6,
-                             fault_injector=plane.decision_injector)
-    plane.arm(env.cluster)
-    strategy = make_strategy("adaptive", env.cluster, deadline_us=25 * MS,
-                             window_us=200 * MS, min_samples=4)
-    strategy.guard_nodes(qdepth_limit=QDEPTH_LIMIT)
-    strategy.arm(horizon)
-    bg_strategy = make_strategy("base", env.cluster, tier_priority=7)
-    params = dict(n_clients=4, n_ops=25, n_bg_clients=2, n_bg_ops=120)
-    fg_rec = LatencyRecorder("adaptive")
-    fg_procs = []
-    for i in range(params["n_clients"]):
-        dist = UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
-        client = YcsbClient(sim, strategy, dist, fg_rec, params["n_ops"],
-                            think_time_us=2 * MS,
-                            start_delay_us=i * 17.0)
-        fg_procs.append(client.run())
-    bg_rec = LatencyRecorder("scavenger")
-    for i in range(params["n_bg_clients"]):
-        dist = UniformKeys(env.keyspace.n_keys, sim.rng(f"bgkeys/{i}"))
-        client = YcsbClient(sim, bg_strategy, dist, bg_rec,
-                            params["n_bg_ops"], think_time_us=1 * MS,
-                            start_delay_us=13.0 + i * 29.0)
-        client.run()
-    sim.run_until(sim.all_of(fg_procs), limit=horizon)
+    scavenger pool competing, under faultsweep's slice plan without its
+    decision flips.  Foreground client starts are staggered 17 µs apart
+    (see ``faultsweep.race_scenario`` for why lockstep starts are
+    excluded)."""
+    params = dict(n_nodes=6, n_clients=4, n_ops=25, think_time_us=2 * MS,
+                  n_bg_clients=2, n_bg_ops=120, horizon_us=3 * SEC,
+                  controller=dict(window_us=200 * MS, min_samples=4))
+    _run_cell_line(sim, "adaptive",
+                   faultsweep._slice_spec(false_positive_rate=0.0),
+                   25 * MS, params)

@@ -19,8 +19,9 @@ from repro.sim import Simulator
 from repro.workloads.noise import rotating_contention
 
 
-def _run_system(profile, tuned, params, seed):
-    sim = Simulator(seed=seed)
+def _run_system(sim, profile, tuned, params):
+    """One NoSQL profile on ``sim``: 3 replicas under rotating one-second
+    contention, in its default or 100 ms-timeout configuration."""
     env = build_disk_cluster(sim, 3, replication=3, mitt=False)
     rotating_contention(sim, env.injectors, 1 * SEC, params["horizon_us"])
     if tuned:
@@ -29,7 +30,8 @@ def _run_system(profile, tuned, params, seed):
         strategy = profile.default_strategy(env.cluster)
     rec = run_clients(env, strategy, params["n_clients"], params["n_ops"],
                       think_time_us=5 * MS, name=profile.name,
-                      limit_us=params["horizon_us"])
+                      limit_us=params["horizon_us"],
+                      stagger_us=params.get("stagger_us", 0.0))
     return rec, strategy
 
 
@@ -41,14 +43,9 @@ def race_scenario(sim):
     staggered client starts to keep t=0 free of symmetric ties (see
     ``faultsweep.race_scenario``).
     """
-    horizon = 4 * SEC
-    env = build_disk_cluster(sim, 3, replication=3, mitt=False)
-    rotating_contention(sim, env.injectors, 1 * SEC, horizon)
-    profile = NOSQL_PROFILES[0]
-    strategy = profile.default_strategy(env.cluster)
-    run_clients(env, strategy, n_clients=3, n_ops=30,
-                think_time_us=5 * MS, name=profile.name, limit_us=horizon,
-                stagger_us=17.0)
+    params = dict(n_clients=3, n_ops=30, horizon_us=4 * SEC,
+                  stagger_us=17.0)
+    _run_system(sim, NOSQL_PROFILES[0], False, params)
 
 
 def run(quick=True, seed=7):
@@ -58,9 +55,10 @@ def run(quick=True, seed=7):
     result = ExperimentResult("table1", "No TT in NoSQL")
     rows = []
     for profile in NOSQL_PROFILES:
-        default_rec, default_strategy = _run_system(profile, False, params,
-                                                    seed)
-        tuned_rec, tuned_strategy = _run_system(profile, True, params, seed)
+        default_rec, default_strategy = _run_system(
+            Simulator(seed=seed), profile, False, params)
+        tuned_rec, tuned_strategy = _run_system(Simulator(seed=seed),
+                                                profile, True, params)
         timeouts = getattr(default_strategy, "timeouts", 0)
         tuned_errors = tuned_rec.counters.get("eio", 0)
         tuned_retries = getattr(tuned_strategy, "retries", 0)

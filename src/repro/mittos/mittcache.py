@@ -15,7 +15,7 @@ MittSSD stacked (the §7.8.5 all-in-one deployment).
 """
 
 from repro._units import MS
-from repro.mittos.predictor import Predictor, Verdict
+from repro.mittos.predictor import Predictor
 
 
 class MittCache(Predictor):
@@ -45,15 +45,7 @@ class MittCache(Predictor):
         if self.io_predictor is not None:
             return self.io_predictor.admit(req, deadline,
                                            probe_only=probe_only)
-        wait, service = self._estimate(req)
-        req.predicted_wait = wait
-        req.predicted_service = service
-        accept = service <= deadline + self.os.params.failover_hop_us
-        if self.fault_injector is not None:
-            accept = self.fault_injector.apply(accept)
-        self._emit_verdict(req, accept, probe_only, deadline, wait, service)
-        self._note(accept)
-        return Verdict(accept, wait, service)
+        return super().admit(req, deadline, probe_only=probe_only)
 
     def _estimate(self, req):
         return 0.0, self.min_io_latency(req.size)

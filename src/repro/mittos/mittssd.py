@@ -21,8 +21,9 @@ The wait check is O(1) per page:
 A request striped over several chips is rejected whole if *any* sub-page
 violates the deadline — no sub-pages are submitted (§4.3).
 
-``mode="naive"`` ablates the chip awareness: one block-level horizon for the
-whole device, the model the paper argues is inaccurate.
+``mode="naive"`` ablates the precision: it keeps the per-chip horizons but
+drops the channel term from the estimate and assumes 1.5 ms for every
+program (no upper/lower page knowledge) — fig9's ``naive%`` column.
 """
 
 from repro.mittos.predictor import Predictor
@@ -46,7 +47,6 @@ class MittSsd(Predictor):
         self._chip_outstanding = [0] * geo.n_chips
         self._channel_next_free = [0.0] * geo.n_channels
         self._channel_outstanding = [0] * geo.n_channels
-        self._block_next_free = 0.0   # naive mode's single horizon
         ssd.add_op_observer(self._on_chip_op)
 
     # -- host-visible chip command stream ------------------------------------
@@ -90,8 +90,6 @@ class MittSsd(Predictor):
         self._chip_next_free[chip_index] = finish
         self._chip_outstanding[chip_index] += 1
         self._channel_outstanding[channel] += 1
-        self._block_next_free = (max(self._block_next_free, now)
-                                 + model_duration)
 
     # -- estimation ----------------------------------------------------------
     def _sub_ops(self, req):

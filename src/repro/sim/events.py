@@ -135,15 +135,22 @@ class Race(Event):
         self.succeed((0, ev._value))
 
 
+def _child_index(events):
+    """Event -> position of a combinator's children; they must be
+    distinct, since one callback reports each child under its index."""
+    index = {ev: i for i, ev in enumerate(events)}
+    if len(index) != len(events):
+        raise ValueError("combinator children must be distinct events")
+    return index
+
+
 class AllOf(Event):
     """Succeeds with a list of values once every child event has succeeded.
 
     Fails as soon as any child fails (first failure wins).
 
     Allocation diet: children share ONE bound-method callback and an
-    event -> index dict, instead of one closure per child; the closure
-    fallback only remains for the degenerate duplicate-children case
-    (where one event must report under several indices).
+    event -> index dict instead of one closure per child.
     """
 
     __slots__ = ("_pending", "_values", "_index")
@@ -154,33 +161,21 @@ class AllOf(Event):
         n = len(events)
         self._pending = n
         self._values = [None] * n
+        self._index = _child_index(events)
         if not n:
             self.succeed([])
             return
-        index = {}
-        for i, ev in enumerate(events):
-            index[ev] = i
-        if len(index) == n:
-            self._index = index
-            callback = self._on_child_event
-            for ev in events:
-                ev.add_callback(callback)
-        else:
-            self._index = None
-            for i, ev in enumerate(events):
-                # repro: allow[DET016] cold fallback: duplicate children
-                ev.add_callback(lambda ev, i=i: self._on_child(i, ev))
+        callback = self._on_child
+        for ev in events:
+            ev.add_callback(callback)
 
-    def _on_child_event(self, ev):
-        self._on_child(self._index[ev], ev)
-
-    def _on_child(self, i, ev):
+    def _on_child(self, ev):
         if self._done:
             return
         if not ev.ok:
             self.fail(ev.exception)
             return
-        self._values[i] = ev._value
+        self._values[self._index[ev]] = ev._value
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._values)
@@ -201,28 +196,16 @@ class AnyOf(Event):
         if not n:
             raise ValueError("AnyOf requires at least one event")
         self._pending = n
-        index = {}
-        for i, ev in enumerate(events):
-            index[ev] = i
-        if len(index) == n:
-            self._index = index
-            callback = self._on_child_event
-            for ev in events:
-                ev.add_callback(callback)
-        else:
-            self._index = None
-            for i, ev in enumerate(events):
-                # repro: allow[DET016] cold fallback: duplicate children
-                ev.add_callback(lambda ev, i=i: self._on_child(i, ev))
+        self._index = _child_index(events)
+        callback = self._on_child
+        for ev in events:
+            ev.add_callback(callback)
 
-    def _on_child_event(self, ev):
-        self._on_child(self._index[ev], ev)
-
-    def _on_child(self, i, ev):
+    def _on_child(self, ev):
         if self._done:
             return
         if ev.ok:
-            self.succeed((i, ev._value))
+            self.succeed((self._index[ev], ev._value))
             return
         self._pending -= 1
         if self._pending == 0:

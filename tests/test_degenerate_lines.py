@@ -15,12 +15,14 @@ from repro._units import MS, SEC
 from repro.experiments import fig7, fig8, fig13
 from repro.experiments.common import run_ec2_disk_line
 from repro.kernel.syscall import OsParams
+from repro.sim import Simulator
 
 INF = math.inf
 
 
 def _disk(name, deadline_us=None, sf=1, **strategy_kwargs):
-    return run_ec2_disk_line(name, deadline_us=deadline_us, seed=7,
+    return run_ec2_disk_line(Simulator(seed=7), name,
+                             deadline_us=deadline_us,
                              n_nodes=9, n_clients=6, n_ops=120,
                              horizon_us=60 * SEC, scale_factor=sf,
                              strategy_kwargs=strategy_kwargs)[0]
@@ -32,13 +34,13 @@ def _disk_sf2(name, deadline_us=None):
 
 def _ssd(name, deadline_us=None):
     params = dict(n_keys=6_000, n_ops=150, horizon_us=30 * SEC)
-    return fig8._run_line(name, deadline_us, 1, params, 7)
+    return fig8._run_line(Simulator(seed=7), name, deadline_us, 1, params)
 
 
 def _cache(name, deadline_us=None):
     params = dict(n_nodes=6, n_keys=3_000, n_clients=4, n_ops=150,
-                  horizon_us=60 * SEC)
-    return fig7._run_line(name, deadline_us, 1, params, 7)
+                  horizon_us=60 * SEC, evict_range=(0.005, 0.04))
+    return fig7._run_line(Simulator(seed=7), name, deadline_us, 1, params)
 
 
 def _lsm(name, deadline_us=None):

@@ -11,6 +11,7 @@ from repro.experiments.common import (ExperimentResult,
                                       percentile_rows, run_clients,
                                       run_ec2_disk_line)
 from repro.metrics.latency import LatencyRecorder
+from repro.sim import Simulator
 
 
 def test_disk_latency_model_is_cached():
@@ -81,10 +82,10 @@ def test_run_clients_zipfian(sim):
 
 
 def test_run_ec2_disk_line_is_seed_deterministic():
-    a, _, _ = run_ec2_disk_line("base", seed=3, n_nodes=5, n_clients=3,
-                                n_ops=30, horizon_us=20 * SEC)
-    b, _, _ = run_ec2_disk_line("base", seed=3, n_nodes=5, n_clients=3,
-                                n_ops=30, horizon_us=20 * SEC)
+    a, _, _ = run_ec2_disk_line(Simulator(seed=3), "base", n_nodes=5,
+                                n_clients=3, n_ops=30, horizon_us=20 * SEC)
+    b, _, _ = run_ec2_disk_line(Simulator(seed=3), "base", n_nodes=5,
+                                n_clients=3, n_ops=30, horizon_us=20 * SEC)
     assert a.samples == b.samples
 
 

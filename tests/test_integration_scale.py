@@ -2,12 +2,13 @@
 
 from repro._units import MS, SEC
 from repro.experiments.common import run_ec2_disk_line
+from repro.sim import Simulator
 
 
 def _line(name, sf, deadline=None, seed=21):
     rec, strat, _ = run_ec2_disk_line(
-        name, deadline_us=deadline, seed=seed, n_nodes=10, n_clients=8,
-        n_ops=150, scale_factor=sf, horizon_us=60 * SEC)
+        Simulator(seed=seed), name, deadline_us=deadline, n_nodes=10,
+        n_clients=8, n_ops=150, scale_factor=sf, horizon_us=60 * SEC)
     return rec, strat
 
 

@@ -70,6 +70,28 @@ def test_unstacked_guard_uses_min_io_floor(sim):
     assert os_.addrcheck(0, 4 * GB, 4 * KB, deadline=10 * MS) is True
 
 
+def test_unstacked_shadow_guard_runs_the_io_and_records_ebusy(sim):
+    """A lone shadow MittCache records the would-be EBUSY of a miss whose
+    deadline is below the device floor, and serves the read anyway."""
+    disk = Disk(sim, DiskParams(jitter_frac=0.0, hiccup_prob=0.0))
+    predictor = MittCache(shadow=True)
+    os_ = OS(sim, disk, CfqScheduler(sim, disk), cache=PageCache(sim, 1000),
+             predictor=predictor)
+    issued = []
+
+    def gen():
+        result = yield from os_.read(0, 0, 4 * KB, deadline=0.1 * MS,
+                                     io_observer=issued.append)
+        return result
+
+    proc = sim.process(gen())
+    sim.run()
+    assert not is_ebusy(proc.value)
+    assert not proc.value.cache_hit
+    assert [req.shadow_ebusy for req in issued] == [True]
+    assert (predictor.admitted, predictor.rejected) == (1, 0)
+
+
 def test_read_path_hit_bypasses_predictor(sim):
     os_, predictor = _stack(sim)
     os_.cache.insert(0, 0, 4 * KB)

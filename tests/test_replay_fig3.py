@@ -29,7 +29,7 @@ def test_fig3_probe_seed_changes_trace():
 def test_fig3_probe_nodes_accepts_external_simulator():
     sim = Simulator(seed=5, paranoid=True)
     recorders, schedules = fig3._probe_nodes(
-        "disk", n_nodes=2, horizon_us=1 * SEC, seed=5, sim=sim)
+        sim, "disk", n_nodes=2, horizon_us=1 * SEC)
     assert len(recorders) == 2 and len(schedules) == 2
     assert sim.sanitizer.events > 0
     assert any(count > 0 for count in sim.rng_draws().values())

@@ -79,6 +79,12 @@ def test_all_of_fails_fast(sim):
     assert combo.triggered and not combo.ok
 
 
+def test_all_of_rejects_duplicate_children(sim):
+    ev = sim.timeout(10, "a")
+    with pytest.raises(ValueError):
+        sim.all_of([ev, sim.timeout(20), ev])
+
+
 def test_any_of_returns_first_with_index(sim):
     events = [sim.timeout(30, "slow"), sim.timeout(10, "fast")]
     combo = sim.any_of(events)
@@ -89,6 +95,12 @@ def test_any_of_returns_first_with_index(sim):
 def test_any_of_empty_raises(sim):
     with pytest.raises(ValueError):
         sim.any_of([])
+
+
+def test_any_of_rejects_duplicate_children(sim):
+    ev = sim.timeout(10, "a")
+    with pytest.raises(ValueError):
+        sim.any_of([ev, ev])
 
 
 def test_any_of_fails_only_when_all_fail(sim):

@@ -8,6 +8,7 @@ from repro.cluster.strategies import STRATEGIES, MittosStrategy
 from repro.errors import EIO, EBusy, is_ebusy
 from repro.experiments.common import (build_disk_cluster, make_strategy,
                                       run_clients, run_ec2_disk_line)
+from repro.sim import Simulator
 
 
 def _noisy_primary(env, key):
@@ -130,7 +131,7 @@ def test_tied_cancelled_copies_are_never_served():
     revoked or, when the cancel reaches its server before the IO exists,
     the IO is never submitted."""
     _, strategy, env = run_ec2_disk_line(
-        "tied", seed=7, n_nodes=9, n_clients=6, n_ops=120,
+        Simulator(seed=7), "tied", n_nodes=9, n_clients=6, n_ops=120,
         horizon_us=20 * SEC)
     assert strategy.cancellations == 720
     assert sum(node.os.ebusy_returned for node in env.nodes) == 720
