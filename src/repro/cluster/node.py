@@ -14,20 +14,20 @@ client → node → engine → OS in the one process of its client op.
 
 from repro.errors import EIO, is_ebusy
 from repro.obs.events import FAULT
-from repro.sim.resources import Semaphore
 
 
 class StorageNode:
     """One machine running a data-store process over the simulated OS."""
 
-    def __init__(self, sim, node_id, os, engine, cpu_slots=None,
+    def __init__(self, sim, node_id, os, engine, cpu=None,
                  handler_cpu_us=60.0):
         self.sim = sim
         self.node_id = node_id
         self.os = os
         self.engine = engine
-        #: None = uncontended CPU; else hardware-thread semaphore (§7.5).
-        self.cpu = Semaphore(sim, cpu_slots) if cpu_slots else None
+        #: None = uncontended CPU; else the machine's hardware-thread
+        #: semaphore, shared by the nodes it hosts (§7.5).
+        self.cpu = cpu
         self.handler_cpu_us = handler_cpu_us
         self.handled = 0
         self.ebusy_sent = 0

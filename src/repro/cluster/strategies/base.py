@@ -102,8 +102,8 @@ class Strategy:
     that waits on no timer runs inline in it (``yield from``), down
     through the node and the engine.  An attempt gets a process of its
     own only when the op must wait on it as an event: when it races a
-    timer (:meth:`_race`) or runs beside another copy (hedged, clone,
-    tied).
+    timer (a :class:`~repro.sim.events.Race`) or runs beside another
+    copy (hedged, clone, tied).
     """
 
     name = "strategy"
@@ -244,20 +244,6 @@ class Strategy:
             ctx.charge(hop_stage, self.sim.now)
         return result
 
-    def _race(self, event, timeout_us):
-        """Wait for ``event`` or a timeout; returns (finished, value).
-
-        The timer is cancelled when the event wins, so long runs don't
-        accumulate dead timeout entries in the heap (and ``sim.run()``
-        doesn't chase a far-future timer that lost its race).  Fused: a
-        single :class:`~repro.sim.events.Race` replaces the old
-        timer-event + AnyOf pair (same observed kernel schedule).
-        """
-        idx, value = yield Race(self.sim, event, timeout_us, EIO)
-        if idx == 0:
-            return True, value
-        return False, None
-
     def _timed_attempt(self, node, key, deadline, ctx, cap_us=None):
         """One RPC bounded by the op context; (finished, value).
 
@@ -277,8 +263,8 @@ class Strategy:
             value = yield from self._attempt_gen(node, key, deadline, ctx)
             self._note_result(node, value)
             return True, value
-        finished, value = yield from self._race(
-            self._attempt(node, key, deadline, ctx), limit)
+        finished, value = yield Race(
+            self.sim, self._attempt(node, key, deadline, ctx), limit)
         if finished:
             self._note_result(node, value)
             return True, value
@@ -343,8 +329,8 @@ class Strategy:
             else:
                 if limit <= 0:
                     return EIO
-                finished, raced = yield from self._race(
-                    self.sim.any_of(pending), limit)
+                finished, raced = yield Race(
+                    self.sim, self.sim.any_of(pending), limit)
                 if not finished:
                     self.rpc_timeouts += 1
                     ctx.charge(STAGE_TIMEOUT_WAIT, self.sim.now)
@@ -386,7 +372,7 @@ class BaseStrategy(Strategy):
         if limit is not None:
             timeout = min(timeout, limit)
         attempt = self._attempt(node, key, ctx=ctx)
-        finished, value = yield from self._race(attempt, timeout)
+        finished, value = yield Race(self.sim, attempt, timeout)
         if not finished:
             self.timeouts += 1
             ctx.charge(STAGE_TIMEOUT_WAIT, self.sim.now)
@@ -424,7 +410,7 @@ class AppToStrategy(Strategy):
                 timeout = min(timeout, limit)
             ctx.attempts += 1
             attempt = self._attempt(node, key, ctx=ctx)
-            finished, value = yield from self._race(attempt, timeout)
+            finished, value = yield Race(self.sim, attempt, timeout)
             if finished:
                 self._note_result(node, value)
                 if value is EIO:

@@ -8,6 +8,7 @@ waiting MittOS eliminates.
 
 from repro.cluster.strategies.base import Strategy
 from repro.errors import EIO
+from repro.sim.events import Race
 
 
 class HedgedStrategy(Strategy):
@@ -23,7 +24,7 @@ class HedgedStrategy(Strategy):
     def _run(self, key, replicas, ctx):
         first_node = replicas[0]
         first = self._attempt(first_node, key)
-        finished, value = yield from self._race(first, self.hedge_delay_us)
+        finished, value = yield Race(self.sim, first, self.hedge_delay_us)
         if finished:
             self._note_result(first_node, value)
             if value is not EIO:

@@ -19,6 +19,7 @@ a reliable side channel once the request has reached its server.
 
 from repro.cluster.strategies.base import Strategy
 from repro.errors import EIO
+from repro.sim.events import Race
 
 
 def _began_on_dispatch(req):
@@ -79,7 +80,7 @@ class TiedStrategy(Strategy):
 
         tie_a = TiedCopy(self.sim, node_a)
         ev_a = self._attempt(node_a, key, tie=tie_a)
-        finished, value = yield from self._race(ev_a, self.tie_delay_us)
+        finished, value = yield Race(self.sim, ev_a, self.tie_delay_us)
         if finished:
             self._note_result(node_a, value)
             if value is not EIO:
@@ -97,7 +98,7 @@ class TiedStrategy(Strategy):
         else:
             if limit <= 0:
                 return EIO
-            began_finished, raced = yield from self._race(began, limit)
+            began_finished, raced = yield Race(self.sim, began, limit)
             if not began_finished:
                 # Both copies lost / both servers dark: revoke and give up.
                 tie_a.cancel()

@@ -1,5 +1,6 @@
-"""CLI: ``python -m repro.experiments <id> [--full] [--seed N] [--trace]
-[--metrics [PATH]] [--faults PATH]``."""
+"""CLI: ``python -m repro.experiments <id|list|all> [--full] [--seed N]
+[--plot] [--json PATH] [--trace [PATH]] [--metrics [PATH]] [--tails]
+[--paranoid] [--faults PATH]``."""
 
 import argparse
 import inspect

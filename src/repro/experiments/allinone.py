@@ -16,17 +16,14 @@ similar to Figure 4" per user — every tail cut simultaneously.
 
 from repro._units import GB, KB, MB, MS, SEC
 from repro.cluster import Network
-from repro.devices import Disk, Ssd, SsdGeometry
-from repro.devices.ssd_profile import SsdLatencyModel
 from repro.engines import KeySpace
 from repro.errors import is_ebusy
-from repro.experiments.common import (ExperimentResult, disk_latency_model,
-                                      percentile_rows)
-from repro.kernel import CfqScheduler, NoopScheduler, OS, PageCache
+from repro.experiments.common import (ExperimentResult, disk_os,
+                                      percentile_rows, ssd_os)
+from repro.kernel import PageCache
 from repro.kernel.flashcache import FlashCache
 from repro.kernel.tiered import TieredStack
 from repro.metrics.latency import LatencyRecorder
-from repro.mittos import MittCfq, MittSsd
 from repro.sim import Simulator
 from repro.workloads import NoiseInjector
 
@@ -44,13 +41,8 @@ class TieredReplica:
     def __init__(self, sim, index):
         self.sim = sim
         self.index = index
-        disk = Disk(sim, name=f"disk{index}")
-        self.disk_os = OS(sim, disk, CfqScheduler(sim, disk),
-                          predictor=MittCfq(disk_latency_model()))
-        ssd = Ssd(sim, SsdGeometry(), name=f"fcache{index}")
-        self.ssd_os = OS(sim, ssd, NoopScheduler(sim, ssd),
-                         predictor=MittSsd(
-                             ssd, SsdLatencyModel.from_spec(ssd.geometry)))
+        self.disk_os = disk_os(sim, f"disk{index}")
+        self.ssd_os = ssd_os(sim, f"fcache{index}")
         self.flash = FlashCache(sim, self.ssd_os, self.disk_os,
                                 capacity_bytes=256 * MB)
         self.page_cache = PageCache(sim, int(N_KEYS_PER_USER * 1.5))
@@ -130,8 +122,9 @@ def _run_user(sim, replicas, network, region, deadline, mitt, n_ops,
     return sim.process(client())
 
 
-def _run_world(noisy, mitt, n_ops, seed):
-    sim = Simulator(seed=seed)
+def _run_world(sim, noisy, mitt, n_ops):
+    """One line on ``sim``: the three users against three tiered replicas,
+    with or without the noises and MittOS deadlines."""
     replicas = [TieredReplica(sim, i) for i in range(3)]
     network = Network(sim)
     horizon = 300 * SEC
@@ -150,9 +143,12 @@ def _run_world(noisy, mitt, n_ops, seed):
 
 def run(quick=True, seed=7):
     n_ops = 400 if quick else 1500
-    nonoise = _run_world(noisy=False, mitt=False, n_ops=n_ops, seed=seed)
-    base = _run_world(noisy=True, mitt=False, n_ops=n_ops, seed=seed)
-    mitt = _run_world(noisy=True, mitt=True, n_ops=n_ops, seed=seed)
+    nonoise = _run_world(Simulator(seed=seed), noisy=False, mitt=False,
+                         n_ops=n_ops)
+    base = _run_world(Simulator(seed=seed), noisy=True, mitt=False,
+                      n_ops=n_ops)
+    mitt = _run_world(Simulator(seed=seed), noisy=True, mitt=True,
+                      n_ops=n_ops)
 
     result = ExperimentResult("allinone", "All resources at once "
                                           "(tiered replicas)")

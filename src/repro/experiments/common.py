@@ -1,36 +1,36 @@
-"""Shared experiment plumbing: cluster builders, strategy factory, runners.
+"""Shared experiment plumbing: stack, node and cluster builders, the
+strategy factory and runners.
 
-Every figure builds one of three node flavours:
-
-* **disk node** — Disk + CFQ (or noop) + MittCFQ + mmap engine (MongoDB
-  role), optionally with a page cache in front;
-* **cache node** — disk node with a cache large enough for the dataset,
-  preloaded, running MittCache (stacked on MittCFQ);
-* **ssd node** — OpenChannel SSD + noop + MittSSD.
+Each storage stack has one builder: :func:`disk_os` (Disk + CFQ + MittCFQ,
+or noop + MittNoop, with MittCache over the IO predictor when there is a
+page cache) and :func:`ssd_os` (OpenChannel SSD + noop + MittSSD).  The
+node builders put an engine on a stack: mmap over disk (MongoDB role; a
+cache cluster's page cache holds the whole dataset, preloaded), mmap over
+SSD, and LSM over disk (Riak role).  :func:`cluster_env` makes the nodes
+an :class:`Env`.
 
 Strategy lines are compared on *fresh simulators with the same seed*, so
 every line sees an identical noise schedule — the simulator's substitute
 for the paper's "replay the same 5-minute EC2 timeslice against each
-technique".
+technique".  Every line builder takes its simulator first; a figure's
+``run()`` builds one ``Simulator(seed=seed)`` per line.
 """
 
 from functools import lru_cache
 
-from repro._units import KB, MS
+from repro._units import GB, KB, MS
 from repro.cluster import Cluster, Network, StorageNode
-from repro.cluster.strategies import (AdaptiveStrategy, AppToStrategy,
-                                      BaseStrategy, C3Strategy,
-                                      CloneStrategy, HedgedStrategy,
-                                      MittosStrategy, SnitchStrategy,
-                                      TiedStrategy)
-from repro.devices import Disk, DiskParams, Ssd, SsdGeometry
+from repro.cluster.strategies import STRATEGIES
+from repro.devices import Disk, Ssd
 from repro.devices.disk_profile import profile_disk
 from repro.devices.ssd_profile import SsdLatencyModel
 from repro.engines import KeySpace, LsmEngine, MMapEngine
 from repro.kernel import CfqScheduler, NoopScheduler, OS, PageCache
 from repro.metrics import format_table, latency_reduction
 from repro.mittos import MittCache, MittCfq, MittNoop, MittSsd
-from repro.workloads import NoiseInjector, UniformKeys, ZipfianKeys
+from repro.sim.resources import Semaphore
+from repro.workloads import (Ec2NoiseModel, NoiseInjector, UniformKeys,
+                             ZipfianKeys)
 from repro.workloads.ycsb import run_ycsb
 
 
@@ -54,21 +54,26 @@ class Env:
         return self.cluster.nodes
 
 
-# -- node builders ------------------------------------------------------------
+# -- storage stacks -----------------------------------------------------------
 
-def build_disk_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
-                    scheduler="cfq", shadow=False, fault_injector=None,
-                    cache_pages=None, disk_params=None, cancel_bumped=True):
-    """One MongoDB-role node over a disk."""
-    disk = Disk(sim, disk_params or DiskParams(), name=f"n{node_id}")
-    if scheduler == "cfq":
-        sched = CfqScheduler(sim, disk)
-        predictor_cls = MittCfq
-    elif scheduler == "noop":
-        sched = NoopScheduler(sim, disk)
-        predictor_cls = MittNoop
-    else:
-        raise ValueError(f"unknown scheduler: {scheduler}")
+#: Disk scheduler name -> (scheduler, the MittOS predictor that models it).
+DISK_SCHEDULERS = {"cfq": (CfqScheduler, MittCfq),
+                   "noop": (NoopScheduler, MittNoop)}
+
+
+def disk_os(sim, name, mitt=True, mitt_mode="precise", scheduler="cfq",
+            shadow=False, fault_injector=None, cache_pages=None,
+            cancel_bumped=True, params=None):
+    """The disk stack named ``name``: Disk + CFQ + MittCFQ, or noop +
+    MittNoop, with MittCache over the IO predictor when ``cache_pages``
+    gives it a page cache.  ``mitt=False`` builds no predictor;
+    ``params`` are the OS's :class:`~repro.kernel.syscall.OsParams`."""
+    try:
+        sched_cls, predictor_cls = DISK_SCHEDULERS[scheduler]
+    except KeyError:
+        raise ValueError(f"unknown scheduler: {scheduler}") from None
+    disk = Disk(sim, name=name)
+    sched = sched_cls(sim, disk)
     predictor = None
     if mitt:
         kwargs = dict(mode=mitt_mode, shadow=shadow,
@@ -76,41 +81,50 @@ def build_disk_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
         if predictor_cls is MittCfq:
             kwargs["cancel_bumped"] = cancel_bumped
         predictor = predictor_cls(disk_latency_model(), **kwargs)
-    cache = (PageCache(sim, cache_pages) if cache_pages else None)
+    cache = PageCache(sim, cache_pages) if cache_pages else None
     if cache is not None and predictor is not None:
         predictor = MittCache(io_predictor=predictor)
-    os_ = OS(sim, disk, sched, cache=cache, predictor=predictor)
-    engine = MMapEngine(os_, keyspace, pid=100 + node_id)
-    return StorageNode(sim, node_id, os_, engine)
+    return OS(sim, disk, sched, cache=cache, predictor=predictor,
+              params=params)
 
 
-def build_ssd_node(sim, node_id, keyspace, mitt=True, mitt_mode="precise",
-                   geometry=None, shadow=False, fault_injector=None,
-                   cpu=None, handler_cpu_us=60.0):
-    """One node over an OpenChannel SSD partition."""
-    ssd = Ssd(sim, geometry or SsdGeometry(), name=f"n{node_id}")
-    sched = NoopScheduler(sim, ssd)  # noop is the right choice for SSDs
+def ssd_os(sim, name, mitt=True, mitt_mode="precise", geometry=None,
+           shadow=False, fault_injector=None, params=None):
+    """The SSD stack named ``name``: OpenChannel SSD + noop (the right
+    scheduler for an SSD) + MittSSD; ``mitt=False`` builds no predictor."""
+    ssd = Ssd(sim, geometry, name=name)
+    sched = NoopScheduler(sim, ssd)
     predictor = None
     if mitt:
         predictor = MittSsd(ssd, SsdLatencyModel.from_spec(ssd.geometry),
                             mode=mitt_mode, shadow=shadow,
                             fault_injector=fault_injector)
-    os_ = OS(sim, ssd, sched, predictor=predictor)
+    return OS(sim, ssd, sched, predictor=predictor, params=params)
+
+
+# -- node builders ------------------------------------------------------------
+
+def build_disk_node(sim, node_id, keyspace, **os_kwargs):
+    """One MongoDB-role node: mmap engine over :func:`disk_os`."""
+    os_ = disk_os(sim, f"n{node_id}", **os_kwargs)
+    engine = MMapEngine(os_, keyspace, pid=100 + node_id)
+    return StorageNode(sim, node_id, os_, engine)
+
+
+def build_ssd_node(sim, node_id, keyspace, cpu=None, handler_cpu_us=60.0,
+                   **os_kwargs):
+    """One node over an OpenChannel SSD partition (:func:`ssd_os`);
+    ``cpu`` is the machine's shared CPU semaphore (§7.5), if any."""
+    os_ = ssd_os(sim, f"n{node_id}", **os_kwargs)
     engine = MMapEngine(os_, keyspace, pid=100 + node_id,
                         use_addrcheck=False)
-    node = StorageNode(sim, node_id, os_, engine,
+    return StorageNode(sim, node_id, os_, engine, cpu=cpu,
                        handler_cpu_us=handler_cpu_us)
-    if cpu is not None:
-        node.cpu = cpu  # shared machine CPU (§7.5's 6-nodes-1-machine)
-    return node
 
 
-def build_lsm_node(sim, node_id, keys, mitt=True, disk_params=None):
+def build_lsm_node(sim, node_id, keys, mitt=True):
     """One Riak-role node: LSM engine over disk + CFQ (§7.8.4)."""
-    disk = Disk(sim, disk_params or DiskParams(), name=f"n{node_id}")
-    sched = CfqScheduler(sim, disk)
-    predictor = MittCfq(disk_latency_model()) if mitt else None
-    os_ = OS(sim, disk, sched, predictor=predictor)
+    os_ = disk_os(sim, f"n{node_id}", mitt=mitt)
     engine = LsmEngine(os_, pid=100 + node_id)
     engine.load_bulk(keys, tables=8)
     return StorageNode(sim, node_id, os_, engine)
@@ -118,24 +132,30 @@ def build_lsm_node(sim, node_id, keys, mitt=True, disk_params=None):
 
 # -- cluster builders ------------------------------------------------------------
 
-def build_disk_cluster(sim, n_nodes, n_keys=20_000, replication=3,
-                       network=None, **node_kwargs):
-    keyspace = KeySpace(n_keys, value_size=1 * KB,
-                        span_bytes=900 * (1 << 30))
-    nodes = [build_disk_node(sim, i, keyspace, **node_kwargs)
-             for i in range(n_nodes)]
-    net = network or Network(sim)
-    cluster = Cluster(sim, nodes, net, replication=replication)
+def cluster_env(sim, nodes, keyspace, network=None, replication=3):
+    """``nodes`` as an :class:`Env`: a replicated cluster over ``network``
+    (default: a fresh :class:`Network`) and one noise injector per node
+    over ``keyspace``'s span."""
+    cluster = Cluster(sim, nodes, network or Network(sim),
+                      replication=replication)
     injectors = [NoiseInjector(sim, node.os, keyspace.span_bytes,
                                name=f"n{node.node_id}")
                  for node in nodes]
     return Env(sim, cluster, injectors, keyspace)
 
 
+def build_disk_cluster(sim, n_nodes, n_keys=20_000, replication=3,
+                       network=None, **node_kwargs):
+    keyspace = KeySpace(n_keys, value_size=1 * KB, span_bytes=900 * GB)
+    nodes = [build_disk_node(sim, i, keyspace, **node_kwargs)
+             for i in range(n_nodes)]
+    return cluster_env(sim, nodes, keyspace, network, replication)
+
+
 def build_cache_cluster(sim, n_nodes, n_keys=4_000, replication=3,
-                        network=None, headroom=1.25, **node_kwargs):
+                        network=None, **node_kwargs):
     """Nodes whose dataset fits the page cache (preloaded)."""
-    cache_pages = int(n_keys * headroom)  # 1 record -> 1 page
+    cache_pages = int(n_keys * 1.25)  # 1 record -> 1 page
     env = build_disk_cluster(sim, n_nodes, n_keys=n_keys,
                              replication=replication, network=network,
                              cache_pages=cache_pages, **node_kwargs)
@@ -145,47 +165,42 @@ def build_cache_cluster(sim, n_nodes, n_keys=4_000, replication=3,
 
 
 def build_ssd_cluster(sim, n_nodes, n_keys=20_000, replication=3,
-                      network=None, geometry=None, shared_cpu_slots=None,
-                      handler_cpu_us=60.0, **node_kwargs):
-    from repro.sim.resources import Semaphore
-    keyspace = KeySpace(n_keys, value_size=1 * KB,
-                        span_bytes=4 * (1 << 30), align=16 * KB)
-    cpu = (Semaphore(sim, shared_cpu_slots)
-           if shared_cpu_slots else None)
-    nodes = [build_ssd_node(sim, i, keyspace, geometry=geometry, cpu=cpu,
-                            handler_cpu_us=handler_cpu_us, **node_kwargs)
+                      network=None, shared_cpu_slots=None, **node_kwargs):
+    """SSD nodes; ``shared_cpu_slots`` puts them on one machine with that
+    many hardware threads (§7.5)."""
+    keyspace = KeySpace(n_keys, value_size=1 * KB, span_bytes=4 * GB,
+                        align=16 * KB)
+    cpu = Semaphore(sim, shared_cpu_slots) if shared_cpu_slots else None
+    nodes = [build_ssd_node(sim, i, keyspace, cpu=cpu, **node_kwargs)
              for i in range(n_nodes)]
-    net = network or Network(sim)
-    cluster = Cluster(sim, nodes, net, replication=replication)
-    injectors = [NoiseInjector(sim, node.os, keyspace.span_bytes,
-                               name=f"n{node.node_id}")
-                 for node in nodes]
-    return Env(sim, cluster, injectors, keyspace)
+    return cluster_env(sim, nodes, keyspace, network, replication)
+
+
+def build_lsm_cluster(sim, n_nodes, n_keys):
+    """Riak-role LSM nodes, each loaded with keys ``0..n_keys-1``; noise
+    spans 800 GB of each disk."""
+    keyspace = KeySpace(n_keys, value_size=1 * KB, span_bytes=800 * GB)
+    nodes = [build_lsm_node(sim, i, range(n_keys)) for i in range(n_nodes)]
+    return cluster_env(sim, nodes, keyspace)
 
 
 # -- strategies --------------------------------------------------------------
 
+#: The constructor keyword each timeout-like strategy takes ``deadline_us``
+#: as; the other strategies take none.
+DEADLINE_KEYWORDS = {"appto": "timeout_us", "hedged": "hedge_delay_us",
+                     "mittos": "deadline_us", "adaptive": "deadline_us"}
+
+
 def make_strategy(name, cluster, deadline_us=None, **kwargs):
     """Build a strategy line; timeout-like strategies need ``deadline_us``."""
-    if name == "base":
-        return BaseStrategy(cluster, **kwargs)
-    if name == "appto":
-        return AppToStrategy(cluster, timeout_us=deadline_us, **kwargs)
-    if name == "clone":
-        return CloneStrategy(cluster, **kwargs)
-    if name == "hedged":
-        return HedgedStrategy(cluster, hedge_delay_us=deadline_us, **kwargs)
-    if name == "tied":
-        return TiedStrategy(cluster, **kwargs)
-    if name == "snitch":
-        return SnitchStrategy(cluster, **kwargs)
-    if name == "c3":
-        return C3Strategy(cluster, **kwargs)
-    if name == "mittos":
-        return MittosStrategy(cluster, deadline_us=deadline_us, **kwargs)
-    if name == "adaptive":
-        return AdaptiveStrategy(cluster, deadline_us=deadline_us, **kwargs)
-    raise ValueError(f"unknown strategy: {name}")
+    try:
+        cls = STRATEGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown strategy: {name}") from None
+    if name in DEADLINE_KEYWORDS:
+        kwargs[DEADLINE_KEYWORDS[name]] = deadline_us
+    return cls(cluster, **kwargs)
 
 
 # -- running --------------------------------------------------------------
@@ -210,9 +225,9 @@ def run_clients(env, strategy, n_clients, n_ops, scale_factor=1,
     return recorder
 
 
-def apply_ec2_noise(env, noise_model, horizon_us, rng_name="ec2"):
+def apply_ec2_noise(env, noise_model, horizon_us):
     """Attach EC2-style noise schedules to every node's injector."""
-    rng = env.sim.rng(rng_name)
+    rng = env.sim.rng("ec2")
     schedules = noise_model.schedules(rng, len(env.nodes), horizon_us)
     for injector, episodes in zip(env.injectors, schedules):
         injector.run_schedule([tuple(ep) for ep in episodes])
@@ -220,27 +235,25 @@ def apply_ec2_noise(env, noise_model, horizon_us, rng_name="ec2"):
 
 
 def run_ec2_disk_line(sim, strategy_name, deadline_us=None, n_nodes=20,
-                      n_clients=30, n_ops=1200, think_time_us=6 * MS,
-                      horizon_us=None, scale_factor=1, noise_model=None,
-                      node_kwargs=None, strategy_kwargs=None,
-                      stagger_us=0.0):
-    """One strategy line of the Figure 5/6 family on ``sim``.
+                      n_clients=30, n_ops=1200, think_time_us=6 * MS, *,
+                      horizon_us, scale_factor=1, node_kwargs=None,
+                      strategy_kwargs=None, stagger_us=0.0):
+    """One strategy line of the Figure 5/6 family on ``sim``: disk nodes
+    under EC2 disk noise until ``horizon_us``.
 
     Returns (recorder, strategy, env).  Figures pass a fresh
     ``Simulator(seed=seed)`` per line, so every line sees the identical
     EC2 noise replay; scenario hooks pass their caller's simulator.
     """
-    from repro.workloads import Ec2NoiseModel
     env = build_disk_cluster(sim, n_nodes, **(node_kwargs or {}))
-    horizon = horizon_us or 120_000_000.0
-    apply_ec2_noise(env, noise_model or Ec2NoiseModel("disk"), horizon)
+    apply_ec2_noise(env, Ec2NoiseModel("disk"), horizon_us)
     strategy = make_strategy(strategy_name, env.cluster,
                              deadline_us=deadline_us,
                              **(strategy_kwargs or {}))
     recorder = run_clients(env, strategy, n_clients, n_ops,
                            scale_factor=scale_factor,
                            think_time_us=think_time_us,
-                           name=strategy_name, limit_us=horizon,
+                           name=strategy_name, limit_us=horizon_us,
                            stagger_us=stagger_us)
     return recorder, strategy, env
 

@@ -37,8 +37,8 @@ def _apply_mix(sim, env, horizon_us):
                      pid_base=8000 + 100 * i)
 
 
-def _run_line(name, deadline_us, params, seed, strategy_kwargs=None):
-    sim = Simulator(seed=seed)
+def _run_line(sim, name, deadline_us, params, strategy_kwargs=None):
+    """One strategy line on ``sim`` under the filebench + Hadoop mix."""
     env = build_disk_cluster(sim, params["n_nodes"])
     _apply_mix(sim, env, params["horizon_us"])
     strategy = make_strategy(name, env.cluster, deadline_us=deadline_us,
@@ -54,12 +54,13 @@ def run(quick=True, seed=7):
                   n_ops=400 if quick else 1200,
                   horizon_us=(60 if quick else 150) * SEC)
 
-    base = _run_line("base", None, params, seed)
+    base = _run_line(Simulator(seed=seed), "base", None, params)
     deadline = base.p(95) * MS
     recorders = {"base": base}
-    recorders["hedged"] = _run_line("hedged", deadline, params, seed)
-    recorders["mittos"] = _run_line("mittos", deadline, params, seed)
-    hint = _run_line("mittos", deadline, params, seed,
+    for name in ("hedged", "mittos"):
+        recorders[name] = _run_line(Simulator(seed=seed), name, deadline,
+                                    params)
+    hint = _run_line(Simulator(seed=seed), "mittos", deadline, params,
                      strategy_kwargs={"use_wait_hint": True})
     hint.name = "mittos+hint"
     recorders["mittos+hint"] = hint

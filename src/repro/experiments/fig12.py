@@ -23,8 +23,8 @@ from repro.workloads import Ec2NoiseModel
 from repro.workloads.noise import rotating_contention
 
 
-def _run_line(strategy_name, condition, deadline_us, params, seed):
-    sim = Simulator(seed=seed)
+def _run_line(sim, strategy_name, condition, deadline_us, params):
+    """One strategy line on ``sim`` under one noise condition."""
     env = build_disk_cluster(sim, 3, replication=3)
     horizon = params["horizon_us"]
     if condition == "bursty":
@@ -52,7 +52,7 @@ def run(quick=True, seed=7):
     result = ExperimentResult("fig12", "Snitching / C3 vs bursty noise")
     recs = {}
     for strat in ("c3", "snitch"):
-        lines = [_run_line(strat, cond, None, params, seed)
+        lines = [_run_line(Simulator(seed=seed), strat, cond, None, params)
                  for cond in conditions]
         headers, rows = percentile_rows(lines,
                                         percentiles=(80, 85, 90, 95, 99))
@@ -63,7 +63,8 @@ def run(quick=True, seed=7):
     # Contrast: MittOS under the hostile 1-second rotation.
     nobusy = recs["c3"]["nobusy"]
     deadline = nobusy.p(95) * MS
-    mitt = _run_line("mittos", "1b2f-1s", deadline, params, seed)
+    mitt = _run_line(Simulator(seed=seed), "mittos", "1b2f-1s", deadline,
+                     params)
     headers, rows = percentile_rows([mitt],
                                     percentiles=(80, 85, 90, 95, 99))
     result.add_table("Contrast: MittOS under 1B2F-1sec (ms)", headers, rows)

@@ -8,37 +8,20 @@ while the outstanding-IO count (noise) is high.
 """
 
 from repro._units import MS, SEC
-from repro.cluster import Cluster, Network
-from repro.experiments.common import (Env, ExperimentResult, apply_ec2_noise,
-                                      build_lsm_node, make_strategy,
-                                      percentile_rows)
+from repro.experiments.common import (ExperimentResult, apply_ec2_noise,
+                                      build_lsm_cluster, make_strategy,
+                                      percentile_rows, run_clients)
 from repro.sim import Simulator
-from repro.workloads import Ec2NoiseModel, NoiseInjector, UniformKeys
-from repro.workloads.ycsb import run_ycsb
+from repro.workloads import Ec2NoiseModel
 
 
-def _build_env(sim, n_nodes, n_keys):
-    keys = range(n_keys)
-    nodes = [build_lsm_node(sim, i, keys) for i in range(n_nodes)]
-    cluster = Cluster(sim, nodes, Network(sim), replication=3)
-    injectors = [NoiseInjector(sim, node.os, 800 << 30,
-                               name=f"n{node.node_id}")
-                 for node in nodes]
-
-    class _KeyspaceShim:
-        def __init__(self, n):
-            self.n_keys = n
-
-    return Env(sim, cluster, injectors, _KeyspaceShim(n_keys))
-
-
-def _run_line(name, deadline_us, params, seed, sample_node=0):
-    sim = Simulator(seed=seed)
-    env = _build_env(sim, params["n_nodes"], params["n_keys"])
+def _run_line(sim, name, deadline_us, params):
+    """One line on ``sim``: Riak gets under EC2 disk noise, with node 0
+    sampled every 50 ms (Figure 13b).  Returns (recorder, timeline)."""
+    env = build_lsm_cluster(sim, params["n_nodes"], params["n_keys"])
     apply_ec2_noise(env, Ec2NoiseModel("disk"), params["horizon_us"])
 
-    # Timeline sampling of one node (Figure 13b).
-    node = env.nodes[sample_node]
+    node = env.nodes[0]
     timeline = []
 
     def sampler():
@@ -59,14 +42,12 @@ def _run_line(name, deadline_us, params, seed, sample_node=0):
                 ticks = 0
             yield 50 * MS
 
+    # Started before the clients: the order fixes same-time ties.
     sim.process(sampler())
     strategy = make_strategy(name, env.cluster, deadline_us=deadline_us)
-    dists = [UniformKeys(params["n_keys"], sim.rng(f"keys/{i}"))
-             for i in range(params["n_clients"])]
-    recorder, procs = run_ycsb(sim, strategy, dists,
-                               params["n_clients"], params["n_ops"],
-                               think_time_us=6 * MS, name=name)
-    sim.run_until(sim.all_of(procs), limit=params["horizon_us"])
+    recorder = run_clients(env, strategy, params["n_clients"],
+                           params["n_ops"], think_time_us=6 * MS, name=name,
+                           limit_us=params["horizon_us"])
     return recorder, timeline
 
 
@@ -76,10 +57,11 @@ def run(quick=True, seed=7):
                   n_ops=300 if quick else 1000,
                   horizon_us=(60 if quick else 150) * SEC)
 
-    base, _ = _run_line("base", None, params, seed)
+    base, _ = _run_line(Simulator(seed=seed), "base", None, params)
     base.name = "Base"
     deadline = base.p(95) * MS
-    mitt, timeline = _run_line("mittos", deadline, params, seed)
+    mitt, timeline = _run_line(Simulator(seed=seed), "mittos", deadline,
+                               params)
     mitt.name = "MittCFQ"
 
     result = ExperimentResult("fig13", "MittOS-powered Riak + LevelDB")

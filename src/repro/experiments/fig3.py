@@ -77,14 +77,14 @@ def _interarrival_stats(recorder, threshold_ms, gap_us):
     return gaps
 
 
-def replay_scenario(sim, resource="disk", n_nodes=3, horizon_us=2 * SEC):
-    """A scaled-down fig3 probe on a caller-supplied simulator.
+def replay_scenario(sim):
+    """The fig3 disk probe (3 nodes, 2 s) on a caller-supplied simulator.
 
     Registered as the ``fig3`` scenario, so ``python -m repro.analysis
     check`` proves the experiment replays bit-identically under
     ``paranoid=True``.
     """
-    _probe_nodes(sim, resource, n_nodes, horizon_us)
+    _probe_nodes(sim, "disk", 3, 2 * SEC)
 
 
 def ssd_scenario(sim):

@@ -13,48 +13,38 @@ node.  Four scenarios:
 """
 
 from repro._units import GB, KB, MS, SEC
-from repro.cluster import Cluster, Network
+from repro.cluster import Network
 from repro.engines import KeySpace
-from repro.experiments.common import (Env, ExperimentResult,
-                                      build_disk_node, build_ssd_node,
+from repro.experiments.common import (ExperimentResult, build_disk_node,
+                                      build_ssd_cluster, cluster_env,
                                       make_strategy, percentile_rows,
                                       run_clients)
 from repro.sim import Simulator
-from repro.workloads import NoiseInjector
 
 
 def _micro_env(sim, flavor, n_keys):
     """3 nodes, requests directed at node 0 (the noisy one) first."""
-    if flavor == "disk":
-        keyspace = KeySpace(n_keys, value_size=1 * KB,
-                            span_bytes=800 * GB)
-        nodes = [build_disk_node(sim, i, keyspace) for i in range(3)]
-        net = Network(sim)
-    elif flavor == "ssd":
-        keyspace = KeySpace(n_keys, value_size=1 * KB,
-                            span_bytes=4 * GB, align=16 * KB)
-        nodes = [build_ssd_node(sim, i, keyspace) for i in range(3)]
-        net = Network(sim, hop_us=30.0, jitter_us=3.0)  # local client
-    elif flavor == "cache":
-        keyspace = KeySpace(n_keys, value_size=1 * KB,
-                            span_bytes=800 * GB)
-        nodes = [build_disk_node(sim, i, keyspace,
-                                 cache_pages=int(n_keys * 1.3))
+    if flavor == "ssd":
+        env = build_ssd_cluster(
+            sim, 3, n_keys=n_keys,
+            network=Network(sim, hop_us=30.0, jitter_us=3.0))  # local client
+    elif flavor in ("disk", "cache"):
+        keyspace = KeySpace(n_keys, value_size=1 * KB, span_bytes=800 * GB)
+        cache_pages = int(n_keys * 1.3) if flavor == "cache" else None
+        nodes = [build_disk_node(sim, i, keyspace, cache_pages=cache_pages)
                  for i in range(3)]
-        for node in nodes:
-            node.engine.preload(range(n_keys))
-        net = Network(sim)
+        if cache_pages:
+            for node in nodes:
+                node.engine.preload(range(n_keys))
+        env = cluster_env(sim, nodes, keyspace)
     else:
         raise ValueError(flavor)
-    cluster = Cluster(sim, nodes, net, replication=3,
-                      primary_fn=lambda key: 0)
-    injectors = [NoiseInjector(sim, node.os, keyspace.span_bytes,
-                               name=f"n{node.node_id}") for node in nodes]
-    return Env(sim, cluster, injectors, keyspace)
+    env.cluster.primary_fn = lambda key: 0
+    return env
 
 
-def _run_line(flavor, noise_fn, strategy_name, deadline_us, n_ops, seed):
-    sim = Simulator(seed=seed)
+def _run_line(sim, flavor, noise_fn, strategy_name, deadline_us, n_ops):
+    """One line on ``sim``: 4 clients against the 3-node micro cluster."""
     env = _micro_env(sim, flavor, n_keys=4_000)
     if noise_fn is not None:
         noise_fn(sim, env)
@@ -63,21 +53,6 @@ def _run_line(flavor, noise_fn, strategy_name, deadline_us, n_ops, seed):
     return run_clients(env, strategy, n_clients=4, n_ops=n_ops,
                        think_time_us=3 * MS,
                        name=strategy_name, limit_us=600 * SEC)
-
-
-def _scenario(result, heading, flavor, noise_fn, deadline_us, n_ops, seed,
-              mitt_line="mittos"):
-    recs = [
-        _run_line(flavor, None, "base", None, n_ops, seed),
-        _run_line(flavor, noise_fn, "base", None, n_ops, seed),
-        _run_line(flavor, noise_fn, mitt_line, deadline_us, n_ops, seed),
-    ]
-    recs[0].name = "NoNoise"
-    recs[1].name = "Base"
-    recs[2].name = "MittOS"
-    headers, rows = percentile_rows(recs, percentiles=(50, 80, 90, 95, 99))
-    result.add_table(heading, headers, rows)
-    return recs
 
 
 def run(quick=True, seed=7):
@@ -103,14 +78,31 @@ def run(quick=True, seed=7):
         env.injectors[0].periodic_cache_eviction(fraction=0.2,
                                                  period_us=500 * MS)
 
-    a = _scenario(result, "Figure 4a: MittCFQ - low-priority noise (ms)",
-                  "disk", low_noise, 20 * MS, n_ops, seed)
-    b = _scenario(result, "Figure 4b: MittCFQ - high-priority noise (ms)",
-                  "disk", high_noise, 20 * MS, n_ops, seed)
-    c = _scenario(result, "Figure 4c: MittSSD - reads behind writes (ms)",
-                  "ssd", ssd_noise, 2 * MS, n_ops, seed)
-    d = _scenario(result, "Figure 4d: MittCache - evicted pages (ms)",
-                  "cache", cache_noise, 1 * MS, n_ops, seed)
+    def scenario(heading, flavor, noise_fn, deadline_us):
+        """NoNoise, Base and MittOS lines on fresh same-seed simulators."""
+        recs = [
+            _run_line(Simulator(seed=seed), flavor, None, "base", None,
+                      n_ops),
+            _run_line(Simulator(seed=seed), flavor, noise_fn, "base", None,
+                      n_ops),
+            _run_line(Simulator(seed=seed), flavor, noise_fn, "mittos",
+                      deadline_us, n_ops),
+        ]
+        for rec, name in zip(recs, ("NoNoise", "Base", "MittOS")):
+            rec.name = name
+        headers, rows = percentile_rows(recs,
+                                        percentiles=(50, 80, 90, 95, 99))
+        result.add_table(heading, headers, rows)
+        return recs
+
+    a = scenario("Figure 4a: MittCFQ - low-priority noise (ms)",
+                 "disk", low_noise, 20 * MS)
+    b = scenario("Figure 4b: MittCFQ - high-priority noise (ms)",
+                 "disk", high_noise, 20 * MS)
+    c = scenario("Figure 4c: MittSSD - reads behind writes (ms)",
+                 "ssd", ssd_noise, 2 * MS)
+    d = scenario("Figure 4d: MittCache - evicted pages (ms)",
+                 "cache", cache_noise, 1 * MS)
     result.data["scenarios"] = {"a": a, "b": b, "c": c, "d": d}
     return result
 

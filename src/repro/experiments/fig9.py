@@ -14,13 +14,9 @@ ablation rows.
 """
 
 from repro._units import GB, MS, SEC
-from repro.devices import Disk, Ssd, SsdGeometry
-from repro.devices.ssd_profile import SsdLatencyModel
-from repro.experiments.common import (ExperimentResult, disk_latency_model)
-from repro.kernel import CfqScheduler, NoopScheduler, OS
+from repro.experiments.common import ExperimentResult, disk_os, ssd_os
 from repro.kernel.syscall import OsParams
 from repro.metrics.latency import percentile
-from repro.mittos import MittCfq, MittSsd
 from repro.obs.accuracy import (FALSE_ACCEPT, FALSE_REJECT, AccuracyJoiner,
                                 PredictionRecord, group_of)
 from repro.sim import Simulator
@@ -30,9 +26,18 @@ from repro.workloads.traces import TRACE_FAMILIES, generate_trace, \
 TRACES = ("DAPPS", "DTRS", "EXCH", "LMBE", "TPCC")
 
 
-def _measure_p95(records, device_kind, seed):
-    """First pass: replay without deadlines to learn the p95 latency."""
-    sim = Simulator(seed=seed)
+def _build_os(sim, device_kind, mitt=True, mode="precise"):
+    """The shadow-mode disk (MittCFQ) or SSD (MittSSD) stack."""
+    stack = disk_os if device_kind == "disk" else ssd_os
+    # Single-machine replay: no failover hop in the rejection test, so the
+    # decision threshold equals the deadline the accuracy test scores.
+    return stack(sim, device_kind, mitt=mitt, mitt_mode=mode, shadow=True,
+                 params=OsParams(failover_hop_us=0.0))
+
+
+def _measure_p95(sim, records, device_kind):
+    """First pass: replay on ``sim`` without deadlines to learn the p95
+    latency."""
     os_ = _build_os(sim, device_kind, mitt=False)
     latencies = []
     replay_trace(sim, os_, records,
@@ -41,26 +46,9 @@ def _measure_p95(records, device_kind, seed):
     return percentile(latencies, 95)
 
 
-def _build_os(sim, device_kind, mitt=True, mode="precise"):
-    if device_kind == "disk":
-        device = Disk(sim)
-        sched = CfqScheduler(sim, device)
-        predictor = (MittCfq(disk_latency_model(), mode=mode, shadow=True)
-                     if mitt else None)
-    else:
-        device = Ssd(sim, SsdGeometry())
-        sched = NoopScheduler(sim, device)
-        predictor = (MittSsd(device, SsdLatencyModel.from_spec(
-            device.geometry), mode=mode, shadow=True) if mitt else None)
-    # Single-machine replay: no failover hop in the rejection test, so the
-    # decision threshold equals the deadline the accuracy test scores.
-    return OS(sim, device, sched, predictor=predictor,
-              params=OsParams(failover_hop_us=0.0))
-
-
 def _shadow_pass(sim, records, device_kind, deadline_us, mode):
     """Replay ``records`` on ``sim`` in shadow mode and return the joiner
-    that grades each completed IO off the request itself (no recorder).
+    that graded each completed IO off the request itself (no recorder).
     ``replay_trace`` admits at submit time, so ``complete_time -
     submit_time`` is the wait the trace join measures."""
     os_ = _build_os(sim, device_kind, mode=mode)
@@ -75,12 +63,6 @@ def _shadow_pass(sim, records, device_kind, deadline_us, mode):
 
     replay_trace(sim, os_, records, deadline_us=deadline_us,
                  on_complete=grade)
-    return joiner
-
-
-def _accuracy_pass(records, device_kind, deadline_us, mode, seed):
-    sim = Simulator(seed=seed)
-    joiner = _shadow_pass(sim, records, device_kind, deadline_us, mode)
     sim.run()
     return joiner
 
@@ -110,36 +92,36 @@ def accuracy_scenario(sim):
     """One precise MittCFQ shadow pass over a 2 s DAPPS trace on the
     caller's simulator (shadow bump-backs: ``predictor.late_reject``).
     Returns fig9's grading of the pass.  The 50 ms deadline is fixed:
-    :func:`_measure_p95`'s own ``Simulator`` would restart request ids."""
+    :func:`_measure_p95` needs a simulator of its own, and building one
+    restarts request ids."""
     records = generate_trace(TRACE_FAMILIES["DAPPS"], sim.rng("trace/DAPPS"),
                              2 * SEC, span_bytes=800 * GB)
-    joiner = _shadow_pass(sim, records, "disk", 50 * MS, "precise")
-    sim.run()
-    return joiner
+    return _shadow_pass(sim, records, "disk", 50 * MS, "precise")
 
 
 def run(quick=True, seed=7):
     duration = (20 if quick else 90) * SEC
     result = ExperimentResult("fig9", "Prediction inaccuracy on traces")
     rows_disk, rows_ssd = [], []
+
+    def passes(records, device_kind):
+        """The p95 pass, then the precise and naive shadow passes at that
+        deadline, each on a fresh same-seed simulator."""
+        p95 = _measure_p95(Simulator(seed=seed), records, device_kind)
+        return [_shadow_pass(Simulator(seed=seed), records, device_kind,
+                             p95, mode) for mode in ("precise", "naive")]
+
     for name in TRACES:
         spec = TRACE_FAMILIES[name]
         rng = Simulator(seed=seed).rng(f"trace/{name}")
         # Disk pass (MittCFQ): trace at native rate.
         records = generate_trace(spec, rng, duration, span_bytes=800 * GB)
-        p95 = _measure_p95(records, "disk", seed)
-        rows_disk.append(_row(
-            name, _accuracy_pass(records, "disk", p95, "precise", seed),
-            _accuracy_pass(records, "disk", p95, "naive", seed), 2))
+        rows_disk.append(_row(name, *passes(records, "disk"), 2))
         # SSD pass (MittSSD): the paper re-rates the trace for 128 chips.
         rate = 16 if quick else 64
         ssd_records = generate_trace(spec, rng, duration / 4,
                                      span_bytes=8 * GB, rate_scale=rate)
-        ssd_p95 = _measure_p95(ssd_records, "ssd", seed)
-        rows_ssd.append(_row(
-            name,
-            _accuracy_pass(ssd_records, "ssd", ssd_p95, "precise", seed),
-            _accuracy_pass(ssd_records, "ssd", ssd_p95, "naive", seed), 3))
+        rows_ssd.append(_row(name, *passes(ssd_records, "ssd"), 3))
 
     headers = ["trace", "ios", "FP%", "FN%", "inacc%", "naive%",
                "meandiff_ms"]

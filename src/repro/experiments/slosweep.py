@@ -131,6 +131,17 @@ def _run_cell_line(sim, line, spec, baseline_us, params):
     }
 
 
+def _run_clean_line(sim, params):
+    """The baseline line on ``sim``: vanilla Base, fault-free and without
+    scavengers.  Returns the foreground recorder."""
+    env = build_disk_cluster(sim, params["n_nodes"])
+    clean, _, procs = _launch_pools(sim, env,
+                                    make_strategy("base", env.cluster),
+                                    params)
+    sim.run_until(sim.all_of(procs), limit=params["horizon_us"])
+    return clean
+
+
 def run(quick=True, seed=7, faults=None):
     """The sweep.  ``faults`` (a :class:`FaultSpec`, e.g. from a committed
     JSON file via ``--faults``) replaces every cell's grid with one
@@ -143,14 +154,9 @@ def run(quick=True, seed=7, faults=None):
                   think_time_us=4 * MS,
                   horizon_us=(8 if quick else 40) * SEC)
 
-    # Baseline deadline from a clean (fault-free, no scavengers) run:
-    # p95 of vanilla Base, like the figure experiments.
-    sim = Simulator(seed=seed)
-    env = build_disk_cluster(sim, params["n_nodes"])
-    clean_strategy = make_strategy("base", env.cluster)
-    clean, _, procs = _launch_pools(sim, env, clean_strategy, params)
-    sim.run_until(sim.all_of(procs), limit=params["horizon_us"])
-    baseline = clean.p(95) * MS
+    # Baseline deadline: p95 of the clean line, like the figure
+    # experiments.
+    baseline = _run_clean_line(Simulator(seed=seed), params).p(95) * MS
 
     result = ExperimentResult(
         "slosweep", "Adaptive SLO control vs static deadline under faults")

@@ -14,8 +14,8 @@ from repro.sim import Simulator
 from repro.workloads import Ec2NoiseModel, UniformKeys
 
 
-def _run_line(noisy, params, seed):
-    sim = Simulator(seed=seed)
+def _run_line(sim, noisy, params):
+    """The write-only line on ``sim``, with or without EC2 disk noise."""
     env = build_disk_cluster(sim, params["n_nodes"])
     if noisy:
         apply_ec2_noise(env, Ec2NoiseModel("disk", busy_fraction=0.08),
@@ -48,8 +48,8 @@ def _write_loop(sim, env, dist, recorder, n_ops):
 def run(quick=True, seed=7):
     params = dict(n_nodes=20, n_clients=20, n_ops=300 if quick else 1200,
                   horizon_us=(60 if quick else 150) * SEC)
-    nonoise = _run_line(False, params, seed)
-    base = _run_line(True, params, seed)
+    nonoise = _run_line(Simulator(seed=seed), False, params)
+    base = _run_line(Simulator(seed=seed), True, params)
 
     result = ExperimentResult("writes", "Write latencies under disk noise")
     headers, rows = percentile_rows([nonoise, base],

@@ -65,7 +65,6 @@ class FaultPlane:
     def arm(self, cluster):
         """Bind to a cluster: wire the network/nodes, schedule the windows,
         and install the client resilience defaults.  Returns self."""
-        cluster = getattr(cluster, "cluster", cluster)  # accept an Env
         self.cluster = cluster
         cluster.fault_plane = self
         cluster.network.fault_plane = self

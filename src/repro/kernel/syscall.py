@@ -28,12 +28,17 @@ records a ``span.request`` event whose stages provably sum to the
 end-to-end latency the caller saw.
 """
 
-from repro._units import MS, US
+from repro._units import MS
 from repro.devices.request import BlockRequest, IoClass, IoOp
 from repro.errors import EBusy
 from repro.obs.events import (OS_EBUSY, OS_READ, OS_WRITE, SPAN_REQUEST,
                               request_fields)
 from repro.obs.spans import cache_hit_spans, ebusy_spans, request_spans
+
+#: Fastest device IO assumed where no predictor models the device: a
+#: deadline below it means the caller expected memory (``addrcheck``
+#: without a predictor, and a MittCache with no IO predictor under it).
+NO_MODEL_MIN_IO_US = 1 * MS
 
 
 class OsParams:
@@ -243,16 +248,11 @@ class OS:
                 self.cache.note_ebusy_swapin(file_id, offset, size)
                 return EBusy(verdict.predicted_wait)
             return True
-        if deadline < self._min_io_latency(size):
+        if deadline < NO_MODEL_MIN_IO_US:
             self._note_ebusy(True)
             self.cache.note_ebusy_swapin(file_id, offset, size)
             return EBusy()
         return True
-
-    def _min_io_latency(self, size):
-        if self.predictor is not None:
-            return self.predictor.min_io_latency(size)
-        return 1 * MS  # conservative floor without a device model
 
     # -- writes (buffered, §7.8.6) -----------------------------------------
     def write(self, file_id, offset, size, pid=0):

@@ -14,7 +14,7 @@ MittCache alone (memory-expectation workloads) or MittCache + MittCFQ /
 MittSSD stacked (the §7.8.5 all-in-one deployment).
 """
 
-from repro._units import MS
+from repro.kernel.syscall import NO_MODEL_MIN_IO_US
 from repro.mittos.predictor import Predictor
 
 
@@ -23,13 +23,9 @@ class MittCache(Predictor):
 
     name = "mittcache"
 
-    def __init__(self, io_predictor=None, fallback_min_io_us=1 * MS,
-                 **kwargs):
+    def __init__(self, io_predictor=None, **kwargs):
         super().__init__(**kwargs)
         self.io_predictor = io_predictor
-        #: Floor used when no IO predictor is stacked: any deadline below
-        #: the fastest possible device IO means "I expected memory".
-        self.fallback_min_io_us = fallback_min_io_us
 
     def attach(self, os):
         super().attach(os)
@@ -53,4 +49,6 @@ class MittCache(Predictor):
     def min_io_latency(self, size):
         if self.io_predictor is not None:
             return self.io_predictor.min_io_latency(size)
-        return self.fallback_min_io_us
+        # No IO predictor stacked: any deadline below the fastest possible
+        # device IO means "I expected memory".
+        return NO_MODEL_MIN_IO_US

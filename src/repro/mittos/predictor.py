@@ -39,10 +39,6 @@ class Verdict:
         self.predicted_wait = predicted_wait
         self.predicted_service = predicted_service
 
-    @property
-    def predicted_total(self):
-        return self.predicted_wait + self.predicted_service
-
     def __repr__(self):
         word = "accept" if self.accept else "EBUSY"
         return (f"<Verdict {word} wait={self.predicted_wait:.0f}us "

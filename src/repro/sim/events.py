@@ -101,29 +101,28 @@ class Event:
 class Race(Event):
     """Fused ``any_of([event, sim.timeout(...)])``: one event, one timer.
 
-    Succeeds with ``(0, value)`` when ``event`` succeeds first, or
-    ``(1, timeout_value)`` when the timer fires first — the exact value
-    shape of the AnyOf it replaces.  The losing timer's heap entry is
-    cancelled, and a *failing* child is ignored (like AnyOf with a
-    never-failing timer sibling: the timeout resolves the race).
+    Succeeds with ``(True, value)`` when ``event`` succeeds first, or
+    ``(False, None)`` when the timer fires first.  The losing timer's
+    heap entry is cancelled, and a *failing* child is ignored (like AnyOf
+    with a never-failing timer sibling: the timeout resolves the race).
 
-    This is the strategy layer's per-RPC bounding primitive; fusing it
-    saves a timer Event, an AnyOf (with its index dict and two callback
-    registrations) and their resolution hops on every bounded attempt.
+    This is the strategy layer's bounded wait on one RPC or fan-out;
+    fusing it saves a timer Event, an AnyOf (with its index dict and two
+    callback registrations) and their resolution hops on every bounded
+    attempt.
     """
 
     __slots__ = ("_handle",)
 
-    def __init__(self, sim, event, timeout_us, timeout_value=None):
+    def __init__(self, sim, event, timeout_us):
         super().__init__(sim)
-        self._handle = sim.schedule(timeout_us, self._fire_timeout,
-                                    timeout_value)
+        self._handle = sim.schedule(timeout_us, self._fire_timeout)
         event.add_callback(self._on_event)
 
-    def _fire_timeout(self, value):
+    def _fire_timeout(self):
         self._handle = None
         if not self._done:
-            self.succeed((1, value))
+            self.succeed((False, None))
 
     def _on_event(self, ev):
         if self._done or not ev.ok:
@@ -132,7 +131,7 @@ class Race(Event):
         if handle is not None:
             handle.cancel()
             self._handle = None
-        self.succeed((0, ev._value))
+        self.succeed((True, ev._value))
 
 
 def _child_index(events):

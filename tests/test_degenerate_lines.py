@@ -46,7 +46,7 @@ def _cache(name, deadline_us=None):
 def _lsm(name, deadline_us=None):
     params = dict(n_nodes=9, n_keys=6_000, n_clients=6, n_ops=120,
                   horizon_us=60 * SEC)
-    return fig13._run_line(name, deadline_us, params, 7)[0]
+    return fig13._run_line(Simulator(seed=7), name, deadline_us, params)[0]
 
 
 def _at_base_p95(base):

@@ -70,7 +70,7 @@ def test_read_result_repr():
 def test_verdict_repr_and_total():
     from repro.mittos import Verdict
     verdict = Verdict(False, 100.0, 50.0)
-    assert verdict.predicted_total == 150.0
+    assert verdict.predicted_wait + verdict.predicted_service == 150.0
     assert "EBUSY" in repr(verdict)
 
 

@@ -23,13 +23,11 @@ def test_schedule_at_exact_now_runs(sim):
 
 
 def test_strategy_race_returns_eio_marker_on_timeout(sim):
-    from repro.experiments.common import build_disk_cluster, make_strategy
-    env = build_disk_cluster(sim, 3)
-    strategy = make_strategy("base", env.cluster)
+    from repro.sim.events import Race
 
     def gen():
         slow = sim.timeout(1000.0, "late")
-        finished, value = yield from strategy._race(slow, 10.0)
+        finished, value = yield Race(sim, slow, 10.0)
         return finished, value
 
     proc = sim.process(gen())

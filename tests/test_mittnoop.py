@@ -122,8 +122,8 @@ def test_prediction_accuracy_on_quiet_disk(sim):
             req.submit_time = sim.now
             os_.scheduler.submit(req)
             yield done
-            errors.append(abs(req.latency - verdict.predicted_total)
-                          / req.latency)
+            total = verdict.predicted_wait + verdict.predicted_service
+            errors.append(abs(req.latency - total) / req.latency)
 
     sim.process(loop())
     sim.run()

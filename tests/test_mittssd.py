@@ -124,7 +124,8 @@ def test_prediction_tracks_actual_latency(sim):
                 sim.process(os_.write(0, rng.randrange(0, 4096) * 16 * KB,
                                       64 * KB))
             yield done
-            errors.append(abs(req.latency - verdict.predicted_total))
+            total = verdict.predicted_wait + verdict.predicted_service
+            errors.append(abs(req.latency - total))
 
     sim.process(loop())
     sim.run()
