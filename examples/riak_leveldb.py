@@ -10,24 +10,22 @@ Run:  python examples/riak_leveldb.py
 """
 
 from repro._units import MS, SEC
-from repro.cluster import Cluster, Network
 from repro.errors import is_ebusy
-from repro.experiments.common import build_lsm_node
+from repro.experiments.common import build_lsm_cluster
 from repro.metrics.latency import LatencyRecorder
 from repro.sim import Simulator
-from repro.workloads import NoiseInjector
 
 N_KEYS = 4000
 
 
 def main():
     sim = Simulator(seed=5)
-    nodes = [build_lsm_node(sim, i, range(N_KEYS)) for i in range(3)]
-    cluster = Cluster(sim, nodes, Network(sim), replication=3)
+    env = build_lsm_cluster(sim, 3, N_KEYS)
+    cluster = env.cluster
 
     # One replica gets a noisy neighbour.
-    injector = NoiseInjector(sim, nodes[0].os, 800 << 30)
-    injector.run_schedule([(2 * SEC, 2 * SEC, 4), (8 * SEC, 2 * SEC, 4)])
+    env.injectors[0].run_schedule([(2 * SEC, 2 * SEC, 4),
+                                   (8 * SEC, 2 * SEC, 4)])
 
     deadline = 15 * MS
     recorder = LatencyRecorder("riak-get")
@@ -62,7 +60,7 @@ def main():
     print(f"gets: {len(recorder)}  failovers: {stats['failover']}")
     print(f"p50 {recorder.p(50):.1f}ms | p95 {recorder.p(95):.1f}ms | "
           f"p99 {recorder.p(99):.1f}ms")
-    engine = nodes[0].engine
+    engine = env.nodes[0].engine
     print(f"node0 LevelDB: {engine.gets} gets, {engine.ebusy} EBUSY "
           f"propagated, {engine.compactions} compactions")
 

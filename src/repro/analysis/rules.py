@@ -71,8 +71,7 @@ HEAPQ_MUTATORS = frozenset({
 #: a stream ``faults/net`` may only be drawn by code under ``faults/``.
 RNG_OWNER_PACKAGES = frozenset({
     "sim", "kernel", "devices", "cluster", "faults", "engines",
-    "workloads", "metrics", "experiments", "obs", "extensions", "mittos",
-    "analysis",
+    "workloads", "metrics", "experiments", "obs", "mittos", "analysis",
 })
 
 #: Methods that put a callback on the event heap (DET007/DET008).

@@ -69,13 +69,11 @@ class StorageNode:
             bus.record(FAULT, {"kind": "restart", "node": self.node_id,
                                "epoch": self.epoch})
 
-    def get(self, key, deadline=None, io_observer=None, priority=None):
+    def get(self, key, deadline=None, priority=None):
         """Server-side get as a generator: returns EBUSY, EIO or a record.
 
         The caller drives it with ``yield from`` inside its own process;
         wrap it in ``sim.process`` to wait on it as an event.
-        ``io_observer(req)`` sees each block request the read creates
-        (tied copies track and revoke their IOs through it).
         ``priority`` — if given — is the CFQ priority the read's IOs carry
         (the SLO-control work tier; admission guards shed high tiers
         first).  None keeps the engine default.
@@ -83,7 +81,7 @@ class StorageNode:
         # A plain function, not a generator function: the repo benchmark
         # counts node gets as calls to it, and a profiler counts every
         # resume of a generator function as one more call.
-        return self._handle_get(key, deadline, io_observer, priority)
+        return self._handle_get(key, deadline, priority)
 
     def put(self, key):
         """Server-side put as a generator (buffered write path, §7.8.6)."""
@@ -92,14 +90,14 @@ class StorageNode:
         result = yield from self.engine.put(key)
         return result
 
-    def _handle_get(self, key, deadline, io_observer, priority):
+    def _handle_get(self, key, deadline, priority):
         self.handled += 1
         if self.cpu is not None:
             yield self.cpu.acquire()
         yield self.handler_cpu_us * self.cpu_slow_factor
         try:
-            result = yield from self.engine.get(
-                key, deadline, io_observer=io_observer, priority=priority)
+            result = yield from self.engine.get(key, deadline,
+                                                priority=priority)
         finally:
             if self.cpu is not None:
                 self.cpu.release()

@@ -103,7 +103,7 @@ class Strategy:
     through the node and the engine.  An attempt gets a process of its
     own only when the op must wait on it as an event: when it races a
     timer (a :class:`~repro.sim.events.Race`) or runs beside another
-    copy (hedged, clone, tied).
+    copy (hedged, clone).
     """
 
     name = "strategy"
@@ -198,22 +198,18 @@ class Strategy:
         return base / 2 + self._backoff_rng.random() * (base / 2)
 
     # -- helpers ---------------------------------------------------------
-    def _attempt(self, node, key, deadline=None, ctx=None, tie=None):
+    def _attempt(self, node, key, deadline=None, ctx=None):
         """:meth:`_attempt_gen` as a process event, for attempts the op
         races against a timer or runs beside another copy."""
-        return self.sim.process(
-            self._attempt_gen(node, key, deadline, ctx, tie))
+        return self.sim.process(self._attempt_gen(node, key, deadline, ctx))
 
-    def _attempt_gen(self, node, key, deadline, ctx=None, tie=None):
+    def _attempt_gen(self, node, key, deadline, ctx=None):
         """One request/response round-trip to a node (a generator).
 
         Pass ``ctx`` from *sequential* call sites only: the attempt then
         charges its network/server intervals to the op's span set.
-        Parallel fan-outs (hedged, clone, tied) must omit it — their
-        concurrent waiting is charged as ``parallel-wait`` by the caller.
-        ``tie`` is a tied copy (``TiedStrategy``): it observes the read's
-        IOs, and the copy begins execution at the server's answer at the
-        latest.
+        Parallel fan-outs (hedged, clone) must omit it — their concurrent
+        waiting is charged as ``parallel-wait`` by the caller.
         """
         net = self.network
         track = ctx is not None and ctx.spans is not None
@@ -229,11 +225,8 @@ class Strategy:
             # timeout can end this attempt.
             yield self.sim.event()
         epoch = node.epoch
-        result = yield from node.get(
-            key, deadline, io_observer=None if tie is None else tie.observe,
-            priority=self.tier_priority)
-        if tie is not None:
-            tie.began.try_succeed()
+        result = yield from node.get(key, deadline,
+                                     priority=self.tier_priority)
         if track:
             ctx.charge(STAGE_SERVER, self.sim.now)
         if not node.up or node.epoch != epoch:

@@ -36,8 +36,8 @@ class MittosStrategy(Strategy):
         self.lost_rpc_grace_us = lost_rpc_grace_us
         #: §8.1 extension: have EBUSY carry the predicted wait and use it.
         self.use_wait_hint = use_wait_hint
-        #: §8.1 extension: a DeadlineController that auto-tunes the
-        #: deadline from the EBUSY rate (overrides ``deadline_us``).
+        #: A deadline controller (``SloController``) that tunes the
+        #: deadline from feedback (overrides ``deadline_us``).
         self.controller = controller
         self.failovers = 0
         self.all_busy = 0

@@ -2,8 +2,7 @@
 
 from repro.devices.request import BlockRequest, IoClass, IoOp
 from repro.devices.disk import Disk, DiskParams
-from repro.devices.smr import SmrDisk, SmrParams
 from repro.devices.ssd import Ssd, SsdGeometry
 
 __all__ = ["BlockRequest", "IoClass", "IoOp", "Disk", "DiskParams",
-           "SmrDisk", "SmrParams", "Ssd", "SsdGeometry"]
+           "Ssd", "SsdGeometry"]

@@ -63,10 +63,6 @@ class Disk:
         self._current = None      # request in service
         self._head = 0            # byte offset of the head after last IO
         self._drain_callbacks = []
-        #: Optional hook called with the completed request *before* the
-        #: device refills — the anticipatory scheduler decides whether to
-        #: hold the disk idle in exactly that window.
-        self._completion_interceptor = None
         #: Total IOs completed (for experiments' sanity checks).
         self.completed = 0
         #: Fail-slow hooks (FaultPlane): a multiplier on every true service
@@ -90,10 +86,6 @@ class Disk:
     def add_drain_callback(self, fn):
         """``fn()`` runs whenever a slot frees up."""
         self._drain_callbacks.append(fn)
-
-    def set_completion_interceptor(self, fn):
-        """``fn(req)`` runs at completion before the device refills."""
-        self._completion_interceptor = fn
 
     def submit(self, req):
         """Accept a request into the device queue."""
@@ -177,8 +169,6 @@ class Disk:
         self._head = req.end_offset
         self._current = None
         self.completed += 1
-        if self._completion_interceptor is not None:
-            self._completion_interceptor(req)
         # Refill from the scheduler and start the next IO *before* firing
         # completion callbacks: those callbacks run client code that may
         # submit new IOs re-entrantly.

@@ -116,7 +116,7 @@ class LsmEngine:
             self._l1.append(table)
 
     # -- reads ------------------------------------------------------------
-    def get(self, key, deadline=None, io_observer=None, priority=None):
+    def get(self, key, deadline=None, priority=None):
         """Generator: returns EBUSY (propagated), a GetRecord or None.
 
         ``priority`` overrides the read's CFQ priority (SLO-control work
@@ -135,7 +135,7 @@ class LsmEngine:
             result = yield from self.os.read(
                 self.file_id, table.block_offset(key), table.block_size,
                 pid=self.pid, priority=4 if priority is None else priority,
-                deadline=deadline, io_observer=io_observer)
+                deadline=deadline)
             if is_ebusy(result):
                 self.ebusy += 1
                 return result  # propagate up (Riak does the failover)

@@ -46,7 +46,7 @@ class MMapEngine:
         self.gets = 0
         self.ebusy = 0
 
-    def get(self, key, deadline=None, io_observer=None, priority=None):
+    def get(self, key, deadline=None, priority=None):
         """Generator: returns EBUSY or a GetRecord.
 
         The node drives it with ``yield from``; run it on its own with
@@ -70,13 +70,13 @@ class MMapEngine:
         result = yield from self.os.read(
             self.file_id, offset, size, pid=self.pid,
             priority=4 if priority is None else priority,
-            deadline=deadline, io_observer=io_observer)
+            deadline=deadline)
         if is_ebusy(result):
             self.ebusy += 1
             return result
         return GetRecord(key, result.cache_hit, self.os.sim.now - start)
 
-    def put(self, key, io_observer=None):
+    def put(self, key):
         """Generator: buffered write of one record (§7.8.6 semantics)."""
         offset, size = self.keyspace.locate(key)
         yield from self.os.write(self.file_id, offset, size, pid=self.pid)

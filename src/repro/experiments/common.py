@@ -29,8 +29,7 @@ from repro.kernel import CfqScheduler, NoopScheduler, OS, PageCache
 from repro.metrics import format_table, latency_reduction
 from repro.mittos import MittCache, MittCfq, MittNoop, MittSsd
 from repro.sim.resources import Semaphore
-from repro.workloads import (Ec2NoiseModel, NoiseInjector, UniformKeys,
-                             ZipfianKeys)
+from repro.workloads import Ec2NoiseModel, NoiseInjector, UniformKeys
 from repro.workloads.ycsb import run_ycsb
 
 
@@ -206,18 +205,13 @@ def make_strategy(name, cluster, deadline_us=None, **kwargs):
 # -- running --------------------------------------------------------------
 
 def run_clients(env, strategy, n_clients, n_ops, scale_factor=1,
-                think_time_us=2 * MS, name="", key_dist="uniform",
-                limit_us=None, stagger_us=0.0):
-    """Run YCSB clients against the env; returns the latency recorder."""
+                think_time_us=2 * MS, name="", limit_us=None,
+                stagger_us=0.0):
+    """Run YCSB clients, each on uniform keys, against the env; returns
+    the latency recorder."""
     sim = env.sim
-    if key_dist == "uniform":
-        dists = [UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
-                 for i in range(n_clients)]
-    elif key_dist == "zipfian":
-        dists = [ZipfianKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
-                 for i in range(n_clients)]
-    else:
-        raise ValueError(f"unknown key distribution: {key_dist}")
+    dists = [UniformKeys(env.keyspace.n_keys, sim.rng(f"keys/{i}"))
+             for i in range(n_clients)]
     recorder, procs = run_ycsb(sim, strategy, dists, n_clients,
                                n_ops, scale_factor, think_time_us,
                                name=name, stagger_us=stagger_us)

@@ -104,24 +104,27 @@ def run(quick=True, seed=7):
     result = ExperimentResult("fig9", "Prediction inaccuracy on traces")
     rows_disk, rows_ssd = [], []
 
-    def passes(records, device_kind):
-        """The p95 pass, then the precise and naive shadow passes at that
-        deadline, each on a fresh same-seed simulator."""
-        p95 = _measure_p95(Simulator(seed=seed), records, device_kind)
+    def passes(p95_sim, records, device_kind):
+        """The p95 pass on ``p95_sim``, then the precise and naive shadow
+        passes at that deadline, each on a fresh same-seed simulator."""
+        p95 = _measure_p95(p95_sim, records, device_kind)
         return [_shadow_pass(Simulator(seed=seed), records, device_kind,
                              p95, mode) for mode in ("precise", "naive")]
 
     for name in TRACES:
         spec = TRACE_FAMILIES[name]
-        rng = Simulator(seed=seed).rng(f"trace/{name}")
+        # The disk p95 pass's simulator also owns the trace's stream.
+        disk_sim = Simulator(seed=seed)
+        rng = disk_sim.rng(f"trace/{name}")
         # Disk pass (MittCFQ): trace at native rate.
         records = generate_trace(spec, rng, duration, span_bytes=800 * GB)
-        rows_disk.append(_row(name, *passes(records, "disk"), 2))
+        rows_disk.append(_row(name, *passes(disk_sim, records, "disk"), 2))
         # SSD pass (MittSSD): the paper re-rates the trace for 128 chips.
         rate = 16 if quick else 64
         ssd_records = generate_trace(spec, rng, duration / 4,
                                      span_bytes=8 * GB, rate_scale=rate)
-        rows_ssd.append(_row(name, *passes(ssd_records, "ssd"), 3))
+        rows_ssd.append(_row(name, *passes(Simulator(seed=seed),
+                                           ssd_records, "ssd"), 3))
 
     headers = ["trace", "ios", "FP%", "FN%", "inacc%", "naive%",
                "meandiff_ms"]

@@ -1,6 +1,5 @@
 """The simulated OS storage stack: IO schedulers, page cache, syscalls."""
 
-from repro.kernel.anticipatory import AnticipatoryScheduler
 from repro.kernel.cache import PageCache
 from repro.kernel.cfq import CfqScheduler
 from repro.kernel.flashcache import FlashCache
@@ -9,6 +8,5 @@ from repro.kernel.scheduler import IOScheduler
 from repro.kernel.syscall import OS, ReadResult
 from repro.kernel.tiered import TieredStack
 
-__all__ = ["IOScheduler", "NoopScheduler", "CfqScheduler",
-           "AnticipatoryScheduler", "PageCache", "FlashCache",
-           "TieredStack", "OS", "ReadResult"]
+__all__ = ["IOScheduler", "NoopScheduler", "CfqScheduler", "PageCache",
+           "FlashCache", "TieredStack", "OS", "ReadResult"]

@@ -125,28 +125,22 @@ class OS:
 
     # -- reads -----------------------------------------------------------
     def read(self, file_id, offset, size, pid=0, ioclass=IoClass.BE,
-             priority=4, deadline=None, io_observer=None):
+             priority=4, deadline=None):
         """SLO-aware read as a generator: returns ReadResult or EBUSY.
 
         The caller drives it with ``yield from`` inside its own process
         (or wraps it in ``sim.process`` for background IO).  Only a
         device read waits on an event, the one :meth:`submit_raw`
         returns; a cache hit or a fast EBUSY just waits out its delay.
-
-        ``io_observer(req)`` — if given — receives the underlying
-        :class:`BlockRequest` when one is created (cache misses), letting
-        callers track begin-execution or revoke queued IOs (tied requests).
-        A request the observer marks ``cancelled`` is never submitted: the
-        read answers a fast EBUSY instead.
         """
         # A plain function, not a generator function: the repo benchmark
         # counts reads as calls to it, and a profiler counts every resume
         # of a generator function as one more call.
         return self._read(file_id, offset, size, pid, ioclass, priority,
-                          deadline, io_observer)
+                          deadline)
 
     def _read(self, file_id, offset, size, pid, ioclass, priority,
-              deadline, io_observer):
+              deadline):
         self.reads += 1
         bus = self.bus
         recording = bus.recorder.active
@@ -180,14 +174,6 @@ class OS:
         if deadline is not None:
             req.abs_deadline = start + deadline
         req.tag["file_id"] = file_id
-        if io_observer is not None:
-            io_observer(req)
-            if req.cancelled:
-                # Revoked before it was queued (a tied copy whose twin
-                # began first): never submitted.
-                self._note_ebusy(False)
-                return (yield from self._fast_reject("revoked", file_id,
-                                                     pid))
 
         if deadline is not None and self.predictor is not None:
             verdict = self.predictor.admit(req, deadline)

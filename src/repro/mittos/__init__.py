@@ -17,14 +17,7 @@ from repro.mittos.mittcache import MittCache
 from repro.mittos.mittcfq import MittCfq
 from repro.mittos.mittnoop import MittNoop
 from repro.mittos.mittssd import MittSsd
-from repro.mittos.autodeadline import DeadlineController
-from repro.mittos.mittanticipatory import MittAnticipatory
-from repro.mittos.mittsmr import MittSmr
 from repro.mittos.predictor import Predictor, Verdict
-from repro.mittos.slo import (DeadlineSlo, PercentileSlo, SloRegistry,
-                              ThroughputSlo)
 
 __all__ = ["Predictor", "Verdict", "MittNoop", "MittCfq", "MittSsd",
-           "MittCache", "MittSmr", "MittAnticipatory", "FaultInjector",
-           "DeadlineSlo", "ThroughputSlo", "PercentileSlo", "SloRegistry",
-           "DeadlineController"]
+           "MittCache", "FaultInjector"]

@@ -22,7 +22,6 @@ per simulator.  Topics are plain strings, grouped by layer:
 ``rpc.send/recv/drop``      one network-hop message life cycle
 ``fault.transition``        fault-plane state change (crash, restart, storm…)
 ``strategy.decision``       client-strategy control decision (failover, retry)
-``device.clean``            device-internal background work (SMR cleaning)
 ``slo.window``              SLO-controller observation window closed (p95,
                             EBUSY rate, error-budget burn, queue depth)
 ``slo.transition``          SLO controller changed deadline/degradation level
@@ -50,12 +49,12 @@ import json
 
 # -- topics (declared in repro.obs.schema; re-exported here) -----------------
 from repro.obs.schema import (CACHE_HIT, CACHE_MISS, CACHE_SWAPIN, DECISION,
-                              DEVICE_CLEAN, FAULT, IO_CANCEL, IO_COMPLETE,
-                              IO_DISPATCH, IO_SERVICE_START, IO_SUBMIT,
-                              LATE_REJECT, OS_EBUSY, OS_READ, OS_WRITE,
-                              RPC_DROP, RPC_RECV, RPC_SEND, SCHEMAS,
-                              SLO_KILLSWITCH, SLO_SHED, SLO_TRANSITION,
-                              SLO_WINDOW, SPAN_OP, SPAN_REQUEST, VERDICT)
+                              FAULT, IO_CANCEL, IO_COMPLETE, IO_DISPATCH,
+                              IO_SERVICE_START, IO_SUBMIT, LATE_REJECT,
+                              OS_EBUSY, OS_READ, OS_WRITE, RPC_DROP,
+                              RPC_RECV, RPC_SEND, SCHEMAS, SLO_KILLSWITCH,
+                              SLO_SHED, SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
+                              SPAN_REQUEST, VERDICT)
 
 #: Every declared topic, in the schema registry's canonical order.
 ALL_TOPICS = tuple(SCHEMAS)
@@ -81,7 +80,7 @@ STAGE_SERVER = "server"
 STAGE_TIMEOUT_WAIT = "timeout-wait"
 #: Client-side retry backoff sleeps.
 STAGE_BACKOFF = "backoff"
-#: Waits on racing parallel attempts (hedged/clone/tied fan-out).
+#: Waits on racing parallel attempts (hedged/clone fan-out).
 STAGE_PARALLEL_WAIT = "parallel-wait"
 #: Residual client-side time not attributed to any stage above (should be
 #: ~0 for sequential strategies; makes the span invariant exact by

@@ -65,7 +65,6 @@ RPC_DROP = "rpc.drop"
 
 FAULT = "fault.transition"
 DECISION = "strategy.decision"
-DEVICE_CLEAN = "device.clean"
 
 SLO_WINDOW = "slo.window"
 SLO_TRANSITION = "slo.transition"
@@ -176,11 +175,6 @@ SCHEMAS = {s.topic: s for s in (
                       "round_no": "int", "delay_us": "number",
                       "limit_us": "number", "timeout_us": "number",
                       "predicted_wait": "number?"}),
-    _schema(DEVICE_CLEAN,
-            "device-internal background work (SMR band cleaning)",
-            {"device": "str", "kind": "str"},
-            optional={"busy_until": "number", "bands_cleaned": "int",
-                      "cache_fill": "number"}),
     _schema(SLO_WINDOW,
             "one SLO-controller observation window closed: windowed tail "
             "latency, EBUSY rate, error-budget burn, backpressure state",

@@ -11,7 +11,7 @@ A deterministic sim-time feedback loop over the MittOS deadline:
   tiered admission backpressure on the OS read path (shed lowest tier
   first, foreground tiers structurally un-sheddable).
 
-The ninth client strategy (``adaptive`` in ``STRATEGIES``) composes
+The ``adaptive`` client strategy (in ``STRATEGIES``) composes
 ``MittosStrategy`` with a controller; the ``slosweep`` experiment
 benchmarks it against the static-deadline baseline.
 """

@@ -59,8 +59,8 @@ def window_p95(latencies):
 class SloController:
     """Feedback-driven deadline + backpressure control for one strategy.
 
-    Implements the ``DeadlineController`` protocol ``MittosStrategy``
-    already composes (``deadline_us`` property + ``record(was_ebusy)``),
+    Implements the deadline-controller protocol ``MittosStrategy``
+    composes (``deadline_us`` property + ``record(was_ebusy)``),
     so wiring it in is strategy-side trivial; on top of that it takes
     per-op latency observations (:meth:`observe_op`), drives the
     degradation level of every attached
@@ -189,7 +189,7 @@ class SloController:
 
     # -- observation feed --------------------------------------------------
     def record(self, was_ebusy):
-        """``DeadlineController`` protocol hook: one op's EBUSY flag
+        """Deadline-controller protocol hook: one op's EBUSY flag
         (``MittosStrategy`` calls this once per completed get)."""
         if was_ebusy:
             self._ebusy_ops += 1

@@ -2,9 +2,9 @@
 block traces, and background macrobenchmark mixes."""
 
 from repro.workloads.ec2 import Ec2NoiseModel
-from repro.workloads.keydist import UniformKeys, ZipfianKeys
+from repro.workloads.keydist import UniformKeys
 from repro.workloads.noise import NoiseInjector
 from repro.workloads.ycsb import YcsbClient, run_ycsb
 
-__all__ = ["Ec2NoiseModel", "UniformKeys", "ZipfianKeys", "NoiseInjector",
-           "YcsbClient", "run_ycsb"]
+__all__ = ["Ec2NoiseModel", "UniformKeys", "NoiseInjector", "YcsbClient",
+           "run_ycsb"]

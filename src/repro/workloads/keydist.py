@@ -1,11 +1,5 @@
-"""Key-popularity distributions for the YCSB-like workloads.
-
-YCSB's default request distribution is a scrambled zipfian; we implement the
-standard Gray et al. zipfian generator plus a hash scramble, and a uniform
-picker for evenly spread load.
-"""
-
-from repro.engines.kv import _stable_hash
+"""Key popularity for the YCSB-like workloads: a uniform picker, so load
+spreads evenly over the keyspace."""
 
 
 class UniformKeys:
@@ -17,39 +11,3 @@ class UniformKeys:
 
     def next_key(self):
         return self.rng.randrange(self.n_keys)
-
-
-class ZipfianKeys:
-    """Scrambled zipfian keys (YCSB's default, theta = 0.99)."""
-
-    def __init__(self, n_keys, rng, theta=0.99):
-        if not 0 < theta < 1:
-            raise ValueError("zipfian theta must be in (0, 1)")
-        self.n_keys = n_keys
-        self.rng = rng
-        self.theta = theta
-        self._zetan = self._zeta(n_keys, theta)
-        self._zeta2 = self._zeta(2, theta)
-        self._alpha = 1.0 / (1.0 - theta)
-        self._eta = ((1 - (2.0 / n_keys) ** (1 - theta))
-                     / (1 - self._zeta2 / self._zetan))
-
-    @staticmethod
-    def _zeta(n, theta):
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
-
-    def next_rank(self):
-        """A zipf-distributed rank in [0, n_keys) — rank 0 most popular."""
-        u = self.rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.n_keys
-                   * (self._eta * u - self._eta + 1) ** self._alpha)
-
-    def next_key(self):
-        """A scrambled zipfian key (popular keys spread over the space)."""
-        rank = min(self.next_rank(), self.n_keys - 1)
-        return _stable_hash(("scramble", rank)) % self.n_keys

@@ -64,9 +64,6 @@ CASES = [
     _param(_disk, "appto", {"deadline_us": INF}, id="disk-appto"),
     _param(_disk, "adaptive", {"deadline_us": INF}, id="disk-adaptive"),
     _param(_disk_sf2, "mittos", {"deadline_us": INF}, id="disk-sf2-mittos"),
-    # The finite line keeps TiedStrategy's default 1 ms tie delay.
-    _param(_disk, "tied", {"tie_delay_us": INF}, lambda base: {},
-           id="disk-tied"),
     _param(_ssd, "mittos", {"deadline_us": INF}, id="ssd-mittos"),
     _param(_ssd, "hedged", {"deadline_us": INF}, id="ssd-hedged"),
     _param(_cache, "hedged", {"deadline_us": INF}, id="cache-hedged"),

@@ -14,7 +14,7 @@ from repro.experiments.common import (ExperimentResult,
                                       build_lsm_node, build_ssd_cluster,
                                       disk_latency_model, disk_os,
                                       make_strategy, percentile_rows,
-                                      run_clients, run_ec2_disk_line, ssd_os)
+                                      run_ec2_disk_line, ssd_os)
 from repro.kernel import CfqScheduler, NoopScheduler
 from repro.kernel.syscall import OsParams
 from repro.metrics.latency import LatencyRecorder
@@ -92,7 +92,7 @@ def test_make_strategy_gives_other_strategies_no_deadline(sim):
     base = make_strategy("base", env.cluster, deadline_us=7 * MS)
     assert type(base) is STRATEGIES["base"]
     assert base.timeout_us == 30 * SEC  # its own coarse default
-    assert type(make_strategy("tied", env.cluster)) is STRATEGIES["tied"]
+    assert type(make_strategy("clone", env.cluster)) is STRATEGIES["clone"]
 
 
 def test_build_disk_cluster_shape(sim):
@@ -141,21 +141,6 @@ def test_make_strategy_rejects_unknown(sim):
     env = build_disk_cluster(sim, 3)
     with pytest.raises(ValueError):
         make_strategy("yolo", env.cluster)
-
-
-def test_run_clients_unknown_keydist(sim):
-    env = build_disk_cluster(sim, 3)
-    strategy = make_strategy("base", env.cluster)
-    with pytest.raises(ValueError):
-        run_clients(env, strategy, 1, 1, key_dist="pareto")
-
-
-def test_run_clients_zipfian(sim):
-    env = build_disk_cluster(sim, 3)
-    strategy = make_strategy("base", env.cluster)
-    rec = run_clients(env, strategy, 2, 10, key_dist="zipfian",
-                      limit_us=60 * SEC)
-    assert len(rec) == 20
 
 
 def test_run_ec2_disk_line_is_seed_deterministic():

@@ -1,47 +1,11 @@
 """Tests of key popularity distributions."""
 
 import random
-from collections import Counter
 
-import pytest
-
-from repro.workloads import UniformKeys, ZipfianKeys
+from repro.workloads import UniformKeys
 
 
 def test_uniform_covers_space():
     dist = UniformKeys(100, random.Random(1))
     seen = {dist.next_key() for _ in range(5000)}
     assert len(seen) == 100
-
-
-def test_zipfian_theta_validated():
-    with pytest.raises(ValueError):
-        ZipfianKeys(100, random.Random(1), theta=1.0)
-
-
-def test_zipfian_ranks_are_skewed():
-    dist = ZipfianKeys(1000, random.Random(1))
-    ranks = Counter(dist.next_rank() for _ in range(20000))
-    assert ranks[0] > ranks.get(100, 0) > ranks.get(900, 0)
-    top10 = sum(ranks[r] for r in range(10))
-    assert top10 > 0.3 * 20000  # heavy head
-
-
-def test_zipfian_keys_in_range():
-    dist = ZipfianKeys(50, random.Random(2))
-    assert all(0 <= dist.next_key() < 50 for _ in range(2000))
-
-
-def test_scramble_spreads_popular_keys():
-    dist = ZipfianKeys(1000, random.Random(3))
-    hot = Counter(dist.next_key() for _ in range(20000)).most_common(5)
-    hot_keys = [k for k, _ in hot]
-    # Scrambled: the hottest keys are not the lowest-numbered ones.
-    assert any(k > 100 for k in hot_keys)
-
-
-def test_zipfian_deterministic_given_rng():
-    a = ZipfianKeys(100, random.Random(9))
-    b = ZipfianKeys(100, random.Random(9))
-    assert [a.next_key() for _ in range(50)] == \
-        [b.next_key() for _ in range(50)]

@@ -78,10 +78,10 @@ def test_unstacked_shadow_guard_runs_the_io_and_records_ebusy(sim):
     os_ = OS(sim, disk, CfqScheduler(sim, disk), cache=PageCache(sim, 1000),
              predictor=predictor)
     issued = []
+    os_.scheduler.add_dispatch_listener(issued.append)
 
     def gen():
-        result = yield from os_.read(0, 0, 4 * KB, deadline=0.1 * MS,
-                                     io_observer=issued.append)
+        result = yield from os_.read(0, 0, 4 * KB, deadline=0.1 * MS)
         return result
 
     proc = sim.process(gen())

@@ -131,16 +131,16 @@ def test_shadow_mode_flips_accuracy_decision():
     predictor = MittCfq(MODEL, shadow=True)
     os_ = OS(sim, disk, sched, predictor=predictor)
 
-    bumped = []
+    dispatched = []
+    sched.add_dispatch_listener(dispatched.append)
     sim.process(os_.read(0, 0, 4 * KB, pid=9))
-    ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS,
-                              io_observer=bumped.append))
+    ev = sim.process(os_.read(0, 800 * GB, 4 * KB, pid=1, deadline=20 * MS))
     for i in range(15):
         sim.process(os_.read(0, i * GB, 1024 * KB, pid=1))
     sim.run()
     assert not is_ebusy(ev.value)  # shadow: the IO still ran
     assert predictor.late_cancellations == 1
-    (req,) = bumped
+    (req,) = [r for r in dispatched if r.abs_deadline is not None]
     assert req.shadow_ebusy
 
     (verdict,) = recorder.by_topic(VERDICT)

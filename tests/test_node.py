@@ -1,9 +1,8 @@
 """Tests of StorageNode request handling."""
 
 from repro._units import GB, KB, MS
-from repro.cluster.strategies.tied import TiedCopy
 from repro.errors import is_ebusy
-from repro.experiments.common import build_disk_cluster, make_strategy
+from repro.experiments.common import build_disk_cluster
 from repro.sim.resources import Semaphore
 
 
@@ -47,59 +46,6 @@ def test_put_path(sim):
     ev = sim.process(node.put(5))
     sim.run()
     assert ev.value is True
-
-
-def _tied_copy(sim, env, node, key):
-    """One tied copy of a get (§7.8.2): (reply event, copy)."""
-    strategy = make_strategy("tied", env.cluster)
-    copy = TiedCopy(sim, node)
-    return strategy._attempt(node, key, tie=copy), copy
-
-
-def test_get_cancellable_began_fires_on_dispatch(sim):
-    """A tied copy begins execution when its IO enters the device."""
-    env = build_disk_cluster(sim, 3)
-    node = env.nodes[0]
-    ev, copy = _tied_copy(sim, env, node, 5)
-    sim.run_until(copy.began)
-    assert copy.reqs[0].dispatch_time == sim.now  # began at dispatch
-    assert not ev.triggered
-    sim.run()
-    assert not is_ebusy(ev.value)
-
-
-def test_get_cancellable_cancel_before_dispatch(sim):
-    """Cancelling a tied copy revokes its IO still in the scheduler."""
-    env = build_disk_cluster(sim, 3)
-    node = env.nodes[0]
-    # Fill device + scheduler so the engine IO queues.
-    for i in range(8):
-        sim.process(node.os.read(0, i * GB, 2048 * KB, pid=9))
-    ev, copy = _tied_copy(sim, env, node, 5)
-
-    def canceller():
-        yield 1 * MS  # after the copy's (queued) IO was issued
-        assert copy.reqs and copy.reqs[0].dispatch_time is None
-        copy.cancel()
-
-    sim.process(canceller())
-    sim.run()
-    assert is_ebusy(ev.value)  # revoked in the scheduler queue
-    assert node.os.scheduler.cancelled == 1
-
-
-def test_tied_copy_cancelled_before_its_io_exists_submits_none(sim):
-    """A cancel that reaches the server before the copy's IO exists keeps
-    that IO out of the scheduler: the copy answers EBUSY instead of being
-    served."""
-    env = build_disk_cluster(sim, 3)
-    node = env.nodes[0]
-    ev, copy = _tied_copy(sim, env, node, 5)
-    copy.cancel()
-    sim.run()
-    assert is_ebusy(ev.value)
-    assert node.os.scheduler.submitted == 0
-    assert node.os.ebusy_returned == 1
 
 
 def test_handler_cpu_time_charged(sim):

@@ -8,7 +8,6 @@ the batch user carries none and just waits.
 
 from repro._units import MS, SEC
 from repro.experiments.common import build_disk_cluster, make_strategy
-from repro.mittos import DeadlineSlo, SloRegistry
 
 
 def test_two_users_one_cluster_different_behaviour(sim):
@@ -16,14 +15,12 @@ def test_two_users_one_cluster_different_behaviour(sim):
     env.cluster.primary_fn = lambda key: 0
     env.injectors[0].busy_window(5 * SEC, concurrency=5)
 
-    registry = SloRegistry()
-    registry.set("interactive", DeadlineSlo.from_ms(15))
-    # "batch" has no SLO: registry returns None -> no deadline, no EBUSY.
+    # "batch" has no SLO: no deadline, so never an EBUSY.
+    deadlines = {"interactive": 15 * MS, "batch": None}
 
     strategies = {
-        user: make_strategy("mittos", env.cluster,
-                            deadline_us=registry.deadline_us(user))
-        for user in ("interactive", "batch")
+        user: make_strategy("mittos", env.cluster, deadline_us=deadline)
+        for user, deadline in deadlines.items()
     }
     latencies = {}
 
@@ -45,10 +42,8 @@ def test_slo_update_takes_effect_mid_run(sim):
     """'...which can be modified anytime': tighten the deadline online."""
     env = build_disk_cluster(sim, 6)
     env.cluster.primary_fn = lambda key: 0
-    registry = SloRegistry()
-    registry.set("u", DeadlineSlo.from_ms(500))  # effectively no limit
     strategy = make_strategy("mittos", env.cluster,
-                             deadline_us=registry.deadline_us("u"))
+                             deadline_us=500 * MS)  # effectively no limit
 
     def phase_one():
         yield strategy.get(1)
@@ -58,8 +53,7 @@ def test_slo_update_takes_effect_mid_run(sim):
     assert strategy.failovers == 0
 
     # The operator tightens the SLO; the strategy picks it up.
-    registry.set("u", DeadlineSlo.from_ms(10))
-    strategy.deadline_us = registry.deadline_us("u")
+    strategy.deadline_us = 10 * MS
     env.injectors[0].busy_window(5 * SEC, concurrency=5)
     sim.run(until=sim.now + 100 * MS)
 

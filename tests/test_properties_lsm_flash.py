@@ -74,22 +74,3 @@ def test_flash_cache_lru_and_capacity_invariants(extents,
     assert proc.ok
     # The most recently read extent is always resident (threshold 1).
     assert flash.cached(extents[-1] * 64 * KB, 4 * KB)
-
-
-@given(slots=st.integers(1, 6),
-       timeslice_ms=st.integers(5, 50),
-       probes=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
-                       max_size=50))
-def test_vmm_next_wake_invariants(slots, timeslice_ms, probes):
-    from repro._units import MS
-    from repro.extensions import Vmm
-    sim = Simulator(seed=3)
-    vmm = Vmm(sim, slots, timeslice_us=timeslice_ms * MS)
-    for now in probes:
-        for vm in range(slots):
-            wake = vmm.next_wake(vm, now=now)
-            assert wake >= now or vmm.running_vm(now) == vm
-            # At the wake time, the VM really does hold the core.
-            assert vmm.running_vm(max(wake, now)) == vm
-            # Park never exceeds one full rotation.
-            assert wake - now <= slots * timeslice_ms * MS

@@ -7,8 +7,7 @@ from repro.cluster import Cluster, Network
 from repro.cluster.strategies import STRATEGIES, MittosStrategy
 from repro.errors import EIO, EBusy, is_ebusy
 from repro.experiments.common import (build_disk_cluster, make_strategy,
-                                      run_clients, run_ec2_disk_line)
-from repro.sim import Simulator
+                                      run_clients)
 
 
 def _noisy_primary(env, key):
@@ -25,9 +24,9 @@ def _get(sim, strategy, key):
     return ev
 
 
-def test_registry_contains_all_nine():
-    assert set(STRATEGIES) == {"base", "appto", "clone", "hedged", "tied",
-                               "snitch", "c3", "mittos", "adaptive"}
+def test_registry_contains_all_eight():
+    assert set(STRATEGIES) == {"base", "appto", "clone", "hedged", "snitch",
+                               "c3", "mittos", "adaptive"}
 
 
 def test_base_waits_out_the_noise(sim):
@@ -114,29 +113,6 @@ def test_mittos_wait_hint_picks_least_busy(sim):
     ev = _get(sim, strategy, 1)
     assert not is_ebusy(ev.value) and ev.value is not EIO
     assert strategy.all_busy == 1
-
-
-def test_tied_cancels_loser(sim):
-    env = build_disk_cluster(sim, 6)
-    _noisy_primary(env, 1)
-    strategy = make_strategy("tied", env.cluster)
-    strategy.tie_delay_us = 5 * MS
-    ev = _get(sim, strategy, 1)
-    assert ev.value is not EIO and not is_ebusy(ev.value)
-    assert strategy.duplicates == 1
-
-
-def test_tied_cancelled_copies_are_never_served():
-    """Every cancelled copy answers EBUSY (§7.8.2): its queued IO is
-    revoked or, when the cancel reaches its server before the IO exists,
-    the IO is never submitted."""
-    _, strategy, env = run_ec2_disk_line(
-        Simulator(seed=7), "tied", n_nodes=9, n_clients=6, n_ops=120,
-        horizon_us=20 * SEC)
-    assert strategy.cancellations == 720
-    assert sum(node.os.ebusy_returned for node in env.nodes) == 720
-    revoked = sum(node.os.scheduler.cancelled for node in env.nodes)
-    assert 0 < revoked < 720  # both paths occur
 
 
 @pytest.mark.parametrize("name, per_get", [("mittos", 1), ("base", 2)])
@@ -227,7 +203,7 @@ class _ScriptedNode:
         self.up = True
         self.epoch = 0
 
-    def get(self, key, deadline=None, io_observer=None, priority=None):
+    def get(self, key, deadline=None, priority=None):
         if deadline is None:
             self.final_gets += 1
             yield 200.0

@@ -9,6 +9,9 @@ from repro.devices.request import BlockRequest, IoOp
 from repro.errors import is_ebusy
 from repro.kernel import CfqScheduler, OS, PageCache
 from repro.mittos import MittCfq
+from repro.obs.bus import TraceRecorder
+from repro.obs.events import IO_COMPLETE, VERDICT
+from repro.sim import Simulator
 from tests.conftest import run_process
 
 
@@ -145,42 +148,11 @@ def test_writes_flush_in_background(sim):
     assert os_.device.completed > 0  # flusher issued real IOs
 
 
-def test_io_observer_sees_block_request(sim):
-    os_ = _os(sim)
-    seen = []
-
-    def gen():
-        yield from os_.read(0, 10 * GB, 4 * KB, io_observer=seen.append)
-        return None
-
-    run_process(sim, gen())
-    assert len(seen) == 1
-    assert seen[0].offset == 10 * GB
-
-
-def test_request_cancelled_by_its_observer_is_never_submitted(sim):
-    """An observer that cancels the request it is shown (a tied copy
-    whose twin already began) keeps the IO out of the scheduler, and the
-    read answers EBUSY."""
-    os_ = _os(sim)
-
-    def cancel(req):
-        req.cancelled = True
-
-    def gen():
-        result = yield from os_.read(0, 10 * GB, 4 * KB, io_observer=cancel)
-        return result
-
-    assert is_ebusy(run_process(sim, gen()))
-    assert os_.scheduler.submitted == 0
-    assert os_.device.completed == 0
-    assert os_.ebusy_returned == 1
-
-
-def test_a_read_allocates_an_event_only_for_device_io(sim, monkeypatch):
-    """A cache hit and a fast EBUSY (revoked or predicted) wait out their
-    delay; only a device read waits on an event, the one ``submit_raw``
-    returns."""
+def test_a_read_allocates_an_event_only_for_device_io(monkeypatch):
+    """A cache hit and a fast EBUSY wait out their delay; only a device
+    read waits on an event, the one ``submit_raw`` returns."""
+    recorder = TraceRecorder()
+    sim = Simulator(seed=42, recorder=recorder)
     os_ = _os(sim, cache_pages=100, mitt=True)
     os_.cache.insert(0, 0, 4 * KB)
     allocations = []
@@ -192,13 +164,12 @@ def test_a_read_allocates_an_event_only_for_device_io(sim, monkeypatch):
 
     monkeypatch.setattr(sim, "event", counting_event)
 
-    def read(offset, deadline=None, io_observer=None):
+    def read(offset, deadline=None):
         """(result, events allocated, start time) of one driven read."""
         before, start = len(allocations), sim.now
 
         def gen():
-            return (yield from os_.read(0, offset, 4 * KB, deadline=deadline,
-                                        io_observer=io_observer))
+            return (yield from os_.read(0, offset, 4 * KB, deadline=deadline))
 
         result = run_process(sim, gen())
         return result, len(allocations) - before, start
@@ -208,31 +179,23 @@ def test_a_read_allocates_an_event_only_for_device_io(sim, monkeypatch):
     assert hit.cache_hit and hit.predicted_wait is None
     assert hit.latency == os_._memory_read_time(0, 4 * KB)
 
-    def revoke(req):
-        req.cancelled = True
-
-    revoked, events, _ = read(10 * GB, io_observer=revoke)
-    assert events == 0
-    assert is_ebusy(revoked) and revoked.predicted_wait is None
-
-    reqs = []
-    done, events, start = read(10 * GB, deadline=50 * MS,
-                               io_observer=reqs.append)
+    done, events, start = read(10 * GB, deadline=50 * MS)
+    (accepted,) = recorder.by_topic(VERDICT)
+    (complete,) = recorder.by_topic(IO_COMPLETE)
     assert events == 1
     assert not done.cache_hit
-    assert done.latency == reqs[0].complete_time - start
-    assert done.predicted_wait == reqs[0].predicted_wait
+    assert done.latency == complete.time - start
+    assert done.predicted_wait == accepted.fields["predicted_wait"]
 
     for i in range(4):
         os_.scheduler.submit(BlockRequest(IoOp.READ, i * 100 * GB,
                                           2048 * KB, pid=9))
-    reqs = []
-    rejected, events, _ = read(500 * GB, deadline=5 * MS,
-                               io_observer=reqs.append)
+    rejected, events, _ = read(500 * GB, deadline=5 * MS)
+    verdict = recorder.by_topic(VERDICT)[-1]
     assert events == 0
-    assert is_ebusy(rejected)
-    assert rejected.predicted_wait == reqs[0].predicted_wait > 0
-    assert os_.ebusy_returned == 2
+    assert is_ebusy(rejected) and not verdict.fields["accept"]
+    assert rejected.predicted_wait == verdict.fields["predicted_wait"] > 0
+    assert os_.ebusy_returned == 1
 
 
 def test_memory_read_time_charges_actual_pages_touched(sim):
@@ -278,10 +241,7 @@ def test_addrcheck_ebusy_counted_separately(sim):
 
 
 def test_addrcheck_probe_verdicts_tagged_on_bus():
-    from repro.kernel import PageCache
-    from repro.obs.bus import TraceRecorder
-    from repro.obs.events import OS_EBUSY, VERDICT
-    from repro.sim import Simulator
+    from repro.obs.events import OS_EBUSY
 
     rec = TraceRecorder()
     sim = Simulator(seed=4, recorder=rec)
