@@ -1,13 +1,18 @@
 """Tests of the client-side tail-tolerance strategies."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro._units import MS, SEC
 from repro.cluster import Cluster, Network
 from repro.cluster.strategies import STRATEGIES, MittosStrategy
 from repro.errors import EIO, EBusy, is_ebusy
-from repro.experiments.common import (build_disk_cluster, make_strategy,
+from repro.experiments.common import (build_cache_cluster,
+                                      build_disk_cluster, make_strategy,
                                       run_clients)
+from repro.sim import Simulator
 
 
 def _noisy_primary(env, key):
@@ -177,6 +182,22 @@ def test_race_timer_is_cancelled_when_the_event_wins(sim):
     assert ev.value is not EIO
     pending = [time for time, _tie, _seq, h in sim._heap if not h.cancelled]
     assert all(t < 1 * SEC for t in pending), pending
+
+
+def test_base_cache_line_with_cancelled_race_timers_is_pinned():
+    """Golden: Base on a 6-node cache cluster, 4 clients x 300 ops.  Each
+    get's 30 s Race timer is cancelled when the get wins, so the line
+    cancels 1,200 timers.  How the kernel stores cancelled timers must not
+    move a sample or the final clock."""
+    sim = Simulator(seed=7)
+    env = build_cache_cluster(sim, 6, n_keys=3_000)
+    strategy = make_strategy("base", env.cluster)
+    samples = run_clients(env, strategy, 4, 300).samples
+    assert len(samples) == 1200
+    digest = hashlib.sha256(struct.pack(f"<{len(samples)}d", *samples))
+    assert digest.hexdigest() == \
+        "3ae3878438dcc12c9f6dba49748d5d66fe11f1c68357cd01af2c9040e691f1ff"
+    assert sim.now == 803632.3826627205
 
 
 def test_ebusy_response_carries_predicted_wait(sim):
