@@ -7,6 +7,10 @@ sets are deterministic and evenly spread.
 
 from repro.engines.kv import _stable_hash
 
+#: A placement-memo byte for "not placed yet" (and for a start index too
+#: large for one byte, which is recomputed on every call).
+_UNPLACED = 0xFF
+
 
 class Cluster:
     """A set of storage nodes plus replica placement."""
@@ -22,6 +26,15 @@ class Cluster:
         self.nodes = list(nodes)
         self.network = network
         self.replication = replication
+        n = len(self.nodes)
+        #: The replica set starting at each node, primary first.
+        self._replica_sets = tuple(
+            tuple(self.nodes[(start + i) % n] for i in range(replication))
+            for start in range(n))
+        #: Placement memo: key -> start index, one byte per key, grown on
+        #: demand because keys are non-negative ints below their
+        #: keyspace's ``n_keys``.
+        self._starts = bytearray()
         #: Optional override: key -> primary node index.  The §7.1
         #: microbenchmarks direct every request to the noisy node first.
         self.primary_fn = primary_fn
@@ -35,13 +48,21 @@ class Cluster:
         self.health = None
 
     def replicas_for(self, key):
-        """The key's replica nodes, primary first."""
+        """The key's replica nodes, primary first, as a tuple shared by
+        every key with the same primary.  Keys are non-negative ints."""
         if self.primary_fn is not None:
-            start = self.primary_fn(key) % len(self.nodes)
-        else:
+            return self._replica_sets[self.primary_fn(key) % len(self.nodes)]
+        starts = self._starts
+        if not 0 <= key < len(starts):
+            if key < 0:
+                raise KeyError(f"key out of range: {key}")
+            starts.extend(b"\xff" * (key + 1 - len(starts)))
+        start = starts[key]
+        if start == _UNPLACED:
             start = _stable_hash(("placement", key)) % len(self.nodes)
-        return [self.nodes[(start + i) % len(self.nodes)]
-                for i in range(self.replication)]
+            if start < _UNPLACED:
+                starts[key] = start
+        return self._replica_sets[start]
 
     def node(self, node_id):
         return self.nodes[node_id]

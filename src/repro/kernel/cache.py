@@ -38,8 +38,12 @@ class PageCache:
 
     def resident(self, file_id, offset, size):
         """True iff every page of the byte range is cached (page-table walk)."""
+        first = offset // self.page_size
+        last = (offset + size - 1) // self.page_size
+        if first == last:
+            return (file_id, first) in self._pages
         return all((file_id, p) in self._pages
-                   for p in self.pages_of(offset, size))
+                   for p in range(first, last + 1))
 
     def missing_pages(self, file_id, offset, size):
         return [p for p in self.pages_of(offset, size)
@@ -48,10 +52,21 @@ class PageCache:
     # -- population / access --------------------------------------------------
     def touch(self, file_id, offset, size):
         """Record an access; returns True on full hit (and bumps LRU)."""
-        keys = [(file_id, p) for p in self.pages_of(offset, size)]
-        if all(k in self._pages for k in keys):
-            for k in keys:
-                self._pages.move_to_end(k)
+        pages = self._pages
+        first = offset // self.page_size
+        last = (offset + size - 1) // self.page_size
+        if first == last:
+            key = (file_id, first)
+            hit = key in pages
+            if hit:
+                pages.move_to_end(key)
+        else:
+            keys = [(file_id, p) for p in range(first, last + 1)]
+            hit = all(k in pages for k in keys)
+            if hit:
+                for k in keys:
+                    pages.move_to_end(k)
+        if hit:
             self.hits += 1
             if self.bus.recorder.active:
                 self.bus.record(CACHE_HIT, {"file": file_id, "offset": offset,

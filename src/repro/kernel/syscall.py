@@ -205,12 +205,16 @@ class OS:
         return ReadResult(False, now - start, req.predicted_wait)
 
     def _memory_read_time(self, offset, size):
-        # Walk the pages of the *actual* byte range: an unaligned read that
-        # straddles a page boundary touches one page more than a same-size
-        # aligned read.
-        pages = len(self.cache.pages_of(offset, size)) if self.cache else 1
-        return (self.params.syscall_us + self.params.memory_read_base_us
-                + self.params.memory_read_per_page_us * pages)
+        # Count the pages of the *actual* byte range: an unaligned read
+        # that straddles a page boundary touches one page more than a
+        # same-size aligned read.
+        pages = 1
+        if self.cache is not None:
+            page_size = self.cache.page_size
+            pages += (offset + size - 1) // page_size - offset // page_size
+        params = self.params
+        return (params.syscall_us + params.memory_read_base_us
+                + params.memory_read_per_page_us * pages)
 
     # -- addrcheck (mmap support, §4.4) ------------------------------------
     def addrcheck(self, file_id, offset, size, deadline):

@@ -1,14 +1,19 @@
 """The simulator: event heap, clock, and deterministic RNG streams.
 
-Hot-loop layout: the heap holds slim ``(time, tie, seq, handle)``
-tuples, so every heap comparison is a C-level tuple compare — ``seq`` is
-unique, so ordering never falls through to the :class:`Handle` payload.
-:meth:`Simulator.run` and :meth:`Simulator.run_until` are thin wrappers
-over one loop, ``_loop``, with the heap, ``heappop`` and the sanitizer
-hoisted into locals; the paranoid sanitizer is its only per-event
-observer.  None of this is part of the determinism contract, which is
-behavioural: ``tests/test_kernel_equivalence.py`` pins bus digests and
-per-stream RNG draw counts, not callback names or event counts.
+Hot-loop layout: a heap entry is a mutable ``[time, tie, seq, fn, args]``
+list, and :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
+return that entry as the caller's handle.  Every heap comparison is a
+C-level list compare that stops at ``seq``, which is unique, so it never
+reaches the payload.  :meth:`Simulator.cancel` marks an entry dead by
+clearing its callback; the run loop drops dead entries as it pops them,
+and once dead entries are more than half the heap, a cancel rebuilds the
+heap from its live ones.  :meth:`Simulator.run` and
+:meth:`Simulator.run_until` are thin wrappers over one loop, ``_loop``,
+with the heap, ``heappop`` and the sanitizer hoisted into locals; the
+paranoid sanitizer is its only per-event observer.  None of this is part
+of the determinism contract, which is behavioural:
+``tests/test_kernel_equivalence.py`` pins bus digests and per-stream RNG
+draw counts, not callback names or event counts.
 """
 
 import hashlib
@@ -23,30 +28,9 @@ from repro.sim.process import Process
 from repro.sim.sanitizer import CountingRandom, ReplaySanitizer
 
 
-class Handle:
-    """A scheduled callback; :meth:`cancel` makes it a no-op.
-
-    The heap entry is the ``(time, tie, seq, handle)`` tuple, not the
-    handle itself; the handle carries the payload (callback + args) and
-    the cancellation flag the run loop checks on pop.
-    """
-
-    __slots__ = ("time", "tie", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time, tie, seq, fn, args):
-        self.time = time
-        self.tie = tie
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self):
-        """Prevent the callback from running (O(1); entry stays in heap)."""
-        self.cancelled = True
-        # Drop references so cancelled closures don't pin object graphs.
-        self.fn = None
-        self.args = ()
+#: Dead entries a heap holds before a cancel considers rebuilding it: a
+#: small heap costs less to pop through than to rebuild.
+_COMPACT_FLOOR = 64
 
 
 class ShuffledTies:
@@ -113,6 +97,7 @@ class Simulator:
         self.now = 0.0
         self.seed = seed
         self._heap = []
+        self._dead = 0   # cancelled entries still in the heap
         self._seq = 0
         self._tie_key = _tie_key_fn(tie_policy)
         self._rngs = {}
@@ -135,7 +120,10 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def schedule(self, delay, fn, *args):
-        """Run ``fn(*args)`` after ``delay`` microseconds."""
+        """Run ``fn(*args)`` after ``delay`` microseconds.
+
+        Returns the heap entry, the handle :meth:`cancel` takes.
+        """
         now = self.now
         time = now + delay
         if time < now:
@@ -144,23 +132,47 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         tie_key = self._tie_key
-        tie = seq if tie_key is None else tie_key(seq)
-        handle = Handle(time, tie, seq, fn, args)
-        heapq.heappush(self._heap, (time, tie, seq, handle))
-        return handle
+        entry = [time, seq if tie_key is None else tie_key(seq), seq, fn,
+                 args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, time, fn, *args):
-        """Run ``fn(*args)`` at absolute simulation time ``time``."""
+        """Run ``fn(*args)`` at absolute simulation time ``time``; returns
+        the heap entry like :meth:`schedule`."""
         if time < self.now:
             raise SchedulingInPastError(
                 f"schedule at {time} < now {self.now}")
         seq = self._seq
         self._seq = seq + 1
         tie_key = self._tie_key
-        tie = seq if tie_key is None else tie_key(seq)
-        handle = Handle(time, tie, seq, fn, args)
-        heapq.heappush(self._heap, (time, tie, seq, handle))
-        return handle
+        entry = [time, seq if tie_key is None else tie_key(seq), seq, fn,
+                 args]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        """Make a scheduled callback a no-op.
+
+        Cancelling an entry twice, or one that already ran, does nothing.
+        The entry stays in the heap, dead, until the run loop pops it or
+        dead entries outnumber live ones and the heap is rebuilt.
+        """
+        if entry[3] is None:
+            return
+        # Drop references so cancelled closures don't pin object graphs.
+        entry[3] = None
+        entry[4] = ()
+        dead = self._dead + 1
+        heap = self._heap
+        if dead > _COMPACT_FLOOR and 2 * dead > len(heap):
+            # In place: a running _loop holds this list.  (time, tie, seq)
+            # orders entries totally, so the rebuilt heap pops the live
+            # entries in the same order.
+            heap[:] = [e for e in heap if e[3] is not None]
+            heapq.heapify(heap)
+            dead = 0
+        self._dead = dead
 
     # -- event factories ------------------------------------------------------
     def event(self):
@@ -241,19 +253,20 @@ class Simulator:
         pop = heapq.heappop
         sanitizer = self.sanitizer
         while heap and not event._done:
-            time, _tie, seq, handle = heap[0]
-            # Purge cancelled entries first so the limit check sees the
-            # next event that would actually run.
-            if handle.cancelled:
-                pop(heap)
+            entry = pop(heap)
+            time, _tie, seq, fn, args = entry
+            if fn is None:
+                self._dead -= 1
                 continue
             if time > limit:
+                heapq.heappush(heap, entry)
                 break
-            pop(heap)
+            # Ran: a later cancel of this entry must not count it dead.
+            entry[3] = None
             self.now = time
             if sanitizer is not None:
-                sanitizer.observe(time, seq, handle.fn)
-            handle.fn(*handle.args)
+                sanitizer.observe(time, seq, fn)
+            fn(*args)
             if self._crashes:
                 self._raise_crashes()
 

@@ -54,17 +54,12 @@ class Event:
         self._done = True
         self._ok = True
         self._value = value
-        self._run_callbacks()
-        return self
-
-    def try_succeed(self, value=None):
-        """Like :meth:`succeed` but a no-op if already triggered.
-
-        Useful for races (e.g. a timeout vs. a completion) where losing the
-        race is expected.
-        """
-        if not self._done:
-            self.succeed(value)
+        # The shared empty tuple (not a fresh list) is safe as the "done"
+        # state: nothing appends once _done is set.
+        callbacks = self._callbacks
+        self._callbacks = ()
+        for fn in callbacks:
+            fn(self)
         return self
 
     def fail(self, exc):
@@ -76,10 +71,13 @@ class Event:
         self._done = True
         self._ok = False
         self._exc = exc
-        if not self._callbacks:
+        callbacks = self._callbacks
+        self._callbacks = ()
+        if not callbacks:
             # Nobody is listening: surface the crash instead of losing it.
             self.sim._report_crash(self, exc)
-        self._run_callbacks()
+        for fn in callbacks:
+            fn(self)
         return self
 
     def add_callback(self, fn):
@@ -88,14 +86,6 @@ class Event:
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _run_callbacks(self):
-        # The shared empty tuple (not a fresh list) is safe as the "done"
-        # state: add_callback never appends once _done is set.
-        callbacks = self._callbacks
-        self._callbacks = ()
-        for fn in callbacks:
-            fn(self)
 
 
 class Race(Event):
@@ -120,17 +110,13 @@ class Race(Event):
         event.add_callback(self._on_event)
 
     def _fire_timeout(self):
-        self._handle = None
         if not self._done:
             self.succeed((False, None))
 
     def _on_event(self, ev):
         if self._done or not ev.ok:
             return
-        handle = self._handle
-        if handle is not None:
-            handle.cancel()
-            self._handle = None
+        self.sim.cancel(self._handle)
         self.succeed((True, ev._value))
 
 

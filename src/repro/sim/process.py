@@ -57,16 +57,21 @@ class Process(Event):
         except Exception as err:
             self.fail(err)
             return
-        if isinstance(target, Event):
-            target.add_callback(self._resume_cb)
-            return
-        if isinstance(target, (int, float)):
-            # Fused timeout fast path: no Event, no _resume hop.
-            self.sim.schedule(target, self._step_cb, None, None)
-            return
-        err = TypeError(f"process yielded non-waitable {target!r}")
-        self._gen.close()
-        self.fail(err)
+        cls = type(target)
+        if cls is not float and cls is not int:
+            if isinstance(target, Event):
+                if target._done:
+                    self._resume(target)
+                else:
+                    target._callbacks.append(self._resume_cb)
+                return
+            if not isinstance(target, (int, float)):
+                err = TypeError(f"process yielded non-waitable {target!r}")
+                self._gen.close()
+                self.fail(err)
+                return
+        # Fused timeout fast path: no Event, no _resume hop.
+        self.sim.schedule(target, self._step_cb, None, None)
 
     def _resume(self, event):
         if event._ok:

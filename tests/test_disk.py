@@ -181,7 +181,7 @@ def test_random_4k_reads_land_in_paper_band():
             req = _read(rng.randrange(0, 999 * GB))
             req.submit_time = sim.now
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             disk.submit(req)
             yield done
             latencies.append(req.latency)

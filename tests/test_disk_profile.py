@@ -55,7 +55,7 @@ def test_model_predicts_actual_service_closely():
             predicted = model.service_time(disk.head_offset, req)
             req.submit_time = sim.now
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             disk.submit(req)
             yield done
             errors.append(abs(req.latency - predicted) / req.latency)

@@ -118,7 +118,7 @@ def test_prediction_accuracy_on_quiet_disk(sim):
             req = _read(offset)
             verdict = predictor.admit(req, deadline=1_000 * MS)
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             req.submit_time = sim.now
             os_.scheduler.submit(req)
             yield done

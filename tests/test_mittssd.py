@@ -118,7 +118,7 @@ def test_prediction_tracks_actual_latency(sim):
             verdict = predictor.admit(req, deadline=1_000 * MS)
             req.submit_time = sim.now
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             os_.scheduler.submit(req)
             if rng.random() < 0.4:
                 sim.process(os_.write(0, rng.randrange(0, 4096) * 16 * KB,

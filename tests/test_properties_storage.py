@@ -74,7 +74,7 @@ def test_ssd_ftl_mapping_stays_consistent(lpns):
             req = BlockRequest(IoOp.WRITE, lpn * geo.page_size,
                                geo.page_size)
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             ssd.submit(req)
             yield done
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import DeterminismError, SimulationError
 from repro.sim import Simulator
-from repro.sim.core import Handle
 from repro.sim.sanitizer import CountingRandom, callback_qualname
 
 
@@ -57,7 +56,7 @@ def test_trace_records_time_seq_and_qualname():
 def test_cancelled_events_do_not_enter_the_trace():
     sim = Simulator(paranoid=True)
     handle = sim.schedule(10, lambda: None)
-    handle.cancel()
+    sim.cancel(handle)
     sim.schedule(20, lambda: None)
     sim.run()
     assert sim.sanitizer.events == 1
@@ -94,9 +93,8 @@ def test_heap_tampering_raises_determinism_error():
     sim.schedule(100, lambda: None)
     sim.run(until=100)
     # Simulate the DET005 hazard: a foreign heap push into the past
-    # (heap entries are (time, tie, seq, handle) tuples).
-    handle = Handle(5.0, 999, 999, lambda: None, ())
-    heapq.heappush(sim._heap, (5.0, 999, 999, handle))
+    # (heap entries are [time, tie, seq, fn, args] lists).
+    heapq.heappush(sim._heap, [5.0, 999, 999, lambda: None, ()])
     with pytest.raises(DeterminismError):
         sim.run()
 

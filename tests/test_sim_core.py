@@ -38,7 +38,7 @@ def test_schedule_in_past_raises(sim):
 def test_cancel_prevents_execution(sim):
     log = []
     handle = sim.schedule(10, log.append, "x")
-    sim.schedule(5, handle.cancel)
+    sim.schedule(5, sim.cancel, handle)
     sim.run()
     assert log == []
 

@@ -11,7 +11,7 @@ from repro.sim import Simulator
 def test_run_until_skips_cancelled_handles(sim):
     log = []
     doomed = sim.schedule(5, log.append, "doomed")
-    doomed.cancel()
+    sim.cancel(doomed)
     ev = sim.timeout(10, value="done")
     assert sim.run_until(ev) is True
     assert log == [] and sim.now == 10
@@ -20,7 +20,7 @@ def test_run_until_skips_cancelled_handles(sim):
 def test_run_until_with_cancelled_handle_at_heap_top_and_limit(sim):
     stale = sim.schedule(50, lambda: None)
     ev = sim.timeout(200)
-    stale.cancel()
+    sim.cancel(stale)
     # Top of heap (cancelled, t=50) is under the limit; the event is not.
     assert sim.run_until(ev, limit=100) is False
     assert not ev.triggered
@@ -29,8 +29,8 @@ def test_run_until_with_cancelled_handle_at_heap_top_and_limit(sim):
 def test_cancel_is_idempotent_and_run_survives_all_cancelled(sim):
     handles = [sim.schedule(i, lambda: None) for i in range(3)]
     for handle in handles:
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
     sim.run()
     assert sim.now == 0.0  # nothing executed, clock never advanced
 
@@ -38,8 +38,9 @@ def test_cancel_is_idempotent_and_run_survives_all_cancelled(sim):
 def test_cancel_drops_callback_references(sim):
     log = []
     handle = sim.schedule(1, log.append, "x")
-    handle.cancel()
-    assert handle.fn is None and handle.args == ()
+    sim.cancel(handle)
+    _time, _tie, _seq, fn, args = handle
+    assert fn is None and args == ()
 
 
 # -- defuse crash-dropping --------------------------------------------------
@@ -109,7 +110,7 @@ def test_schedule_at_now_is_allowed(sim):
     sim.schedule(7, lambda: None)
     sim.run()
     handle = sim.schedule_at(sim.now, lambda: None)
-    assert handle.time == sim.now
+    assert handle[0] == sim.now
 
 
 def test_schedule_at_past_raises_with_context(sim):

@@ -23,13 +23,6 @@ def test_double_trigger_raises(sim):
         ev.succeed()
 
 
-def test_try_succeed_is_idempotent(sim):
-    ev = sim.event()
-    ev.try_succeed(1)
-    ev.try_succeed(2)
-    assert ev.value == 1
-
-
 def test_fail_requires_exception(sim):
     with pytest.raises(TypeError):
         sim.event().fail("not an exception")

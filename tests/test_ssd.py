@@ -16,7 +16,7 @@ def _quiet_geometry(**kw):
 def run_io(sim, ssd, req):
     req.submit_time = sim.now
     done = sim.event()
-    req.add_callback(lambda r: done.try_succeed())
+    req.add_callback(done.succeed)
     ssd.submit(req)
     sim.run_until(done)
     return req.latency
@@ -128,7 +128,7 @@ def test_gc_triggers_when_blocks_exhaust(sim):
             req = BlockRequest(IoOp.WRITE, (i % 8) * geo.page_size,
                                geo.page_size)
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             ssd.submit(req)
             yield done
 

@@ -21,7 +21,7 @@ def _hammer(sim, ssd, writes, lpn_span=4):
                                * ssd.geometry.page_size,
                                ssd.geometry.page_size)
             done = sim.event()
-            req.add_callback(lambda r: done.try_succeed())
+            req.add_callback(done.succeed)
             ssd.submit(req)
             yield done
 

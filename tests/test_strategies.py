@@ -13,6 +13,7 @@ from repro.experiments.common import (build_cache_cluster,
                                       build_disk_cluster, make_strategy,
                                       run_clients)
 from repro.sim import Simulator
+from repro.sim.core import _COMPACT_FLOOR
 
 
 def _noisy_primary(env, key):
@@ -180,7 +181,8 @@ def test_race_timer_is_cancelled_when_the_event_wins(sim):
     strategy = make_strategy("base", env.cluster)  # default 30 s timeout
     ev = _get(sim, strategy, 1)
     assert ev.value is not EIO
-    pending = [time for time, _tie, _seq, h in sim._heap if not h.cancelled]
+    pending = [time for time, _tie, _seq, fn, _args in sim._heap
+               if fn is not None]
     assert all(t < 1 * SEC for t in pending), pending
 
 
@@ -188,7 +190,8 @@ def test_base_cache_line_with_cancelled_race_timers_is_pinned():
     """Golden: Base on a 6-node cache cluster, 4 clients x 300 ops.  Each
     get's 30 s Race timer is cancelled when the get wins, so the line
     cancels 1,200 timers.  How the kernel stores cancelled timers must not
-    move a sample or the final clock."""
+    move a sample or the final clock, and compaction keeps them from
+    piling up in the heap."""
     sim = Simulator(seed=7)
     env = build_cache_cluster(sim, 6, n_keys=3_000)
     strategy = make_strategy("base", env.cluster)
@@ -198,6 +201,7 @@ def test_base_cache_line_with_cancelled_race_timers_is_pinned():
     assert digest.hexdigest() == \
         "3ae3878438dcc12c9f6dba49748d5d66fe11f1c68357cd01af2c9040e691f1ff"
     assert sim.now == 803632.3826627205
+    assert len(sim._heap) <= _COMPACT_FLOOR
 
 
 def test_ebusy_response_carries_predicted_wait(sim):
