@@ -28,8 +28,8 @@ from repro.sim.process import Process
 from repro.sim.sanitizer import CountingRandom, ReplaySanitizer
 
 
-#: Dead entries a heap holds before a cancel considers rebuilding it: a
-#: small heap costs less to pop through than to rebuild.
+#: Dead entries a heap may hold before a cancel considers rebuilding it,
+#: so a small heap is not rebuilt every few cancels.
 _COMPACT_FLOOR = 64
 
 
@@ -156,7 +156,8 @@ class Simulator:
 
         Cancelling an entry twice, or one that already ran, does nothing.
         The entry stays in the heap, dead, until the run loop pops it or
-        dead entries outnumber live ones and the heap is rebuilt.
+        the heap is rebuilt from its live entries, which a cancel does
+        once dead ones are more than half of it and above the floor.
         """
         if entry[3] is None:
             return

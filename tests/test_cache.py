@@ -51,6 +51,16 @@ def test_lru_eviction_order(sim):
     assert cache.evictions == 1
 
 
+def test_multi_page_hit_refreshes_every_page(sim):
+    cache = PageCache(sim, 3)
+    cache.insert(1, 0, 4096)        # page 0
+    cache.insert(1, 4096, 8192)     # pages 1, 2
+    assert cache.touch(1, 0, 8192)  # pages 0 and 1 now most recent
+    cache.insert(1, 12288, 4096)    # page 3 evicts page 2
+    assert cache.resident(1, 0, 8192)
+    assert not cache.resident(1, 8192, 4096)
+
+
 def test_evict_fraction(sim):
     import random
     cache = PageCache(sim, 100)

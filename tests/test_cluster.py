@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, Network
+from repro.engines.kv import _stable_hash
 from repro.experiments.common import build_disk_cluster
 
 
@@ -27,6 +28,19 @@ def test_placement_spreads_over_cluster(sim):
     primaries = {env.cluster.replicas_for(k)[0].node_id
                  for k in range(200)}
     assert len(primaries) == 10
+
+
+def test_placement_memo_matches_the_hash_on_every_call(sim):
+    """The memo keeps one byte per key, so on a 300-node cluster a start
+    node above 254 is recomputed instead of stored; every call, first or
+    repeated, must still give the hashed placement."""
+    cluster = Cluster(sim, list(range(300)), Network(sim))
+    for key in [*range(600), *range(600)]:
+        start = _stable_hash(("placement", key)) % 300
+        assert cluster.replicas_for(key) == \
+            (start, (start + 1) % 300, (start + 2) % 300)
+    with pytest.raises(KeyError):
+        cluster.replicas_for(-1)
 
 
 def test_primary_fn_override(sim):
