@@ -1,12 +1,17 @@
 """Tests of the LevelDB-like LSM engine."""
 
-from repro._units import GB, KB, MS
+import hashlib
+import struct
+
+from repro._units import GB, KB, MS, SEC
 from repro.devices import Disk, DiskParams
 from repro.devices.disk_profile import profile_disk
 from repro.engines import LsmEngine
 from repro.errors import is_ebusy
+from repro.experiments import fig13
 from repro.kernel import CfqScheduler, OS
 from repro.mittos import MittCfq
+from repro.sim import Simulator
 from tests.conftest import run_process
 
 MODEL = profile_disk(lambda sim: Disk(sim, DiskParams(
@@ -102,3 +107,41 @@ def test_load_bulk_ranges_are_disjoint(sim):
     assert len(tables) >= 8
     for a, b in zip(tables, tables[1:]):
         assert a.hi < b.lo
+
+
+def test_fig13_read_path_is_pinned(monkeypatch):
+    """Golden: fig13's Base and MittOS (5 ms) lines on 5 LSM nodes, 4
+    clients x 150 gets.  No scenario hook reaches fig13, so this pins its
+    read path: each line's samples, final clock and node-0 timeline, and
+    the EBUSYs the MittOS line's engines propagate to the coordinator."""
+    envs = []
+    build = fig13.build_lsm_cluster
+
+    def build_and_keep(*args):
+        envs.append(build(*args))
+        return envs[-1]
+
+    monkeypatch.setattr(fig13, "build_lsm_cluster", build_and_keep)
+    params = dict(n_nodes=5, n_keys=1_500, n_clients=4, n_ops=150,
+                  horizon_us=4 * SEC)
+    pinned = {
+        "base": (None,
+                 "d8dc0a62257c419a84e96ca30e17a82c82ee7b8a2c9ae11906cd91df"
+                 "8546b83e", 1869810.3950127712,
+                 [(450000.0, 5, 0), (950000.0, 6, 0), (1450000.0, 1, 0)], 0),
+        "mittos": (5 * MS,
+                   "8af3e853026b25129cb0a30cdbf761f54854aacc6b64cebf5a9777ba"
+                   "b6ccbfd6", 1367757.5729295732,
+                   [(450000.0, 2, 30), (950000.0, 2, 48)], 176),
+    }
+    for name, (deadline, digest, now, timeline, ebusy) in pinned.items():
+        sim = Simulator(seed=7)
+        recorder, line_timeline = fig13._run_line(sim, name, deadline,
+                                                  params)
+        samples = recorder.samples
+        assert len(samples) == 600
+        packed = struct.pack(f"<{len(samples)}d", *samples)
+        assert hashlib.sha256(packed).hexdigest() == digest, name
+        assert sim.now == now, name
+        assert line_timeline == timeline, name
+        assert sum(node.engine.ebusy for node in envs[-1].nodes) == ebusy
