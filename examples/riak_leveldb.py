@@ -62,7 +62,7 @@ def main():
           f"p99 {recorder.p(99):.1f}ms")
     engine = env.nodes[0].engine
     print(f"node0 LevelDB: {engine.gets} gets, {engine.ebusy} EBUSY "
-          f"propagated, {engine.compactions} compactions")
+          "propagated")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@
 ``AdaptiveStrategy`` is :class:`MittosStrategy` composed with a
 :class:`~repro.slo_control.SloController`: the static per-user deadline
 becomes the controller's *baseline*, and the effective deadline each
-get() carries is whatever the controller's priority ladder currently
-resolves to (KillSwitch > manual > adaptive).  Every completed op feeds
-its end-to-end latency back into the controller's current observation
-window, closing the feedback loop without touching the trace plane (the
-controller must work with recording off).
+get() carries is the controller's current adaptive deadline.  Every
+completed op feeds its end-to-end latency back into the controller's
+current observation window, closing the feedback loop without touching
+the trace plane (the controller must work with recording off).
 
 Per-node backpressure is opt-in: :meth:`guard_nodes` installs one
 :class:`~repro.slo_control.AdmissionGuard` per replica and registers it
@@ -41,17 +40,13 @@ class AdaptiveStrategy(MittosStrategy):
         super().__init__(cluster, deadline_us, controller=controller,
                          **kwargs)
 
-    def guard_nodes(self, nodes=None, max_level=None, qdepth_limit=None):
-        """Install one admission guard per node, controller-driven."""
-        if nodes is None:
-            nodes = self.cluster.nodes
+    def guard_nodes(self, qdepth_limit=None):
+        """Install one admission guard per replica, controller-driven."""
         guards = []
-        for node in nodes:
-            guard = AdmissionGuard(
-                self.sim, node.node_id,
-                max_level=(max_level if max_level is not None
-                           else self.controller.max_level),
-                qdepth_limit=qdepth_limit)
+        for node in self.cluster.nodes:
+            guard = AdmissionGuard(self.sim, node.node_id,
+                                   max_level=self.controller.max_level,
+                                   qdepth_limit=qdepth_limit)
             guard.attach(node.os)
             self.controller.attach_guard(guard)
             guards.append(guard)

@@ -267,10 +267,10 @@ class Strategy:
         self._note_timeout(node)
         return False, None
 
-    def _last_resort(self, key, candidates, ctx, deadline=None):
+    def _last_resort(self, key, candidates, ctx):
         """The bounded last resort: cycle ``candidates`` with exponential
         backoff until a real record arrives or the budget/attempt cap runs
-        out, then give up with ``EIO``.
+        out, then give up with ``EIO``.  Its attempts carry no deadline.
 
         With no RPC timeout configured this degenerates to the historical
         single unbounded attempt on ``candidates[0]``.
@@ -278,7 +278,7 @@ class Strategy:
         if ctx.rpc_timeout_us is None:
             ctx.attempts += 1
             result = yield from self._attempt_gen(candidates[0], key,
-                                                  deadline, ctx)
+                                                  None, ctx)
             self._note_result(candidates[0], result)
             return result
         round_no = 0
@@ -287,7 +287,7 @@ class Strategy:
                 if ctx.exhausted(self.sim.now):
                     break
                 finished, value = yield from self._timed_attempt(
-                    node, key, deadline, ctx)
+                    node, key, None, ctx)
                 if finished and value is EIO:
                     self.eio_failovers += 1
                     continue

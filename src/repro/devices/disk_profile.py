@@ -37,10 +37,6 @@ class DiskLatencyModel:
         return (self.seek_cost(prev_offset, req.offset)
                 + self.transfer_per_kb_us * (req.size / KB))
 
-    def min_read_latency(self, size):
-        """Smallest possible IO latency (used by MittCache propagation)."""
-        return self.seek_base_us + self.transfer_per_kb_us * (size / KB)
-
     def __repr__(self):
         return (f"DiskLatencyModel(base={self.seek_base_us:.1f}us, "
                 f"per_gb={self.seek_per_gb_us:.3f}us, "

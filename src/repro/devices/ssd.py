@@ -36,12 +36,13 @@ from repro.devices.request import IoOp
 from repro.obs.events import IO_SERVICE_START, request_fields
 
 
-def program_pattern(pages_per_block=512, lower_us=1 * MS, upper_us=2 * MS):
+def program_pattern(pages_per_block=512):
     """Per-page program times for one block, after the paper's profile.
 
     The paper reports the profiled pattern "11111121121122...2112": seven
     leading pages of mostly-lower programming, a repeating lower/upper body,
     and a 2112 tail — identical for every block, so a single array suffices.
+    A lower page programs in 1 ms, an upper page in 2 ms.
     """
     head = [1, 1, 1, 1, 1, 1, 2, 1, 1, 2]
     tail = [2, 1, 1, 2]
@@ -50,7 +51,7 @@ def program_pattern(pages_per_block=512, lower_us=1 * MS, upper_us=2 * MS):
     while len(pattern) < pages_per_block - len(tail):
         pattern.extend(body_unit)
     pattern = pattern[:pages_per_block - len(tail)] + tail
-    return [lower_us if x == 1 else upper_us for x in pattern]
+    return [x * MS for x in pattern]
 
 
 class SsdGeometry:

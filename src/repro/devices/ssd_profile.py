@@ -8,7 +8,6 @@ program pattern.  We reproduce that profiling procedure against the simulated
 device so the predictor's constants are *measured*, not copied.
 """
 
-from repro._units import KB
 from repro.devices.request import BlockRequest, IoOp
 from repro.devices.ssd import SsdGeometry, program_pattern
 
@@ -30,11 +29,6 @@ class SsdLatencyModel:
         geo = geometry or SsdGeometry()
         return cls(geo.page_read_us, geo.channel_xfer_us,
                    list(geo.program_us), geo.erase_us)
-
-    def min_read_latency(self, size):
-        """Fastest possible read (contention-free), for MittCache (§4.4)."""
-        pages = max(1, -(-size // (16 * KB)))
-        return self.page_read_us * pages
 
     def __repr__(self):
         return (f"SsdLatencyModel(read={self.page_read_us:.0f}us, "

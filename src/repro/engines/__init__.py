@@ -2,8 +2,8 @@
 
 * :class:`~repro.engines.mmap_engine.MMapEngine` — MongoDB-like: data file
   accessed mmap-style through the page cache, guarded by ``addrcheck()``.
-* :class:`~repro.engines.lsm.LsmEngine` — LevelDB-like: memtable, sorted
-  runs, bloom filters, background compaction.
+* :class:`~repro.engines.lsm.LsmEngine` — LevelDB-like and read-only:
+  bulk-loaded sorted runs behind bloom filters.
 """
 
 from repro.engines.kv import KeySpace

@@ -121,9 +121,10 @@ def build_ssd_node(sim, node_id, keyspace, cpu=None, handler_cpu_us=60.0,
                        handler_cpu_us=handler_cpu_us)
 
 
-def build_lsm_node(sim, node_id, keys, mitt=True):
-    """One Riak-role node: LSM engine over disk + CFQ (§7.8.4)."""
-    os_ = disk_os(sim, f"n{node_id}", mitt=mitt)
+def build_lsm_node(sim, node_id, keys):
+    """One Riak-role node: LSM engine over disk + CFQ + MittCFQ
+    (§7.8.4)."""
+    os_ = disk_os(sim, f"n{node_id}")
     engine = LsmEngine(os_, pid=100 + node_id)
     engine.load_bulk(keys, tables=8)
     return StorageNode(sim, node_id, os_, engine)
@@ -152,11 +153,11 @@ def build_disk_cluster(sim, n_nodes, n_keys=20_000, replication=3,
 
 
 def build_cache_cluster(sim, n_nodes, n_keys=4_000, replication=3,
-                        network=None, **node_kwargs):
+                        **node_kwargs):
     """Nodes whose dataset fits the page cache (preloaded)."""
     cache_pages = int(n_keys * 1.25)  # 1 record -> 1 page
     env = build_disk_cluster(sim, n_nodes, n_keys=n_keys,
-                             replication=replication, network=network,
+                             replication=replication,
                              cache_pages=cache_pages, **node_kwargs)
     for node in env.nodes:
         node.engine.preload(range(n_keys))

@@ -40,28 +40,6 @@ class FaultPlane:
         self.injected_read_errors = 0
         self.injected_spikes = 0
 
-    # -- compilation -------------------------------------------------------
-    def schedule(self):
-        """The deterministic transition list implied by the spec.
-
-        Returns sorted ``(time_us, action, node)`` tuples — the scheduled
-        (non-probabilistic) part of the fault plan, useful for asserting
-        that the same (seed, spec) yields the same schedule.
-        """
-        out = []
-        for c in self.spec.crashes:
-            out.append((c.start_us, "crash", c.node))
-            if c.duration_us is not None:
-                out.append((c.start_us + c.duration_us, "restart", c.node))
-        for f in self.spec.fail_slow:
-            out.append((f.start_us, "fail_slow_on", f.node))
-            out.append((f.start_us + f.duration_us, "fail_slow_off", f.node))
-        for s in self.spec.device_storms:
-            out.append((s.start_us, "storm_on", s.node))
-            out.append((s.start_us + s.duration_us, "storm_off", s.node))
-        out.sort()
-        return out
-
     def arm(self, cluster):
         """Bind to a cluster: wire the network/nodes, schedule the windows,
         and install the client resilience defaults.  Returns self."""

@@ -165,9 +165,9 @@ class FaultSpec:
         """Plain-dict form (tuples become lists; JSON-serializable)."""
         return asdict(self)
 
-    def to_json(self, indent=2):
+    def to_json(self):
         """Canonical JSON form: sorted keys, stable across runs."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data):

@@ -1,20 +1,17 @@
 """CFQ — completely fair queueing, the default Linux disk scheduler (§4.2).
 
-Structure follows the paper's description: "CFQ manages groups with time
-slices proportional to their weights.  In every group, there are three
+Structure follows the paper's description of one group: "there are three
 service trees (RealTime/BestEffort/Idle).  In every tree, there are process
 nodes.  In every node, there is a red-black tree for sorting the process'
 pending IOs based on their on-disk offsets" (a bisect-sorted list gives the
-same dispatch order).
+same dispatch order).  The paper's weighted cgroups are not modelled: every
+IO of every figure belongs to one group.
 
-Policy: groups take dispatch turns round-robin with quanta proportional to
-their weight; within the chosen group the RealTime tree drains first, then
-BestEffort, then Idle; within a tree, process nodes rotate with quanta
-proportional to their ionice priority (0 is highest of 0-7).  Dispatched
-requests enter the device queue, where the disk reorders them SSTF — the
-two-level queueing the appendix models as ``cfqTime`` + ``sstfTime``.
-
-Requests carry their cgroup in ``req.tag["cgroup"]`` (default group 0).
+Policy: the RealTime tree drains first, then BestEffort, then Idle; within
+a tree, process nodes rotate with quanta proportional to their ionice
+priority (0 is highest of 0-7).  Dispatched requests enter the device
+queue, where the disk reorders them SSTF — the two-level queueing the
+appendix models as ``cfqTime`` + ``sstfTime``.
 """
 
 import bisect
@@ -30,18 +27,10 @@ _IOCLASSES = tuple(IoClass)
 #: Extra dispatch credit per priority step; priority 0 gets the most.
 _BASE_QUANTUM = 1
 
-#: Dispatch credit per unit of cgroup weight.
-_GROUP_QUANTUM = 4
-
 
 def priority_quantum(priority):
     """Requests a node may dispatch per round-robin turn."""
     return _BASE_QUANTUM + (7 - priority)
-
-
-def group_quantum(weight):
-    """Requests a cgroup may dispatch per group turn."""
-    return max(1, int(_GROUP_QUANTUM * weight))
 
 
 class _ProcNode:
@@ -80,29 +69,25 @@ class _ProcNode:
         return len(self.reqs)
 
 
-class _Group:
-    """One cgroup: three service trees of process nodes."""
+class CfqScheduler(IOScheduler):
+    """Service trees + per-process sorted queues."""
 
-    __slots__ = ("group_id", "weight", "trees", "cursor", "budget")
-
-    def __init__(self, group_id, weight):
-        self.group_id = group_id
-        self.weight = weight
-        self.trees = {cls: {} for cls in _IOCLASSES}
-        self.cursor = {cls: None for cls in _IOCLASSES}
-        self.budget = 0
+    def __init__(self, sim, device):
+        super().__init__(sim, device)
+        self._trees = {cls: {} for cls in _IOCLASSES}
+        self._cursor = {cls: None for cls in _IOCLASSES}
 
     # -- queue maintenance -------------------------------------------------
-    def enqueue(self, req):
-        tree = self.trees[req.ioclass]
+    def _enqueue(self, req):
+        tree = self._trees[req.ioclass]
         node = tree.get(req.pid)
         if node is None:
             node = _ProcNode(req.pid, req.priority)
             tree[req.pid] = node
         node.add(req)
 
-    def remove(self, req):
-        tree = self.trees[req.ioclass]
+    def _remove(self, req):
+        tree = self._trees[req.ioclass]
         node = tree.get(req.pid)
         if node is None:
             return False
@@ -112,21 +97,14 @@ class _Group:
         return found
 
     def _drop_node(self, ioclass, pid):
-        del self.trees[ioclass][pid]
-        if self.cursor[ioclass] == pid:
-            self.cursor[ioclass] = None
+        del self._trees[ioclass][pid]
+        if self._cursor[ioclass] == pid:
+            self._cursor[ioclass] = None
 
-    def empty(self):
-        return not any(self.trees.values())
-
-    def __len__(self):
-        return sum(len(node) for tree in self.trees.values()
-                   for node in tree.values())
-
-    # -- dispatch ------------------------------------------------------------
-    def next_request(self):
+    # -- dispatch policy ---------------------------------------------------------
+    def _next(self):
         for cls in _IOCLASSES:       # RT, then BE, then Idle
-            tree = self.trees[cls]
+            tree = self._trees[cls]
             if not tree:
                 continue
             node = self._current_node(cls)
@@ -140,45 +118,50 @@ class _Group:
         return None
 
     def _current_node(self, cls):
-        tree = self.trees[cls]
-        pid = self.cursor[cls]
+        tree = self._trees[cls]
+        pid = self._cursor[cls]
         if pid is None or pid not in tree:
             pid = next(iter(tree))
-            self.cursor[cls] = pid
+            self._cursor[cls] = pid
             node = tree[pid]
             node.budget = priority_quantum(node.priority)
             return node
         return tree[pid]
 
     def _advance_cursor(self, cls, current_pid):
-        tree = self.trees[cls]
+        tree = self._trees[cls]
         pids = list(tree)
         if current_pid in pids:
             nxt = pids[(pids.index(current_pid) + 1) % len(pids)]
         else:
             nxt = pids[0] if pids else None
-        self.cursor[cls] = nxt
+        self._cursor[cls] = nxt
         if nxt is not None:
             node = tree[nxt]
             node.budget = priority_quantum(node.priority)
 
-    # -- introspection -----------------------------------------------------
+    # -- introspection (for MittCFQ) -------------------------------------------
     def queued_requests(self):
         out = []
         for cls in _IOCLASSES:
-            for node in self.trees[cls].values():
+            for node in self._trees[cls].values():
                 out.extend(r for r in node.reqs if not r.cancelled)
         return out
 
     def requests_ahead_of(self, req):
-        """IOs this group will dispatch before a new ``req`` of its own."""
+        """Requests CFQ policy will dispatch before a new ``req``.
+
+        This is the O(P) accounting MittCFQ keeps: everything in strictly
+        higher service classes, every node already in the rotation, and
+        IOs ahead of it in its node's offset sort.
+        """
         ahead = []
         for cls in _IOCLASSES:
             if cls < req.ioclass:
-                for node in self.trees[cls].values():
+                for node in self._trees[cls].values():
                     ahead.extend(node.reqs)
             elif cls == req.ioclass:
-                for pid, node in self.trees[cls].items():
+                for pid, node in self._trees[cls].items():
                     if pid == req.pid:
                         idx = bisect.bisect(node.keys, req.offset)
                         ahead.extend(node.reqs[:idx])
@@ -186,122 +169,6 @@ class _Group:
                         ahead.extend(node.reqs)
         return [r for r in ahead if not r.cancelled]
 
-
-class CfqScheduler(IOScheduler):
-    """Weighted cgroups + service trees + per-process sorted queues."""
-
-    def __init__(self, sim, device, group_weights=None):
-        super().__init__(sim, device)
-        #: cgroup id -> weight; groups not listed get weight 1.0.
-        self._weights = dict(group_weights or {})
-        self._groups = {}
-        self._group_cursor = None
-
-    # -- group helpers ---------------------------------------------------------
-    @staticmethod
-    def _group_of(req):
-        return req.tag.get("cgroup", 0)
-
-    def _group(self, group_id):
-        group = self._groups.get(group_id)
-        if group is None:
-            group = _Group(group_id, self._weights.get(group_id, 1.0))
-            self._groups[group_id] = group
-        return group
-
-    def set_group_weight(self, group_id, weight):
-        """Adjust a cgroup's share (takes effect on its next turn)."""
-        self._weights[group_id] = weight
-        if group_id in self._groups:
-            self._groups[group_id].weight = weight
-
-    # -- queue maintenance -------------------------------------------------
-    def _enqueue(self, req):
-        self._group(self._group_of(req)).enqueue(req)
-
-    def _remove(self, req):
-        group = self._groups.get(self._group_of(req))
-        if group is None:
-            return False
-        found = group.remove(req)
-        if found and group.empty():
-            self._drop_group(group.group_id)
-        return found
-
-    def _drop_group(self, group_id):
-        del self._groups[group_id]
-        if self._group_cursor == group_id:
-            self._group_cursor = None
-
-    # -- dispatch policy ---------------------------------------------------------
-    def _next(self):
-        while self._groups:
-            group = self._current_group()
-            if group is None:
-                return None
-            req = group.next_request()
-            if req is None:
-                self._drop_group(group.group_id)
-                continue
-            group.budget -= 1
-            if group.empty():
-                self._drop_group(group.group_id)
-            elif group.budget <= 0:
-                self._advance_group(group.group_id)
-            return req
-        return None
-
-    def _current_group(self):
-        if not self._groups:
-            return None
-        gid = self._group_cursor
-        if gid is None or gid not in self._groups:
-            gid = next(iter(self._groups))
-            self._group_cursor = gid
-            group = self._groups[gid]
-            group.budget = group_quantum(group.weight)
-            return group
-        return self._groups[gid]
-
-    def _advance_group(self, current_gid):
-        gids = list(self._groups)
-        if current_gid in gids:
-            nxt = gids[(gids.index(current_gid) + 1) % len(gids)]
-        else:
-            nxt = gids[0] if gids else None
-        self._group_cursor = nxt
-        if nxt is not None:
-            group = self._groups[nxt]
-            group.budget = group_quantum(group.weight)
-
-    # -- introspection (for MittCFQ) -------------------------------------------
-    def queued_requests(self):
-        out = []
-        for group in self._groups.values():
-            out.extend(group.queued_requests())
-        return out
-
-    def requests_ahead_of(self, req):
-        """Requests CFQ policy will dispatch before a new ``req``.
-
-        This is the O(P) accounting MittCFQ keeps: within the request's
-        own group, everything in strictly higher service classes, every
-        node already in the rotation, and IOs ahead of it in its node's
-        offset sort; plus — for *other* groups — up to one group turn's
-        worth of IOs (their weight-proportional share of the rotation).
-        """
-        own_gid = self._group_of(req)
-        own_group = self._groups.get(own_gid)
-        ahead = (list(own_group.requests_ahead_of(req))
-                 if own_group is not None else [])
-        for gid, group in self._groups.items():
-            if gid == own_gid:
-                continue
-            share = group_quantum(group.weight)
-            ahead.extend(group.queued_requests()[:share])
-        return ahead
-
     def process_count(self):
         """P — processes with pending IOs (the paper's O(P) bound)."""
-        return sum(len(tree) for group in self._groups.values()
-                   for tree in group.trees.values())
+        return sum(len(tree) for tree in self._trees.values())

@@ -12,7 +12,7 @@ all three microbenchmark noises at once.  The read is a sub-generator that
 drives ``FlashCache.read`` (and through it ``OS.read``) with ``yield from``.
 """
 
-from repro.errors import EBUSY, is_ebusy
+from repro.errors import is_ebusy
 from repro.kernel.syscall import ReadResult
 
 
@@ -42,23 +42,3 @@ class TieredStack:
             return result
         self.page_cache.insert(file_id, offset, size)
         return ReadResult(False, self.sim.now - start)
-
-    def addrcheck(self, file_id, offset, size, deadline):
-        """Residency check against the page cache (mmap path, §4.4).
-
-        On a miss the deadline is compared against the *flash* tier's
-        floor when the extent is cached there, else the disk tier's —
-        the same propagation rule as MittCache, one more level deep.
-        """
-        if self.page_cache.resident(file_id, offset, size):
-            return True
-        if self.flash_cache.cached(offset, size):
-            predictor = self.flash_cache.ssd_os.predictor
-        else:
-            predictor = self.flash_cache.disk_os.predictor
-        if predictor is not None and deadline < predictor.min_io_latency(
-                size):
-            self.ebusy_returned += 1
-            self.page_cache.note_ebusy_swapin(file_id, offset, size)
-            return EBUSY
-        return True

@@ -47,8 +47,7 @@ class MittCache(Predictor):
         return 0.0, self.min_io_latency(req.size)
 
     def min_io_latency(self, size):
-        if self.io_predictor is not None:
-            return self.io_predictor.min_io_latency(size)
-        # No IO predictor stacked: any deadline below the fastest possible
-        # device IO means "I expected memory".
+        # Only a lone MittCache estimates (a stacked IO predictor admits
+        # instead): any deadline below the fastest possible device IO
+        # means "I expected memory".
         return NO_MODEL_MIN_IO_US

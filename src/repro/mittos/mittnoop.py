@@ -147,9 +147,6 @@ class MittNoop(Predictor):
         actual = req.complete_time - req.submit_time
         self._bias += _BIAS_ALPHA * ((actual - predicted) - self._bias)
 
-    def min_io_latency(self, size):
-        return self.model.min_read_latency(size)
-
 
 def _clamp(x, lo, hi):
     return max(lo, min(hi, x))

@@ -134,6 +134,3 @@ class MittSsd(Predictor):
             worst_finish = max(worst_finish, finish)
         wait = max(0.0, worst_finish - now - service)
         return wait, service
-
-    def min_io_latency(self, size):
-        return self.model.min_read_latency(size)

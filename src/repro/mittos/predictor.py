@@ -159,7 +159,3 @@ class Predictor:
 
     def _on_complete(self, req):
         """Device completed ``req``."""
-
-    def min_io_latency(self, size):
-        """Fastest possible device IO (MittCache's propagation floor)."""
-        raise NotImplementedError

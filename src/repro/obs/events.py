@@ -27,7 +27,6 @@ per simulator.  Topics are plain strings, grouped by layer:
 ``slo.transition``          SLO controller changed deadline/degradation level
 ``slo.shed``                per-node admission guard shed one read (tiered
                             backpressure)
-``slo.killswitch``          operator KillSwitch tripped or cleared
 ``span.request``            per-request latency breakdown at completion
 ``span.op``                 per-client-op latency breakdown at completion
 ==========================  ===================================================
@@ -52,8 +51,8 @@ from repro.obs.schema import (CACHE_HIT, CACHE_MISS, CACHE_SWAPIN, DECISION,
                               FAULT, IO_CANCEL, IO_COMPLETE, IO_DISPATCH,
                               IO_SERVICE_START, IO_SUBMIT, LATE_REJECT,
                               OS_EBUSY, OS_READ, OS_WRITE, RPC_DROP,
-                              RPC_RECV, RPC_SEND, SCHEMAS, SLO_KILLSWITCH,
-                              SLO_SHED, SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
+                              RPC_RECV, RPC_SEND, SCHEMAS, SLO_SHED,
+                              SLO_TRANSITION, SLO_WINDOW, SPAN_OP,
                               SPAN_REQUEST, VERDICT)
 
 #: Every declared topic, in the schema registry's canonical order.

@@ -371,20 +371,18 @@ class TailForensics:
             charged, {b: tuple(refs) for b, refs in evidence.items()})
 
     # -- reporting ---------------------------------------------------------
-    def report(self, threshold_us=None, pct=None, kind=None, label=""):
+    def report(self, threshold_us=None, pct=None, label=""):
         """Classify every span above the threshold into a
         :class:`BlameReport`.
 
         ``threshold_us`` (absolute) wins over ``pct`` (percentile of the
-        same trace's span totals; default p99).  ``kind`` picks which
-        span level to analyze — client ops when the trace has any
-        (``span.request`` would double-count the same tail mass),
-        kernel request spans otherwise.
+        same trace's span totals; default p99).  The span level analyzed
+        is client ops when the trace has any (``span.request`` would
+        double-count the same tail mass), kernel request spans otherwise.
         """
         if not self._finalized:
             self.finalize()
-        if kind is None:
-            kind = "op" if self.ops else "request"
+        kind = "op" if self.ops else "request"
         spans = self.ops if kind == "op" else self.requests
         totals = [fields["total"] for _, fields in spans]
         if threshold_us is not None:

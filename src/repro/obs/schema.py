@@ -69,7 +69,6 @@ DECISION = "strategy.decision"
 SLO_WINDOW = "slo.window"
 SLO_TRANSITION = "slo.transition"
 SLO_SHED = "slo.shed"
-SLO_KILLSWITCH = "slo.killswitch"
 
 SPAN_REQUEST = "span.request"
 SPAN_OP = "span.op"
@@ -184,20 +183,14 @@ SCHEMAS = {s.topic: s for s in (
              "deadline": "number", "mode": "str"}),
     _schema(SLO_TRANSITION,
             "the SLO controller changed its effective deadline or "
-            "degradation level (adaptive move, manual override, reset)",
+            "degradation level (one adaptive move per window)",
             {"controller": "str", "kind": "str", "deadline": "number",
-             "level": "int", "mode": "str"},
-            optional={"window": "int"}),
+             "level": "int", "mode": "str", "window": "int"}),
     _schema(SLO_SHED,
             "a per-node admission guard shed one read at syscall entry "
             "(lowest tier first; graceful-degradation backpressure)",
             {"node": "key", "pid": "int", "tier": "int", "level": "int",
              "queued": "int"}),
-    _schema(SLO_KILLSWITCH,
-            "operator KillSwitch transition: tripping freezes every "
-            "adaptive move and restores the baseline deadline instantly",
-            {"controller": "str", "action": "str", "reason": "str",
-             "deadline": "number"}),
     _schema(SPAN_REQUEST,
             "per-request latency breakdown at completion",
             {"outcome": "str", "total": "number", "stages": "mapping"},

@@ -91,6 +91,7 @@ def spans_sum(stages):
     return sum(stages.values())
 
 
-def check_span_invariant(stages, total, tolerance=SPAN_SUM_TOLERANCE_US):
-    """True iff ``stages`` partitions ``total`` within tolerance."""
-    return abs(spans_sum(stages) - total) <= tolerance
+def check_span_invariant(stages, total):
+    """True iff ``stages`` partitions ``total`` within
+    ``SPAN_SUM_TOLERANCE_US``."""
+    return abs(spans_sum(stages) - total) <= SPAN_SUM_TOLERANCE_US

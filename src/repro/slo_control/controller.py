@@ -7,7 +7,7 @@ too loose (tails blow past the budget before anyone reacts).  QWin
 (PAPERS.md: window-based queue control for tail SLOs) shows a windowed
 controller over queue depth and observed percentiles can hold a tail SLO
 where a static threshold cannot; this module adds the safety discipline
-that keeps such a controller from flapping or overriding an operator:
+that keeps such a controller from flapping:
 
 * **hysteresis bands** — the controller only acts outside a relative
   band around the target p95, so measurement noise near the setpoint
@@ -19,12 +19,7 @@ that keeps such a controller from flapping or overriding an operator:
 * **monotonic-safe degradation** — backpressure levels move one notch at
   a time, shedding the lowest tier first, and the controller *never*
   upgrades (sheds less, or relaxes back toward the baseline) while the
-  error budget is burning;
-* **priority ladder** — ``KillSwitch > manual > adaptive``: tripping the
-  KillSwitch instantly restores the baseline deadline, zeroes every
-  degradation level, and freezes all adaptive moves until cleared; a
-  manual operator deadline likewise overrides the adaptive value but
-  yields to the KillSwitch.
+  error budget is burning.
 
 Determinism: the controller is driven purely by sim-time — observation
 windows are a fixed grid pre-scheduled via ``sim.schedule_at``, every
@@ -34,11 +29,9 @@ client strategy, and no RNG stream is ever touched.  Same (seed, workload) ⇒ b
 """
 
 from repro._units import MS
-from repro.obs.events import SLO_KILLSWITCH, SLO_TRANSITION, SLO_WINDOW
+from repro.obs.events import SLO_TRANSITION, SLO_WINDOW
 
-#: The priority-ladder modes, strongest first.
-MODE_KILLSWITCH = "killswitch"
-MODE_MANUAL = "manual"
+#: The ``mode`` every ``slo.window`` and ``slo.transition`` event carries.
 MODE_ADAPTIVE = "adaptive"
 
 
@@ -64,8 +57,7 @@ class SloController:
     so wiring it in is strategy-side trivial; on top of that it takes
     per-op latency observations (:meth:`observe_op`), drives the
     degradation level of every attached
-    :class:`~repro.slo_control.admission.AdmissionGuard`, and obeys the
-    KillSwitch > manual > adaptive ladder.
+    :class:`~repro.slo_control.admission.AdmissionGuard`.
 
     ``floor_us``/``ceiling_us`` are the operator-set bands the adaptive
     deadline may roam inside; they default to baseline/4 and baseline×4.
@@ -109,12 +101,9 @@ class SloController:
         self.max_level = int(max_level)
         self.guards = list(guards)
 
-        #: The adaptive plant state (what the ladder may override).
+        #: The adaptive plant state.
         self.adaptive_deadline_us = self.baseline_deadline_us
         self.level = 0
-        #: Ladder overrides.
-        self.manual_deadline_us = None
-        self.killswitch_tripped = False
         #: Closed-window counter and the dwell clock.
         self.windows = 0
         self._last_transition_window = None
@@ -126,66 +115,10 @@ class SloController:
         self._failed_ops = 0
         self._shed_seen = 0
 
-    # -- priority ladder ---------------------------------------------------
-    @property
-    def mode(self):
-        """KillSwitch > manual > adaptive, strongest active rung."""
-        if self.killswitch_tripped:
-            return MODE_KILLSWITCH
-        if self.manual_deadline_us is not None:
-            return MODE_MANUAL
-        return MODE_ADAPTIVE
-
     @property
     def deadline_us(self):
-        """The effective MittOS deadline under the ladder."""
-        if self.killswitch_tripped:
-            return self.baseline_deadline_us
-        if self.manual_deadline_us is not None:
-            return self.manual_deadline_us
+        """The effective MittOS deadline: the adaptive one."""
         return self.adaptive_deadline_us
-
-    def trip_killswitch(self, reason="operator"):
-        """Freeze adaptation NOW: baseline deadline, no shedding, no
-        adaptive transition until :meth:`clear_killswitch`."""
-        if self.killswitch_tripped:
-            return
-        self.killswitch_tripped = True
-        self.adaptive_deadline_us = self.baseline_deadline_us
-        self._set_level(0)
-        bus = self.sim.bus
-        if bus.recorder.active:
-            bus.record(SLO_KILLSWITCH, {
-                "controller": self.name, "action": "trip", "reason": reason,
-                "deadline": self.deadline_us})
-
-    def clear_killswitch(self, reason="operator"):
-        """Re-arm adaptation; a full dwell must pass before the first
-        post-clear move (no snap-back flap)."""
-        if not self.killswitch_tripped:
-            return
-        self.killswitch_tripped = False
-        self._last_transition_window = self.windows
-        bus = self.sim.bus
-        if bus.recorder.active:
-            bus.record(SLO_KILLSWITCH, {
-                "controller": self.name, "action": "clear", "reason": reason,
-                "deadline": self.deadline_us})
-
-    def set_manual(self, deadline_us):
-        """Operator override: pins the effective deadline (adaptive moves
-        freeze) until cleared.  Yields only to the KillSwitch."""
-        if deadline_us is None or deadline_us <= 0:
-            raise ValueError("manual deadline must be positive")
-        self.manual_deadline_us = float(deadline_us)
-        self._note_transition("manual-set")
-
-    def clear_manual(self):
-        if self.manual_deadline_us is None:
-            return
-        self.manual_deadline_us = None
-        self._last_transition_window = self.windows
-        self._note_transition("manual-clear")
 
     # -- observation feed --------------------------------------------------
     def record(self, was_ebusy):
@@ -203,7 +136,7 @@ class SloController:
     def attach_guard(self, guard):
         """Register one per-node admission guard under this controller."""
         self.guards.append(guard)
-        guard.set_level(0 if self.killswitch_tripped else self.level)
+        guard.set_level(self.level)
         return guard
 
     # -- the window grid ---------------------------------------------------
@@ -243,12 +176,10 @@ class SloController:
                 "controller": self.name, "window": window, "n": n,
                 "p95": p95, "ebusy_rate": ebusy_rate, "burn": burn,
                 "shed": shed, "qdepth": qdepth, "level": self.level,
-                "deadline": self.deadline_us, "mode": self.mode})
+                "deadline": self.deadline_us, "mode": MODE_ADAPTIVE})
         self._lat = []
         self._ebusy_ops = 0
         self._failed_ops = 0
-        if self.mode != MODE_ADAPTIVE:
-            return  # ladder: an operator rung owns the plant right now
         if n < self.min_samples or not self._dwell_elapsed(window):
             return
         self._decide(window, p95, ebusy_rate, burn)
@@ -306,21 +237,14 @@ class SloController:
             self._set_level(level)
         self._last_transition_window = window
         self.transitions.append((window, kind, self.deadline_us, self.level))
-        self._note_transition(kind, window=window)
+        bus = self.sim.bus
+        if bus.recorder.active:
+            bus.record(SLO_TRANSITION, {
+                "controller": self.name, "kind": kind,
+                "deadline": self.deadline_us, "level": self.level,
+                "mode": MODE_ADAPTIVE, "window": window})
 
     def _set_level(self, level):
         self.level = max(0, min(level, self.max_level))
         for guard in self.guards:
             guard.set_level(self.level)
-
-    # -- trace plane -------------------------------------------------------
-    def _note_transition(self, kind, window=None):
-        bus = self.sim.bus
-        if not bus.recorder.active:
-            return
-        fields = {"controller": self.name, "kind": kind,
-                  "deadline": self.deadline_us, "level": self.level,
-                  "mode": self.mode}
-        if window is not None:
-            fields["window"] = window
-        bus.record(SLO_TRANSITION, fields)

@@ -79,12 +79,11 @@ class Ec2NoiseModel:
         return self.mean_duration_us * (1 - self.busy_fraction) \
             / self.busy_fraction
 
-    def episodes(self, rng, horizon_us, start_us=0.0):
-        """One node's noise schedule over [start, start + horizon)."""
+    def episodes(self, rng, horizon_us):
+        """One node's noise schedule over [0, horizon)."""
         out = []
-        t = start_us + self._gap(rng) * rng.random()  # random phase
-        end = start_us + horizon_us
-        while t < end:
+        t = self._gap(rng) * rng.random()  # random phase
+        while t < horizon_us:
             duration = self._duration(rng)
             # Competing-IO concurrency: 1 + heavy-ish exponential tail, so
             # most episodes are mild but some stack 4-6 busy neighbours

@@ -10,6 +10,9 @@ shuffle/output writes, with lognormal job sizes and Poisson arrivals.
 from repro._units import KB, MB, SEC
 from repro.devices.request import BlockRequest, IoClass, IoOp
 
+#: Size of each map read and output write.
+_CHUNK = 1 * MB
+
 
 class HadoopJob:
     __slots__ = ("arrival_us", "input_bytes", "output_bytes")
@@ -21,30 +24,31 @@ class HadoopJob:
 
 
 def generate_jobs(rng, n_jobs=50, mean_gap_us=3 * SEC,
-                  median_input_bytes=8 * MB, sigma=1.2):
-    """The job list: heavy-tailed sizes, Poisson arrivals."""
+                  median_input_bytes=8 * MB):
+    """The job list: heavy-tailed (lognormal, sigma 1.2) sizes, Poisson
+    arrivals."""
     import math
     jobs = []
     t = 0.0
     mu = math.log(median_input_bytes)
     for _ in range(n_jobs):
         t += rng.expovariate(1.0 / mean_gap_us)
-        input_bytes = int(min(rng.lognormvariate(mu, sigma), 512 * MB))
+        input_bytes = int(min(rng.lognormvariate(mu, 1.2), 512 * MB))
         output_bytes = int(input_bytes * rng.uniform(0.1, 0.8))
         jobs.append(HadoopJob(t, input_bytes, output_bytes))
     return jobs
 
 
-def run_jobs(sim, os, jobs, span_bytes, chunk=1 * MB, pid_base=8000):
+def run_jobs(sim, os, jobs, span_bytes, pid_base=8000):
     """Replay jobs against a node's OS; returns the driver process."""
 
     def job_proc(job, pid):
         # Map phase: sequential chunked reads of the input.
-        offset = pid * 64 * MB % max(chunk, span_bytes - job.input_bytes)
+        offset = pid * 64 * MB % max(_CHUNK, span_bytes - job.input_bytes)
         offset -= offset % (4 * KB)
         remaining = job.input_bytes
         while remaining > 0:
-            size = min(chunk, remaining)
+            size = min(_CHUNK, remaining)
             yield os.submit_raw(BlockRequest(
                 IoOp.READ, offset, size, pid=pid, ioclass=IoClass.BE,
                 priority=6))
@@ -53,7 +57,7 @@ def run_jobs(sim, os, jobs, span_bytes, chunk=1 * MB, pid_base=8000):
         # Shuffle/output: writes.
         remaining = job.output_bytes
         while remaining > 0:
-            size = min(chunk, remaining)
+            size = min(_CHUNK, remaining)
             yield os.submit_raw(BlockRequest(
                 IoOp.WRITE, offset, size, pid=pid, ioclass=IoClass.BE,
                 priority=6))

@@ -15,7 +15,7 @@ processes submitting competing IO straight into a node's OS with
   posix_fadvise emulation).
 """
 
-from repro._units import KB, MB, MS  # MS used by window styles
+from repro._units import KB, MB
 from repro.devices.request import BlockRequest, IoClass, IoOp
 
 #: pid namespace for noisy tenants (distinct CFQ nodes from the store).
@@ -43,20 +43,20 @@ class NoiseInjector:
         return self.os.submit_raw(req)
 
     # -- continuous noise threads ------------------------------------------------
-    def disk_read_threads(self, n_threads=4, size=4 * KB,
-                          ioclass=IoClass.BE, priority=6, until_us=None,
-                          gap_us=0.0):
-        """N closed-loop reader threads (Figure 4a/4b's injector)."""
+    def disk_read_threads(self, n_threads=4, size=4 * KB, priority=6,
+                          until_us=None, gap_us=0.0):
+        """N closed-loop best-effort reader threads (Figure 4a/4b's
+        injector)."""
         procs = []
         for t in range(n_threads):
             pid = NOISE_PID_BASE + t
             procs.append(self.sim.process(self._read_loop(
-                size, ioclass, priority, pid, until_us, gap_us)))
+                size, priority, pid, until_us, gap_us)))
         return procs
 
-    def _read_loop(self, size, ioclass, priority, pid, until_us, gap_us):
+    def _read_loop(self, size, priority, pid, until_us, gap_us):
         while until_us is None or self.sim.now < until_us:
-            yield self._submit(IoOp.READ, size, ioclass, priority, pid)
+            yield self._submit(IoOp.READ, size, IoClass.BE, priority, pid)
             if gap_us:
                 yield gap_us
 
@@ -77,14 +77,12 @@ class NoiseInjector:
                 yield gap_us
 
     # -- timed busy windows (EC2 replay, rotating contention) -----------------
-    def busy_window(self, duration_us, concurrency=2, size=1 * MB,
-                    ioclass=IoClass.BE, priority=2):
-        """Keep the device busy for ~duration with big concurrent reads."""
-        return self.sim.process(self._busy_window(
-            duration_us, concurrency, size, ioclass, priority))
+    def busy_window(self, duration_us, concurrency=2):
+        """Keep the device busy for ~duration with concurrent 1 MB reads
+        (best effort, priority 2)."""
+        return self.sim.process(self._busy_window(duration_us, concurrency))
 
-    def _busy_window(self, duration_us, concurrency, size, ioclass,
-                     priority):
+    def _busy_window(self, duration_us, concurrency):
         # Each "neighbour thread" keeps one IO outstanding back-to-back, so
         # the device stays saturated for the whole window (a gap-free busy
         # period, like a tenant streaming at full tilt).
@@ -92,13 +90,13 @@ class NoiseInjector:
 
         def tenant_thread(pid):
             while self.sim.now < end:
-                yield self._submit(IoOp.READ, size, ioclass, priority, pid)
+                yield self._submit(IoOp.READ, 1 * MB, IoClass.BE, 2, pid)
 
         threads = [self.sim.process(tenant_thread(NOISE_PID_BASE + 200 + i))
                    for i in range(concurrency)]
         yield self.sim.all_of(threads)
 
-    def run_schedule(self, episodes, style="disk", concurrency_for=None):
+    def run_schedule(self, episodes, style="disk"):
         """Replay (start_us, duration_us, intensity) noise episodes.
 
         ``style`` selects the contention type: "disk" = concurrent 1 MB
@@ -108,19 +106,17 @@ class NoiseInjector:
         """
         if style not in ("disk", "ssd", "cache"):
             raise ValueError(f"unknown noise style: {style}")
-        return self.sim.process(self._run_schedule(episodes, style,
-                                                   concurrency_for))
+        return self.sim.process(self._run_schedule(episodes, style))
 
-    def _run_schedule(self, episodes, style, concurrency_for):
+    def _run_schedule(self, episodes, style):
         for start, duration, intensity in episodes:
             delay = start - self.sim.now
             if delay > 0:
                 yield delay
-            concurrency = (concurrency_for(intensity)
-                           if concurrency_for else max(1, int(intensity)))
+            concurrency = max(1, int(intensity))
             if style == "disk":
-                yield self.sim.process(self._busy_window(
-                    duration, concurrency, 1 * MB, IoClass.BE, 2))
+                yield self.sim.process(self._busy_window(duration,
+                                                         concurrency))
             elif style == "ssd":
                 yield self.sim.process(self._ssd_busy_window(
                     duration, concurrency))
@@ -204,8 +200,9 @@ class NoiseInjector:
 
 
 def rotating_contention(sim, injectors, period_us, horizon_us,
-                        concurrency=4, style="disk"):
-    """Severe contention rotating across nodes (§2's and §7.8.3's setup).
+                        concurrency=4):
+    """Severe disk contention rotating across nodes (§2's and §7.8.3's
+    setup).
 
     One node at a time is made extremely busy for ``period_us``, then the
     noise moves to the next node — the "1 busy, rest free" pattern that
@@ -215,12 +212,7 @@ def rotating_contention(sim, injectors, period_us, horizon_us,
         i = 0
         while sim.now < horizon_us:
             injector = injectors[i % len(injectors)]
-            if style == "disk":
-                window = injector.busy_window(period_us, concurrency)
-            else:
-                window = sim.process(injector._ssd_busy_window(
-                    period_us, concurrency))
-            yield window
+            yield injector.busy_window(period_us, concurrency)
             i += 1
 
     return sim.process(driver())

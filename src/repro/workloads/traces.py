@@ -113,9 +113,9 @@ def generate_trace(spec, rng, duration_us, span_bytes=900 * GB,
     return records
 
 
-def replay_trace(sim, os, records, deadline_us=None, pid=500,
-                 on_complete=None):
-    """Open-loop replay of a trace into an OS (accuracy tests, §7.6).
+def replay_trace(sim, os, records, deadline_us=None, on_complete=None):
+    """Open-loop replay of a trace into an OS as pid 500 (accuracy tests,
+    §7.6).
 
     When ``deadline_us`` is given each IO is tagged with an absolute
     deadline so a shadow-mode predictor can be scored; ``on_complete(req)``
@@ -126,7 +126,7 @@ def replay_trace(sim, os, records, deadline_us=None, pid=500,
             delay = rec.time - sim.now
             if delay > 0:
                 yield delay
-            req = BlockRequest(rec.op, rec.offset, rec.size, pid=pid)
+            req = BlockRequest(rec.op, rec.offset, rec.size, pid=500)
             if deadline_us is not None:
                 req.abs_deadline = sim.now + deadline_us
                 if os.predictor is not None:

@@ -53,16 +53,16 @@ def test_ops_feed_the_controller_window(sim):
     assert all(lat > 0 for lat in strategy.controller._lat)
 
 
-def test_effective_deadline_tracks_the_ladder(sim):
+def test_effective_deadline_follows_the_controller(sim):
     env = build_disk_cluster(sim, 3)
     strategy = make_strategy("adaptive", env.cluster, deadline_us=20 * MS)
-    strategy.controller.set_manual(6 * MS)
-    assert strategy.effective_deadline_us == 6 * MS
-    strategy.controller.trip_killswitch()
-    assert strategy.effective_deadline_us == 20 * MS
-    strategy.controller.clear_killswitch()
-    strategy.controller.clear_manual()
-    assert strategy.effective_deadline_us == 20 * MS
+    ctrl = strategy.controller
+    for _ in range(20):
+        ctrl.observe_op(2 * ctrl.target_p95_us)  # every op blows the tail
+    ctrl.on_window(sim.now)
+    assert ctrl.transitions[-1][1] == "tighten"
+    assert strategy.effective_deadline_us == ctrl.deadline_us
+    assert strategy.effective_deadline_us == pytest.approx(20 * MS / ctrl.step)
 
 
 def test_guard_nodes_installs_one_guard_per_replica(sim):

@@ -33,11 +33,6 @@ def test_service_time_includes_transfer():
     assert delta == pytest.approx(10.0 * 1020)
 
 
-def test_min_read_latency_is_zero_seek():
-    model = DiskLatencyModel(2000.0, 12.0, 10.0)
-    assert model.min_read_latency(4 * KB) == pytest.approx(2040.0)
-
-
 def test_model_predicts_actual_service_closely():
     """On a quiet disk the fitted model should be within a few percent."""
     from repro.sim import Simulator

@@ -31,7 +31,6 @@ def test_spec_validation_rejects_bad_values(spec):
 def test_empty_spec_is_valid_and_plane_armable(sim):
     env = build_disk_cluster(sim, 3)
     plane = FaultPlane(sim).arm(env.cluster)
-    assert plane.schedule() == []
     assert not plane.drop_message(-1, 0)
     assert not plane.read_error(0)
 
@@ -49,19 +48,6 @@ SPEC = FaultSpec(
     op_budget_us=500 * MS,
     max_attempts=4,
 )
-
-
-def test_schedule_is_deterministic_and_sorted():
-    schedules = []
-    for _ in range(2):
-        plane = FaultPlane(Simulator(seed=3), SPEC)
-        schedules.append(plane.schedule())
-    assert schedules[0] == schedules[1]
-    times = [t for t, _, _ in schedules[0]]
-    assert times == sorted(times)
-    actions = {(a, n) for _, a, n in schedules[0]}
-    assert ("crash", 0) in actions and ("restart", 0) in actions
-    assert ("fail_slow_on", 1) in actions and ("fail_slow_off", 1) in actions
 
 
 def _run_faulted_workload(seed):

@@ -152,21 +152,3 @@ def test_tiered_ebusy_propagates(sim):
 
     assert is_ebusy(run_process(sim, gen()))
     assert stack.ebusy_returned == 1
-
-
-def test_tiered_addrcheck_uses_the_right_floor(sim):
-    stack, flash, _, ssd_os = _stack(sim)
-    # Promote an extent to flash: its floor is the 100us page read.
-    # (Warm through the flash tier directly — the page cache would absorb
-    # repeat reads before they could train the promotion counter.)
-    def warm():
-        for _ in range(flash.promote_threshold):
-            result = yield from flash.read(0, 10 * GB, 4 * KB)
-            assert not is_ebusy(result)
-
-    run_process(sim, warm())
-    # 0.5ms deadline: satisfiable from flash (100us floor) ...
-    assert stack.addrcheck(0, 10 * GB, 4 * KB, deadline=0.5 * MS) is True
-    # ... but not from disk (≳2ms floor) for a cold extent.
-    assert is_ebusy(stack.addrcheck(0, 500 * GB, 4 * KB,
-                           deadline=0.5 * MS))

@@ -26,14 +26,6 @@ def _engine(sim, mitt=True, **kw):
     return LsmEngine(os_, **kw), os_
 
 
-def test_get_from_memtable_is_memory_speed(sim):
-    engine, _ = _engine(sim)
-    run_process(sim, engine.put(5))
-    record = run_process(sim, engine.get(5))
-    assert record.cache_hit
-    assert record.engine_latency < 100.0
-
-
 def test_get_from_sstable_reads_disk(sim):
     engine, _ = _engine(sim)
     engine.load_bulk(range(100))
@@ -46,38 +38,6 @@ def test_get_missing_key_returns_none(sim):
     engine, _ = _engine(sim)
     engine.load_bulk(range(100))
     assert run_process(sim, engine.get(5000)) is None
-
-
-def test_memtable_flush_creates_l0_runs(sim):
-    engine, _ = _engine(sim, memtable_limit=10, l0_compaction_trigger=100)
-
-    def gen():
-        for k in range(25):
-            yield sim.process(engine.put(k))
-
-    run_process(sim, gen())
-    assert len(engine._l0) == 2
-    # keys from flushed runs still readable:
-    record = run_process(sim, engine.get(3))
-    assert record is not None
-
-
-def test_compaction_merges_l0_into_l1(sim):
-    engine, _ = _engine(sim, memtable_limit=8, l0_compaction_trigger=3)
-
-    def gen():
-        for k in range(40):
-            yield sim.process(engine.put(k))
-        yield 5_000 * MS  # let background compaction drain
-
-    run_process(sim, gen())
-    sim.run()
-    assert engine.compactions >= 1
-    assert len(engine._l0) < 3
-    # All keys still resolvable after the merge:
-    for key in (0, 17, 31):
-        result = run_process(sim, engine.get(key))
-        assert result is not None
 
 
 def test_ebusy_propagates_out_of_engine(sim):

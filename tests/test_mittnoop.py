@@ -135,12 +135,6 @@ def test_naive_mode_has_no_calibration():
     assert MittNoop(MODEL, mode="precise").calibrate is True
 
 
-def test_min_io_latency_from_model(sim):
-    _, predictor = _stack(sim)
-    assert predictor.min_io_latency(4 * KB) == pytest.approx(
-        MODEL.min_read_latency(4 * KB))
-
-
 def test_mirror_tracks_device_population(sim):
     os_, predictor = _stack(sim, depth=2)
     for i in range(2):

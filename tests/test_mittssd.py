@@ -137,8 +137,3 @@ def test_naive_mode_ignores_channel_and_pattern(sim):
     write = BlockRequest(IoOp.WRITE, 0, 16 * KB)
     _, service = predictor._estimate(write)
     assert service == 1500.0  # the averaged program time
-
-
-def test_min_io_latency(sim):
-    _, predictor, _ = _stack(sim)
-    assert predictor.min_io_latency(16 * KB) == 100.0

@@ -1,46 +1,12 @@
-"""Property-based tests: LSM durability and flash-cache residency."""
+"""Property-based tests: flash-cache residency."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._units import KB
 from repro.devices import Disk, DiskParams
-from repro.engines import LsmEngine
 from repro.kernel import CfqScheduler, OS
 from repro.sim import Simulator
-
-
-@given(ops=st.lists(st.tuples(st.sampled_from(["put", "get"]),
-                              st.integers(0, 50)),
-                    min_size=1, max_size=80))
-@settings(max_examples=20, deadline=None)
-def test_lsm_never_loses_written_keys(ops):
-    """Read-your-writes across memtable flushes and compactions."""
-    sim = Simulator(seed=1)
-    disk = Disk(sim, DiskParams(jitter_frac=0.0, hiccup_prob=0.0))
-    os_ = OS(sim, disk, CfqScheduler(sim, disk))
-    engine = LsmEngine(os_, memtable_limit=8, l0_compaction_trigger=3)
-    written = set()
-
-    def driver():
-        for op, key in ops:
-            if op == "put":
-                yield sim.process(engine.put(key))
-                written.add(key)
-            else:
-                result = yield sim.process(engine.get(key))
-                if key in written:
-                    assert result is not None, f"lost key {key}"
-                else:
-                    assert result is None
-        # Final audit: every written key is still resolvable.
-        for key in written:
-            result = yield sim.process(engine.get(key))
-            assert result is not None, f"lost key {key} at audit"
-
-    proc = sim.process(driver())
-    sim.run()
-    assert proc.ok
 
 
 @given(extents=st.lists(st.integers(0, 30), min_size=1, max_size=120),

@@ -1,4 +1,4 @@
-"""Tests of the adaptive SLO controller: hysteresis, dwell, the ladder."""
+"""Tests of the adaptive SLO controller: hysteresis, dwell, window grid."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro._units import MS
 from repro.sim import Simulator
-from repro.slo_control import (MODE_ADAPTIVE, MODE_KILLSWITCH, MODE_MANUAL,
-                               AdmissionGuard, SloController, window_p95)
+from repro.slo_control import AdmissionGuard, SloController, window_p95
 
 BASELINE = 20 * MS
 
@@ -165,70 +164,6 @@ def test_effective_deadline_never_changes_twice_within_one_dwell(
     marks = [t[0] for t in ctrl.transitions]
     assert all(b - a >= dwell for a, b in zip(marks, marks[1:]))
     assert ctrl.floor_us <= ctrl.adaptive_deadline_us <= ctrl.ceiling_us
-
-
-# -- the priority ladder -----------------------------------------------------
-
-def test_killswitch_freezes_adaptation_until_cleared(sim):
-    ctrl = _controller(sim, dwell_windows=2)
-    _breach(ctrl)
-    assert ctrl.transitions  # adaptation live before the trip
-    ctrl.trip_killswitch("drill")
-    assert ctrl.mode == MODE_KILLSWITCH
-    assert ctrl.deadline_us == BASELINE  # snapped back instantly
-    assert ctrl.level == 0
-    n_trans = len(ctrl.transitions)
-    for _ in range(10):
-        _breach(ctrl)  # screaming tails, but the switch is tripped
-    assert len(ctrl.transitions) == n_trans  # no adaptive transition fired
-    assert ctrl.deadline_us == BASELINE
-    ctrl.clear_killswitch()
-    assert ctrl.mode == MODE_ADAPTIVE
-    # A full dwell must elapse post-clear before the first move.
-    _breach(ctrl)
-    assert len(ctrl.transitions) == n_trans
-    _breach(ctrl)
-    assert len(ctrl.transitions) == n_trans + 1
-
-
-def test_killswitch_zeroes_guard_levels(sim):
-    ctrl = _controller(sim, dwell_windows=1)
-    guard = ctrl.attach_guard(AdmissionGuard(sim, 0))
-    for _ in range(20):
-        _breach(ctrl)
-    assert guard.level > 0
-    ctrl.trip_killswitch()
-    assert guard.level == 0
-
-
-def test_manual_overrides_adaptive_but_yields_to_killswitch(sim):
-    ctrl = _controller(sim, dwell_windows=1)
-    ctrl.set_manual(7 * MS)
-    assert ctrl.mode == MODE_MANUAL
-    assert ctrl.deadline_us == 7 * MS
-    before = ctrl.adaptive_deadline_us
-    for _ in range(5):
-        _breach(ctrl)  # manual pins the plant: no adaptive moves
-    assert ctrl.adaptive_deadline_us == before
-    assert ctrl.deadline_us == 7 * MS
-    ctrl.trip_killswitch()
-    assert ctrl.deadline_us == BASELINE  # killswitch outranks manual
-    ctrl.clear_killswitch()
-    assert ctrl.deadline_us == 7 * MS  # manual still set underneath
-    ctrl.clear_manual()
-    assert ctrl.mode == MODE_ADAPTIVE
-    with pytest.raises(ValueError):
-        ctrl.set_manual(0)
-
-
-def test_double_trip_and_double_clear_are_idempotent(sim):
-    ctrl = _controller(sim)
-    ctrl.trip_killswitch()
-    ctrl.trip_killswitch()
-    assert ctrl.mode == MODE_KILLSWITCH
-    ctrl.clear_killswitch()
-    ctrl.clear_killswitch()
-    assert ctrl.mode == MODE_ADAPTIVE
 
 
 # -- the window grid ---------------------------------------------------------

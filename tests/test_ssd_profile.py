@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._units import KB, MS
+from repro._units import MS
 from repro.devices import Ssd, SsdGeometry
 from repro.devices.ssd_profile import SsdLatencyModel, profile_ssd
 
@@ -23,12 +23,6 @@ def test_profile_measures_read_time():
 def test_profile_measures_channel_delay():
     model = profile_ssd(lambda sim: Ssd(sim, SsdGeometry(jitter_frac=0.0)))
     assert model.channel_xfer_us == pytest.approx(60.0, rel=0.1)
-
-
-def test_min_read_latency_scales_with_pages():
-    model = SsdLatencyModel.from_spec(SsdGeometry())
-    assert model.min_read_latency(4 * KB) == 100.0
-    assert model.min_read_latency(64 * KB) == 400.0
 
 
 def test_ssd_profiling_preserves_caller_req_id_numbering():
