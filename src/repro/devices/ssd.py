@@ -42,7 +42,6 @@ def program_pattern(pages_per_block=512):
     The paper reports the profiled pattern "11111121121122...2112": seven
     leading pages of mostly-lower programming, a repeating lower/upper body,
     and a 2112 tail — identical for every block, so a single array suffices.
-    A lower page programs in 1 ms, an upper page in 2 ms.
     """
     head = [1, 1, 1, 1, 1, 1, 2, 1, 1, 2]
     tail = [2, 1, 1, 2]
@@ -51,7 +50,9 @@ def program_pattern(pages_per_block=512):
     while len(pattern) < pages_per_block - len(tail):
         pattern.extend(body_unit)
     pattern = pattern[:pages_per_block - len(tail)] + tail
-    return [x * MS for x in pattern]
+    # Two shared floats, not one per page: every SSD keeps this list.
+    lower_us, upper_us = 1 * MS, 2 * MS
+    return [lower_us if x == 1 else upper_us for x in pattern]
 
 
 class SsdGeometry:
