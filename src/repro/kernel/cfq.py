@@ -101,7 +101,7 @@ class CfqScheduler(IOScheduler):
         if self._cursor[ioclass] == pid:
             self._cursor[ioclass] = None
 
-    # -- dispatch policy ---------------------------------------------------------
+    # -- dispatch policy ------------------------------------------------------
     def _next(self):
         for cls in _IOCLASSES:       # RT, then BE, then Idle
             tree = self._trees[cls]
@@ -140,7 +140,7 @@ class CfqScheduler(IOScheduler):
             node = tree[nxt]
             node.budget = priority_quantum(node.priority)
 
-    # -- introspection (for MittCFQ) -------------------------------------------
+    # -- introspection (for MittCFQ) ------------------------------------------
     def queued_requests(self):
         out = []
         for cls in _IOCLASSES:
