@@ -18,19 +18,22 @@ from repro._units import KB
 from repro.engines.mmap_engine import GetRecord
 from repro.errors import is_ebusy
 
+#: One block read per probed table; one value per key.
+_BLOCK_SIZE = 4 * KB
+_VALUE_SIZE = 1 * KB
+
 
 class SsTable:
     """One sorted run: key range, bloom filter, on-device extent."""
 
-    __slots__ = ("keys", "lo", "hi", "offset", "size", "block_size")
+    __slots__ = ("keys", "lo", "hi", "offset", "size")
 
-    def __init__(self, keys, offset, block_size=4 * KB, value_size=1 * KB):
+    def __init__(self, keys, offset):
         self.keys = frozenset(keys)
         self.lo = min(keys)
         self.hi = max(keys)
         self.offset = offset
-        self.size = max(block_size, len(keys) * value_size)
-        self.block_size = block_size
+        self.size = max(_BLOCK_SIZE, len(keys) * _VALUE_SIZE)
 
     def may_contain(self, key, rng, bloom_fp_rate):
         """Bloom check: exact for members, small FP rate for others."""
@@ -40,8 +43,8 @@ class SsTable:
 
     def block_offset(self, key):
         """Device offset of the block holding ``key`` (or a probe block)."""
-        span = max(1, self.size // self.block_size)
-        return self.offset + (hash(key) % span) * self.block_size
+        span = max(1, self.size // _BLOCK_SIZE)
+        return self.offset + (hash(key) % span) * _BLOCK_SIZE
 
 
 class LsmEngine:
@@ -85,7 +88,7 @@ class LsmEngine:
             if not table.may_contain(key, self._rng, self.bloom_fp_rate):
                 continue
             result = yield from self.os.read(
-                self.file_id, table.block_offset(key), table.block_size,
+                self.file_id, table.block_offset(key), _BLOCK_SIZE,
                 pid=self.pid, priority=4 if priority is None else priority,
                 deadline=deadline)
             if is_ebusy(result):
