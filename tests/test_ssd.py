@@ -1,10 +1,14 @@
 """Tests of the OpenChannel SSD model."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro._units import KB, MS
 from repro.devices import BlockRequest, IoOp, Ssd, SsdGeometry
 from repro.devices.ssd import program_pattern
+from repro.sim import Simulator
 
 
 def _quiet_geometry(**kw):
@@ -197,3 +201,58 @@ def test_channel_serialization_ground_truth(sim):
     latencies = sorted(r.latency for r in reqs)
     assert latencies[0] == pytest.approx(100.0)
     assert latencies[-1] == pytest.approx(100.0 + 3 * 60.0, rel=0.05)
+
+
+def test_timing_is_pinned_through_gc_wear_and_fail_slow():
+    """Completion times, op-observer events and the device stream's state
+    are pinned over a run that reaches every branch of the page loop:
+    reads and writes across GC and wear-level moves, explicit erases, a
+    fail-slow ``latency_scale``, a per-command ``fault_latency_extra``
+    and an observer attached mid-run."""
+    sim = Simulator(seed=7)
+    geo = SsdGeometry(n_channels=2, chips_per_channel=2, blocks_per_chip=6,
+                      pages_per_block=8, jitter_frac=0.05)
+    geo.wear_spread_threshold = 3
+    ssd = Ssd(sim, geo)
+    rng = sim.rng("pin")
+    extra_rng = sim.rng("pin/extra")
+    finishes = []
+    events = []
+
+    def driver():
+        for i in range(600):
+            if i == 100:
+                ssd.latency_scale = 2.0
+            elif i == 150:
+                ssd.latency_scale = 1.0
+                ssd.fault_latency_extra = (
+                    lambda: extra_rng.expovariate(1 / 150.0))
+            elif i == 200:
+                ssd.add_op_observer(lambda *event: events.append(event))
+            elif i == 250:
+                ssd.fault_latency_extra = None
+            u = rng.random()
+            if u < 0.05:
+                ssd.erase_block(rng.randrange(geo.n_chips))
+            else:
+                op = IoOp.WRITE if u < 0.60 else IoOp.READ
+                req = BlockRequest(op, rng.randrange(12) * geo.page_size,
+                                   rng.randint(1, 5) * geo.page_size)
+                req.add_callback(
+                    lambda r: finishes.append(r.complete_time))
+                ssd.submit(req)
+            yield rng.uniform(0.0, 600.0)
+
+    sim.process(driver())
+    sim.run()
+    sim.run(until=max(map(ssd.chip_next_free, range(geo.n_chips))))
+    ssd.settle()
+    digest = hashlib.sha256()
+    digest.update(struct.pack(f"<{len(finishes)}d", *finishes))
+    digest.update(repr(events).encode())
+    digest.update(repr(ssd._rng.getstate()).encode())
+    assert (len(finishes), len(events)) == (563, 2346)
+    assert (ssd.gc_runs, ssd.wear_level_runs) == (104, 14)
+    assert sim.now == 722796.8177570719
+    assert digest.hexdigest() == (
+        "b4dacfcca82b62f3cfaca1d3701c579727301e487d7cb313a5378ed796611796")
