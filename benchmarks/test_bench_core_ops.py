@@ -96,3 +96,27 @@ def test_disk_io_throughput(benchmark):
         return disk.completed
 
     assert benchmark(run_ios) == 200
+
+
+def test_ssd_io_throughput(benchmark):
+    def run_ios():
+        sim = Simulator(seed=5)
+        ssd = Ssd(sim, SsdGeometry())
+        rng = sim.rng("io")
+
+        def loop():
+            for i in range(200):
+                op, size = ((IoOp.READ, 2048 * KB) if i % 2 == 0
+                            else (IoOp.WRITE, 1024 * KB))
+                req = BlockRequest(op, rng.randrange(0, 4 * GB) // (16 * KB)
+                                   * (16 * KB), size)
+                done = sim.event()
+                req.add_callback(done.succeed)
+                ssd.submit(req)
+                yield done
+
+        sim.process(loop())
+        sim.run()
+        return ssd.completed
+
+    assert benchmark(run_ios) == 200
