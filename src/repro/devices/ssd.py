@@ -15,20 +15,21 @@ are chopped into page sub-IOs striped across chips.  Because chips serve
 FIFO, every command's finish time is plain arithmetic on its chip's and
 channel's next-free horizons at issue — the same arithmetic MittSSD
 predicts from — so a request schedules one completion event, at its
-slowest page.  No event marks a command's own finish: each chip keeps the
-ascending finish times of its commands, and a count is the finishes still
-ahead of now.  Op observers get per-command completions from a
-finish-ordered heap, settled lazily (see :meth:`Ssd.settle`), that is
-filled only while an observer is attached.  A page's jitter is
-``random.gauss`` inlined into the page loop, drawing the same values from
-the same stream.  The host-side FTL lives here too (page-level mapping,
-round-robin allocation, greedy GC) because on OpenChannel devices the host
-owns the FTL.
+slowest page.  No event marks a command's own finish, and the horizons are
+all the timing state the device keeps.  Op observers get per-command
+completions from a finish-ordered heap, settled lazily (see
+:meth:`Ssd.settle`), that is filled only while an observer is attached.
+A read runs one page loop and a write another; a page's jitter is
+``random.gauss`` inlined into both, drawing the same values from the same
+stream.  The host-side FTL lives here too (page-level mapping, round-robin
+allocation, greedy GC) because on OpenChannel devices the host owns the
+FTL.  A mapping is one int, the physical page number
+``chip * chip_pages + block * pages_per_block + page``, where a chip holds
+``chip_pages = blocks_per_chip * pages_per_block`` pages.
 """
 
 import heapq
 import itertools
-from bisect import bisect_right
 from math import cos, log, sin, sqrt, tau
 
 from repro._units import FLASH_PAGE_SIZE, MS
@@ -91,41 +92,29 @@ class SsdGeometry:
 
 
 class _Chip:
-    """One NAND chip: FIFO op queue plus block allocation state.
+    """One NAND chip: busy horizon plus block allocation state.
 
-    The queue is ``finishes``, the finish times of the commands issued to
-    the chip and not yet dropped as finished.  The chip serves FIFO, so
-    ``next_free`` never decreases and the list is ascending, its last
-    entry being ``next_free``.
+    The chip serves its commands FIFO, so ``next_free``, the finish time
+    of the last command issued to it, is all the timing it keeps.
     """
 
-    __slots__ = ("index", "channel", "next_free", "finishes",
-                 "active_block", "next_page", "free_blocks", "valid_count",
-                 "erased", "erase_counts")
+    __slots__ = ("index", "channel", "next_free", "active_block",
+                 "next_page", "free_blocks", "valid_count", "erase_counts")
 
     def __init__(self, index, channel, geometry):
         self.index = index
         self.channel = channel
         self.next_free = 0.0
-        self.finishes = []
         self.free_blocks = list(range(geometry.blocks_per_chip))
         self.active_block = self.free_blocks.pop(0)
         self.next_page = 0
         #: valid page count per block (for greedy GC victim selection).
         self.valid_count = [0] * geometry.blocks_per_chip
-        self.erased = 0
         #: per-block erase counts (wear; drives wear-leveling moves).
         self.erase_counts = [0] * geometry.blocks_per_chip
 
     def wear_spread(self):
         return max(self.erase_counts) - min(self.erase_counts)
-
-    def running(self, now):
-        """Commands still running at ``now`` (a command finishing at
-        ``now`` is done); drops the finished ones."""
-        fin = self.finishes
-        del fin[:bisect_right(fin, now)]
-        return len(fin)
 
 
 class Ssd:
@@ -147,8 +136,10 @@ class Ssd:
         #: and not yet settled, ``seq`` being the issue order.
         self._pending = []
         self._issue_seq = itertools.count()
-        #: Page-level FTL map: logical page number -> (chip, block, page).
+        #: Page-level FTL map: logical page number -> physical page number
+        #: ``chip * chip_pages + block * pages_per_block + page``.
         self._ftl = {}
+        self._chip_pages = geo.blocks_per_chip * geo.pages_per_block
         self._write_chip_rr = 0
         self._drain_callbacks = []
         #: Fail-slow hooks (FaultPlane): scales cell/erase times and adds
@@ -170,27 +161,9 @@ class Ssd:
     def add_drain_callback(self, fn):
         self._drain_callbacks.append(fn)
 
-    @property
-    def in_device(self):
-        """Chip commands still running — page sub-IOs plus erase/GC busy
-        periods — not requests, which is what ``Disk.in_device`` counts.
-        Each chip's count is its finishes after now."""
-        self.settle()
-        now = self.sim.now
-        return sum(chip.running(now) for chip in self._chips)
-
     def chip_next_free(self, chip_index):
         """Chip busy horizon — what MittSSD tracks (§4.3)."""
         return self._chips[chip_index].next_free
-
-    def channel_outstanding(self, channel):
-        """Chip commands still running on ``channel``'s chips (ground
-        truth for the 60 µs channel delay)."""
-        self.settle()
-        now = self.sim.now
-        cpc = self.geometry.chips_per_channel
-        return sum(chip.running(now)
-                   for chip in self._chips[channel * cpc:(channel + 1) * cpc])
 
     def settle(self):
         """Hand op observers the ``"complete"`` of every chip command that
@@ -199,12 +172,11 @@ class Ssd:
         A command's finish time is known when it is issued, so no event
         marks it.  While an op observer is attached, each command issued
         also goes on the completion heap and stays there until the first
-        query at or after its finish — ``in_device``,
-        ``channel_outstanding``, the next ``submit``/``erase_block``, or
-        MittSSD's estimate.  Settling pops it and hands observers its
-        ``"complete"``, in (finish time, issue order).  A command that
-        finishes exactly at ``now`` counts as done.  The counts do not
-        depend on settling: they trim the chips' finish lists.
+        call at or after its finish — the next ``submit``/``erase_block``,
+        MittSSD's estimate, or a call to this method.  Settling pops it
+        and hands observers its ``"complete"``, in (finish time, issue
+        order).  A command that finishes exactly at ``now`` counts as
+        done.
         """
         pending = self._pending
         now = self.sim.now
@@ -226,7 +198,7 @@ class Ssd:
         """Chip a logical page lives on (striped if never written)."""
         mapped = self._ftl.get(lpn)
         if mapped is not None:
-            return mapped[0]
+            return mapped // self._chip_pages
         return lpn % self.geometry.n_chips
 
     def predict_write_placement(self, n_pages):
@@ -255,6 +227,7 @@ class Ssd:
     def submit(self, req):
         """Run ``req`` as page sub-IOs; finish when the slowest one does.
 
+        A read runs :meth:`_read_pages`, a write :meth:`_program_pages`.
         Each page draws its jitter and advances its chip and channel
         horizons in page order; a write's GC or wear-level move draws
         before the program of the page that triggered it.  The jitter is
@@ -279,6 +252,18 @@ class Ssd:
         if self.bus.recorder.active:
             self.bus.record(IO_SERVICE_START,
                             dict(request_fields(req), device=self.name))
+        page_size = self.geometry.page_size
+        lpns = range(req.offset // page_size,
+                     (req.offset + req.size - 1) // page_size + 1)
+        if req.op is IoOp.READ:
+            last = self._read_pages(lpns, now)
+        else:
+            last = self._program_pages(lpns, now)
+        sim.schedule_at(last, self._finish_request, req)
+
+    def _read_pages(self, lpns, now):
+        """Read each page from the chip it is mapped to (striped if never
+        written); return the last finish time."""
         geo = self.geometry
         rng = self._rng
         random = rng.random
@@ -287,34 +272,93 @@ class Ssd:
         scale = self.latency_scale
         extra = self.fault_latency_extra
         xfer = geo.channel_xfer_us
-        ppb = geo.pages_per_block
-        page_size = geo.page_size
+        duration = geo.page_read_us
+        cell_us = duration - xfer if duration > xfer else 0.0
         chips = self._chips
         n_chips = len(chips)
+        chip_pages = self._chip_pages
         ftl_get = self._ftl.get
         chan_free = self._channel_next_free
-        pending = self._pending
-        seq = self._issue_seq
         observers = self._op_observers
-        is_read = req.op is IoOp.READ
-        op_kind = "read" if is_read else "program"
+        last = now
+        for lpn in lpns:
+            mapped = ftl_get(lpn)
+            chip = chips[lpn % n_chips if mapped is None
+                         else mapped // chip_pages]
+            # rng.gauss(1.0, sigma), inlined.
+            if spare is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                jitter = 1.0 + cos(x2pi) * g2rad * sigma
+                spare = sin(x2pi) * g2rad
+            else:
+                jitter = 1.0 + spare * sigma
+                spare = None
+            if jitter < 0.5:
+                jitter = 0.5
+            if scale != 1.0:
+                jitter *= scale  # fail-slow storm (FaultPlane)
+            cell_time = cell_us * jitter
+            if extra is not None:
+                cell_time += extra()
+            chip_free = chip.next_free
+            ready = (chip_free if chip_free > now else now) + cell_time
+            channel = chip.channel
+            free = chan_free[channel]
+            finish = (ready if ready > free else free) + xfer
+            chan_free[channel] = finish
+            chip.next_free = finish
+            if observers:
+                self._issued(chip.index, duration, "read", finish)
+            if finish > last:
+                last = finish
+        rng.gauss_next = spare
+        return last
+
+    def _program_pages(self, lpns, now):
+        """Map each page to the next page of the next chip, round-robin,
+        and program it there; return the last finish time.
+
+        The mapping is :meth:`_map_page` inlined.  A page that fills its
+        chip's active block opens the next one first, which may run GC."""
+        geo = self.geometry
+        rng = self._rng
+        random = rng.random
+        spare = rng.gauss_next
+        sigma = geo.jitter_frac
+        scale = self.latency_scale
+        extra = self.fault_latency_extra
+        xfer = geo.channel_xfer_us
+        program_us = geo.program_us
+        ppb = geo.pages_per_block
+        chips = self._chips
+        n_chips = len(chips)
+        chip_pages = self._chip_pages
+        ftl = self._ftl
+        ftl_get = ftl.get
+        chan_free = self._channel_next_free
+        observers = self._op_observers
         rr = self._write_chip_rr
         last = now
-        for lpn in range(req.offset // page_size,
-                         (req.offset + req.size - 1) // page_size + 1):
-            if is_read:
-                mapped = ftl_get(lpn)
-                chip = chips[lpn % n_chips if mapped is None else mapped[0]]
-                duration = geo.page_read_us
-            else:
-                chip = chips[rr]
-                rr = (rr + 1) % n_chips
-                page = self._map_page(chip, lpn)
-                if chip.next_page >= ppb:
-                    rng.gauss_next = spare
-                    self._advance_active_block(chip)  # may run GC
-                    spare = rng.gauss_next
-                duration = geo.program_us[page]
+        for lpn in lpns:
+            chip = chips[rr]
+            rr += 1
+            if rr == n_chips:
+                rr = 0
+            old = ftl_get(lpn)
+            if old is not None:
+                old_chip, old_page = divmod(old, chip_pages)
+                chips[old_chip].valid_count[old_page // ppb] -= 1
+            page = chip.next_page
+            block = chip.active_block
+            ftl[lpn] = chip.index * chip_pages + block * ppb + page
+            chip.valid_count[block] += 1
+            chip.next_page = page + 1
+            if page + 1 >= ppb:
+                rng.gauss_next = spare
+                self._advance_active_block(chip)  # may run GC
+                spare = rng.gauss_next
+            duration = program_us[page]
             # rng.gauss(1.0, sigma), inlined.
             if spare is None:
                 x2pi = random() * tau
@@ -332,33 +376,20 @@ class Ssd:
             if extra is not None:
                 cell_time += extra()
             channel = chip.channel
+            free = chan_free[channel]
+            xfer_end = (now if now > free else free) + xfer
+            chan_free[channel] = xfer_end
             chip_free = chip.next_free
-            if is_read:
-                ready = (chip_free if chip_free > now else now) + cell_time
-                free = chan_free[channel]
-                finish = (ready if ready > free else free) + xfer
-                chan_free[channel] = finish
-            else:
-                free = chan_free[channel]
-                xfer_end = (now if now > free else free) + xfer
-                chan_free[channel] = xfer_end
-                finish = (chip_free if chip_free > xfer_end
-                          else xfer_end) + cell_time
+            finish = (chip_free if chip_free > xfer_end
+                      else xfer_end) + cell_time
             chip.next_free = finish
-            fin = chip.finishes
-            if fin and fin[0] <= now:
-                del fin[:bisect_right(fin, now)]
-            fin.append(finish)
             if observers:
-                for fn in observers:
-                    fn("enqueue", chip.index, duration, op_kind)
-                # repro: allow[DET005] the op observers' completion feed
-                heapq.heappush(pending, (finish, next(seq), chip.index))
+                self._issued(chip.index, duration, "program", finish)
             if finish > last:
                 last = finish
         rng.gauss_next = spare
         self._write_chip_rr = rr
-        sim.schedule_at(last, self._finish_request, req)
+        return last
 
     def _finish_request(self, req):
         self.completed += 1
@@ -368,14 +399,17 @@ class Ssd:
 
     def _map_page(self, chip, lpn):
         """Point ``lpn`` at the next page of ``chip``'s active block."""
+        chip_pages = self._chip_pages
+        ppb = self.geometry.pages_per_block
         old = self._ftl.get(lpn)
         if old is not None:
-            self._chips[old[0]].valid_count[old[1]] -= 1
+            old_chip, old_page = divmod(old, chip_pages)
+            self._chips[old_chip].valid_count[old_page // ppb] -= 1
         page = chip.next_page
-        self._ftl[lpn] = (chip.index, chip.active_block, page)
-        chip.valid_count[chip.active_block] += 1
+        block = chip.active_block
+        self._ftl[lpn] = chip.index * chip_pages + block * ppb + page
+        chip.valid_count[block] += 1
         chip.next_page = page + 1
-        return page
 
     def _open_block(self, chip):
         chip.active_block = chip.free_blocks.pop(0)
@@ -412,8 +446,9 @@ class Ssd:
         busy = moves * (geo.page_read_us + geo.program_us[0]) + geo.erase_us
         # GC occupies the chip as one opaque busy period.
         self._run_chip_op(chip, busy, "gc")
-        live = [lpn for lpn, (c, block, _) in self._ftl.items()
-                if c == chip.index and block == victim]
+        first = chip.index * self._chip_pages + victim * ppb
+        live = [lpn for lpn, ppn in self._ftl.items()
+                if first <= ppn < first + ppb]
         chip.free_blocks.append(victim)
         # Remap the migrated pages to the blocks that receive them; a full
         # active block gives way to the next free one (the victim itself
@@ -424,7 +459,6 @@ class Ssd:
             self._map_page(chip, lpn)
         if chip.next_page >= ppb:
             self._open_block(chip)
-        chip.erased += 1
         chip.erase_counts[victim] += 1
         self.gc_runs += 1
         self._maybe_wear_level(chip)
@@ -473,15 +507,16 @@ class Ssd:
             # Drawn for every chip command, as for a page, though a busy
             # period without a transfer does not add it.
             self.fault_latency_extra()
-        now = self.sim.now
-        finish = max(chip.next_free, now) + duration * jitter
+        finish = max(chip.next_free, self.sim.now) + duration * jitter
         chip.next_free = finish
-        chip.running(now)  # drop the finished commands before queueing
-        chip.finishes.append(finish)
-        observers = self._op_observers
-        if observers:
-            for fn in observers:
-                fn("enqueue", chip.index, duration, op_kind)
-            # repro: allow[DET005] the op observers' completion feed
-            heapq.heappush(self._pending,
-                           (finish, next(self._issue_seq), chip.index))
+        if self._op_observers:
+            self._issued(chip.index, duration, op_kind, finish)
+
+    def _issued(self, chip_index, duration, op_kind, finish):
+        """Report a command issued while an op observer is attached, and
+        queue its completion for :meth:`settle`."""
+        for fn in self._op_observers:
+            fn("enqueue", chip_index, duration, op_kind)
+        # repro: allow[DET005] the op observers' completion feed
+        heapq.heappush(self._pending,
+                       (finish, next(self._issue_seq), chip_index))

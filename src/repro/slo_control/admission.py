@@ -23,9 +23,9 @@ Degradation level ``k`` sheds every tier ``>= 9 - k``; with the default
 priority-4 foreground clients are structurally un-sheddable.  An
 optional ``qdepth_limit`` adds queue-depth backpressure: while the
 node's outstanding-IO depth (scheduler queue plus device in-flight,
-i.e. NCQ slots in use) is at or past the limit, the sheddable tiers
-(``>= 5``) are rejected even at level 0 — per-node overload protection
-that needs no controller round trip.
+i.e. NCQ slots in use, which only a disk counts) is at or past the
+limit, the sheddable tiers (``>= 5``) are rejected even at level 0 —
+per-node overload protection that needs no controller round trip.
 """
 
 from repro.devices.request import IoClass
@@ -74,11 +74,15 @@ class AdmissionGuard:
         in-flight.  The dispatch loop drains the scheduler into the
         device whenever an NCQ slot is free, so under load the pressure
         shows up as ``device.in_device``, not ``scheduler.queued`` —
-        counting only the latter would read ~0 at any realistic depth."""
+        counting only the latter would read ~0 at any realistic depth.
+        The device must count its requests in flight, as a disk does;
+        an SSD, whose chips keep only busy horizons, has no such count,
+        so a guard on an SSD node raises instead of reading 0.  An OS
+        without a device counts its scheduler queue alone."""
         if self._os is None:
             return 0
         device = getattr(self._os, "device", None)
-        in_device = getattr(device, "in_device", 0) if device else 0
+        in_device = device.in_device if device is not None else 0
         return self._os.scheduler.queued + in_device
 
     @property

@@ -165,7 +165,7 @@ def test_op_observer_sees_enqueue_and_complete(sim):
     assert events == [("enqueue", 0, 100.0, "read")]
     # The read finished exactly now (no jitter): a tie counts as done.
     assert sim.now == 100.0
-    assert ssd.in_device == 0
+    ssd.settle()
     assert events[1:] == [("complete", 0, 100.0, "done")]
 
 
@@ -180,10 +180,11 @@ def test_completions_settle_in_finish_order_with_their_times(sim):
         ssd.submit(BlockRequest(IoOp.READ, chip * geo.page_size,
                                 geo.page_size))
     sim.run(until=1 * MS)
-    assert ssd.in_device == 1                # the erase is still running
+    ssd.settle()
+    assert ssd.chip_next_free(0) > sim.now   # the erase is still running
     assert done == [(1, pytest.approx(100.0)), (2, pytest.approx(160.0))]
     sim.run(until=10 * MS)
-    assert ssd.channel_outstanding(0) == 0
+    ssd.settle()
     assert done[-1] == (0, pytest.approx(6 * MS))
 
 

