@@ -19,11 +19,11 @@ slowest page.  No event marks a command's own finish, and the horizons are
 all the timing state the device keeps.  Op observers get per-command
 completions from a finish-ordered heap, settled lazily (see
 :meth:`Ssd.settle`), that is filled only while an observer is attached.
-A read runs one page loop and a write another; a page's jitter is
-``random.gauss`` inlined into both, drawing the same values from the same
-stream.  The host-side FTL lives here too (page-level mapping, round-robin
-allocation, greedy GC) because on OpenChannel devices the host owns the
-FTL.  A mapping is one int, the physical page number
+A page's jitter is ``random.gauss`` inlined into the page loop, drawing
+the same values from the same stream.  The host-side FTL lives here too
+(page-level mapping, round-robin allocation, greedy GC) because on
+OpenChannel devices the host owns the FTL.  A mapping is one int, the
+physical page number
 ``chip * chip_pages + block * pages_per_block + page``, where a chip holds
 ``chip_pages = blocks_per_chip * pages_per_block`` pages.
 """
@@ -227,7 +227,6 @@ class Ssd:
     def submit(self, req):
         """Run ``req`` as page sub-IOs; finish when the slowest one does.
 
-        A read runs :meth:`_read_pages`, a write :meth:`_program_pages`.
         Each page draws its jitter and advances its chip and channel
         horizons in page order; a write's GC or wear-level move draws
         before the program of the page that triggered it.  The jitter is
@@ -252,18 +251,6 @@ class Ssd:
         if self.bus.recorder.active:
             self.bus.record(IO_SERVICE_START,
                             dict(request_fields(req), device=self.name))
-        page_size = self.geometry.page_size
-        lpns = range(req.offset // page_size,
-                     (req.offset + req.size - 1) // page_size + 1)
-        if req.op is IoOp.READ:
-            last = self._read_pages(lpns, now)
-        else:
-            last = self._program_pages(lpns, now)
-        sim.schedule_at(last, self._finish_request, req)
-
-    def _read_pages(self, lpns, now):
-        """Read each page from the chip it is mapped to (striped if never
-        written); return the last finish time."""
         geo = self.geometry
         rng = self._rng
         random = rng.random
@@ -272,93 +259,34 @@ class Ssd:
         scale = self.latency_scale
         extra = self.fault_latency_extra
         xfer = geo.channel_xfer_us
-        duration = geo.page_read_us
-        cell_us = duration - xfer if duration > xfer else 0.0
+        ppb = geo.pages_per_block
+        page_size = geo.page_size
         chips = self._chips
         n_chips = len(chips)
         chip_pages = self._chip_pages
         ftl_get = self._ftl.get
         chan_free = self._channel_next_free
         observers = self._op_observers
-        last = now
-        for lpn in lpns:
-            mapped = ftl_get(lpn)
-            chip = chips[lpn % n_chips if mapped is None
-                         else mapped // chip_pages]
-            # rng.gauss(1.0, sigma), inlined.
-            if spare is None:
-                x2pi = random() * tau
-                g2rad = sqrt(-2.0 * log(1.0 - random()))
-                jitter = 1.0 + cos(x2pi) * g2rad * sigma
-                spare = sin(x2pi) * g2rad
-            else:
-                jitter = 1.0 + spare * sigma
-                spare = None
-            if jitter < 0.5:
-                jitter = 0.5
-            if scale != 1.0:
-                jitter *= scale  # fail-slow storm (FaultPlane)
-            cell_time = cell_us * jitter
-            if extra is not None:
-                cell_time += extra()
-            chip_free = chip.next_free
-            ready = (chip_free if chip_free > now else now) + cell_time
-            channel = chip.channel
-            free = chan_free[channel]
-            finish = (ready if ready > free else free) + xfer
-            chan_free[channel] = finish
-            chip.next_free = finish
-            if observers:
-                self._issued(chip.index, duration, "read", finish)
-            if finish > last:
-                last = finish
-        rng.gauss_next = spare
-        return last
-
-    def _program_pages(self, lpns, now):
-        """Map each page to the next page of the next chip, round-robin,
-        and program it there; return the last finish time.
-
-        The mapping is :meth:`_map_page` inlined.  A page that fills its
-        chip's active block opens the next one first, which may run GC."""
-        geo = self.geometry
-        rng = self._rng
-        random = rng.random
-        spare = rng.gauss_next
-        sigma = geo.jitter_frac
-        scale = self.latency_scale
-        extra = self.fault_latency_extra
-        xfer = geo.channel_xfer_us
-        program_us = geo.program_us
-        ppb = geo.pages_per_block
-        chips = self._chips
-        n_chips = len(chips)
-        chip_pages = self._chip_pages
-        ftl = self._ftl
-        ftl_get = ftl.get
-        chan_free = self._channel_next_free
-        observers = self._op_observers
+        is_read = req.op is IoOp.READ
+        op_kind = "read" if is_read else "program"
         rr = self._write_chip_rr
         last = now
-        for lpn in lpns:
-            chip = chips[rr]
-            rr += 1
-            if rr == n_chips:
-                rr = 0
-            old = ftl_get(lpn)
-            if old is not None:
-                old_chip, old_page = divmod(old, chip_pages)
-                chips[old_chip].valid_count[old_page // ppb] -= 1
-            page = chip.next_page
-            block = chip.active_block
-            ftl[lpn] = chip.index * chip_pages + block * ppb + page
-            chip.valid_count[block] += 1
-            chip.next_page = page + 1
-            if page + 1 >= ppb:
-                rng.gauss_next = spare
-                self._advance_active_block(chip)  # may run GC
-                spare = rng.gauss_next
-            duration = program_us[page]
+        for lpn in range(req.offset // page_size,
+                         (req.offset + req.size - 1) // page_size + 1):
+            if is_read:
+                mapped = ftl_get(lpn)
+                chip = chips[lpn % n_chips if mapped is None
+                             else mapped // chip_pages]
+                duration = geo.page_read_us
+            else:
+                chip = chips[rr]
+                rr = (rr + 1) % n_chips
+                page = self._map_page(chip, lpn)
+                if chip.next_page >= ppb:
+                    rng.gauss_next = spare
+                    self._advance_active_block(chip)  # may run GC
+                    spare = rng.gauss_next
+                duration = geo.program_us[page]
             # rng.gauss(1.0, sigma), inlined.
             if spare is None:
                 x2pi = random() * tau
@@ -376,20 +304,26 @@ class Ssd:
             if extra is not None:
                 cell_time += extra()
             channel = chip.channel
-            free = chan_free[channel]
-            xfer_end = (now if now > free else free) + xfer
-            chan_free[channel] = xfer_end
             chip_free = chip.next_free
-            finish = (chip_free if chip_free > xfer_end
-                      else xfer_end) + cell_time
+            if is_read:
+                ready = (chip_free if chip_free > now else now) + cell_time
+                free = chan_free[channel]
+                finish = (ready if ready > free else free) + xfer
+                chan_free[channel] = finish
+            else:
+                free = chan_free[channel]
+                xfer_end = (now if now > free else free) + xfer
+                chan_free[channel] = xfer_end
+                finish = (chip_free if chip_free > xfer_end
+                          else xfer_end) + cell_time
             chip.next_free = finish
             if observers:
-                self._issued(chip.index, duration, "program", finish)
+                self._issued(chip.index, duration, op_kind, finish)
             if finish > last:
                 last = finish
         rng.gauss_next = spare
         self._write_chip_rr = rr
-        return last
+        sim.schedule_at(last, self._finish_request, req)
 
     def _finish_request(self, req):
         self.completed += 1
@@ -410,6 +344,7 @@ class Ssd:
         self._ftl[lpn] = chip.index * chip_pages + block * ppb + page
         chip.valid_count[block] += 1
         chip.next_page = page + 1
+        return page
 
     def _open_block(self, chip):
         chip.active_block = chip.free_blocks.pop(0)
