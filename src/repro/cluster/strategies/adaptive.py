@@ -41,7 +41,11 @@ class AdaptiveStrategy(MittosStrategy):
                          **kwargs)
 
     def guard_nodes(self, qdepth_limit=None):
-        """Install one admission guard per replica, controller-driven."""
+        """Install one admission guard per replica, controller-driven.
+
+        A guard reads its node's ``device.in_device``, so the nodes must
+        be disk nodes; on an SSD node, which has no such count, every
+        admitted read raises."""
         guards = []
         for node in self.cluster.nodes:
             guard = AdmissionGuard(self.sim, node.node_id,

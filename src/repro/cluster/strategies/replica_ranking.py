@@ -73,7 +73,11 @@ class SnitchStrategy(Strategy):
 
 
 class C3Strategy(Strategy):
-    """Latency EWMA + cubic queue penalty, per-response updates."""
+    """Latency EWMA + cubic queue penalty, per-response updates.
+
+    The queue feedback reads each node's ``device.in_device``, so every
+    node's device must count its requests in flight, as a disk does; on
+    an SSD node, which keeps only chip horizons, a response raises."""
 
     name = "c3"
 

@@ -5,7 +5,7 @@ import pytest
 from repro._units import MS
 from repro.devices.request import IoClass
 from repro.errors import is_ebusy
-from repro.experiments.common import build_disk_cluster, make_strategy
+from repro.experiments.common import build_disk_cluster, make_strategy, ssd_os
 from repro.slo_control import SHEDDABLE_TIER, AdmissionGuard, work_tier
 
 
@@ -64,6 +64,13 @@ def test_qdepth_limit_sheds_sheddable_tiers_only(sim):
     assert guard.admit(1, IoClass.RT, 0)
     guard._os.scheduler.queued = 3         # queue drained
     assert guard.admit(1, IoClass.IDLE, 0)
+
+
+def test_guard_on_an_ssd_node_raises_instead_of_counting_zero(sim):
+    # An SSD keeps chip horizons, not a count of requests in flight.
+    guard = AdmissionGuard(sim, node_id=0).attach(ssd_os(sim, "ssd0"))
+    with pytest.raises(AttributeError):
+        guard.admit(1, IoClass.BE, 4)
 
 
 def test_shed_read_returns_ebusy_on_the_os_path(sim):
